@@ -15,9 +15,11 @@ from .codes import (
     hamming_distance,
     information_set_check,
     is_mds,
+    length_bound,
     min_distance,
     parse_code,
     read_code,
+    require_mds,
     weight,
     write_code,
 )
@@ -68,6 +70,7 @@ from .search import (
     SearchResult,
     SearchSpec,
     TheoremReport,
+    check_theorems,
     enumerate_mds,
     exists_mds,
     verify_bounds,

@@ -12,7 +12,7 @@ import os
 import sys
 import warnings
 
-from .codes import Code, format_code, is_mds, information_set_check, read_code, write_code
+from .codes import format_code, information_set_check, is_mds, read_code, require_mds, write_code
 from .constructions import (
     cyclic_mols,
     doubly_extended_rs,
@@ -28,17 +28,18 @@ from .errors import (
     MdskitError,
     NotMds,
     OutOfStatedRegime,
-    SearchSpaceTooLarge,
     TheoremViolation,
     ZeroWordAbsent,
 )
 from .galois import Field
 from .search import (
+    MAX_LENGTH,
+    MAX_WORDS,
+    SWEEP_LIMIT_PER_SHAPE,
+    SWEEP_MAX_NODES,
     SearchSpec,
+    check_theorems,
     enumerate_mds,
-    verify_bounds,
-    verify_distribution,
-    verify_spectrum_theorems,
 )
 from .spectra import (
     PartitionSpec,
@@ -50,7 +51,7 @@ from .spectra import (
     weight_distribution_formula,
     weight_spectrum,
 )
-from .transforms import classify_binary, format_move, normalize_to_zero, residual, ResidualSpec
+from .transforms import ResidualSpec, classify_binary, format_move, normalize_to_zero, residual
 
 
 def _int_list(text):
@@ -84,14 +85,19 @@ def _load(path):
     return read_code(path)
 
 
+def _print_shape(shape):
+    """The q, n and k lines that open a report on a code or search shape."""
+    print(f"q = {shape.q}")
+    print(f"n = {shape.n}")
+    print(f"k = {shape.k}")
+
+
 def _emit_code(code, out):
     """Write to `out` when given (and report it), else print the file text."""
     if out:
         write_code(code, out)
         report = is_mds(code)
-        print(f"q = {code.q}")
-        print(f"n = {code.n}")
-        print(f"k = {code.k}")
+        _print_shape(code)
         if code.k > 0:
             print(f"d = {report.d}")
         print(f"out = {out}")
@@ -141,9 +147,7 @@ def _need(args, *names):
 def _cmd_verify(args):
     code = _load(args.file)
     report = is_mds(code)
-    print(f"q = {code.q}")
-    print(f"n = {code.n}")
-    print(f"k = {code.k}")
+    _print_shape(code)
     print(f"d = {report.d}")
     print(f"singleton_bound = {report.singleton_bound}")
     print(f"is_mds = {_bool(report.is_mds)}")
@@ -157,9 +161,7 @@ def _cmd_verify(args):
 
 
 def _require_mds_with_zero(code):
-    report = is_mds(code)
-    if not report.is_mds:
-        raise NotMds(f"d={report.d} < {report.singleton_bound}")
+    report = require_mds(code)
     if not code.contains_zero():
         raise ZeroWordAbsent("code does not contain the zero word; run normalize first")
     return report
@@ -172,9 +174,7 @@ def _cmd_spectrum(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OutOfStatedRegime)
         closed = weight_distribution_formula(code.n, code.k, code.q)
-    print(f"q = {code.q}")
-    print(f"n = {code.n}")
-    print(f"k = {code.k}")
+    _print_shape(code)
     print(f"d = {report.d}")
     print(f"total = {brute.total()}")
     print(f"W = {_format_set(weight_spectrum(code))}")
@@ -194,9 +194,7 @@ def _cmd_pwe(args):
     profile = tuple(args.profile)
     brute = partition_weight_enumerator_bruteforce(code, spec, profile)
     closed = partition_weight_enumerator_formula(code.n, code.k, code.q, spec, profile)
-    print(f"q = {code.q}")
-    print(f"n = {code.n}")
-    print(f"k = {code.k}")
+    _print_shape(code)
     print(f"d = {report.d}")
     partition_echo = "/".join(",".join(str(p + 1) for p in sorted(b)) for b in blocks)
     print(f"partition = {partition_echo}")
@@ -211,17 +209,13 @@ def _cmd_pwe(args):
 
 def _cmd_distances(args):
     code = _load(args.file)
-    report = is_mds(code)
-    if not report.is_mds:
-        raise NotMds(f"d={report.d} < {report.singleton_bound}")
+    report = require_mds(code)
     center = tuple(args.center) if args.center else min(code.words)
     dist = distance_distribution_from(code, center)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OutOfStatedRegime)
         closed = weight_distribution_formula(code.n, code.k, code.q)
-    print(f"q = {code.q}")
-    print(f"n = {code.n}")
-    print(f"k = {code.k}")
+    _print_shape(code)
     print(f"d = {report.d}")
     print(f"center = {' '.join(str(s) for s in center)}")
     for w in sorted(dist.counts):
@@ -246,9 +240,7 @@ def _cmd_normalize(args):
     word = tuple(args.word) if args.word else None
     normalized, moves = normalize_to_zero(code, word)
     write_code(normalized, args.out)
-    print(f"q = {code.q}")
-    print(f"n = {code.n}")
-    print(f"k = {code.k}")
+    _print_shape(code)
     print(f"moves = {len(moves)}")
     for move in moves:
         print(f"move = {format_move(move)}")
@@ -259,9 +251,7 @@ def _cmd_normalize(args):
 def _cmd_classify_binary(args):
     code = _load(args.file)
     result = classify_binary(code)
-    print(f"q = {code.q}")
-    print(f"n = {code.n}")
-    print(f"k = {code.k}")
+    _print_shape(code)
     print(f"kind = {result.kind.value}")
     print(f"moves = {len(result.moves)}")
     for move in result.moves:
@@ -270,13 +260,16 @@ def _cmd_classify_binary(args):
 
 
 def _search_limits(args):
-    max_words = 2 ** 16
+    max_words = MAX_WORDS
     env = os.environ.get("MDSKIT_MAX_SEARCH")
     if env:
-        max_words = int(env)
-    if getattr(args, "max_words", None) is not None:
+        try:
+            max_words = int(env)
+        except ValueError:
+            raise MdskitError(f"MDSKIT_MAX_SEARCH must be an integer, got {env!r}") from None
+    if args.max_words is not None:
         max_words = args.max_words
-    max_length = args.max_length if getattr(args, "max_length", None) is not None else 12
+    max_length = args.max_length if args.max_length is not None else MAX_LENGTH
     return max_words, max_length
 
 
@@ -290,9 +283,7 @@ def _cmd_search(args):
                       max_length=max_length,
                       max_nodes=args.max_nodes)
     result = enumerate_mds(spec)
-    print(f"q = {args.q}")
-    print(f"n = {args.n}")
-    print(f"k = {args.k}")
+    _print_shape(args)
     print(f"d = {args.n - args.k + 1}")
     print(f"require_zero = {_bool(args.require_zero)}")
     print(f"mode = {args.mode}")
@@ -310,95 +301,19 @@ def _cmd_search(args):
     return 0
 
 
-def _admissible(n, k, q):
-    if k > 1 and n > q + k - 1:
-        return False
-    if q <= k and n > k + 1:
-        return False
-    return True
-
-
 def _cmd_check_theorems(args):
     max_words, max_length = _search_limits(args)
-    q, max_n = args.q, args.max_n
-    print(f"q = {q}")
-    print(f"max_n = {max_n}")
+    print(f"q = {args.q}")
+    print(f"max_n = {args.max_n}")
     idx = 0
     failures = 0
-
-    def line(status, text):
-        nonlocal idx
-        idx += 1
-        print(f"check[{idx}] = {status} {text}")
-
-    # only length bounds whose witness length bound+1 fits under max_n
-    k_max = 1
-    for k in range(2, max_n + 1):
-        bound = k + 1 if q <= k else q + k - 1
-        if bound + 1 <= max_n:
-            k_max = k
-    for report in verify_bounds(q, k_max, max_words=max_words,
-                                max_length=max_length, max_nodes=args.max_nodes):
-        if not report.passed:
+    for idx, (status, claim) in enumerate(
+            check_theorems(args.q, args.max_n, limit_per_shape=args.limit_per_shape,
+                           max_words=max_words, max_length=max_length,
+                           max_nodes=args.max_nodes), start=1):
+        print(f"check[{idx}] = {status} {claim}")
+        if status == "fail":
             failures += 1
-        line("pass" if report.passed else "fail", report.claim)
-
-    for k in range(1, max_n + 1):
-        for n in range(k, max_n + 1):
-            if not _admissible(n, k, q):
-                continue
-            try:
-                spec = SearchSpec(n, k, q, require_zero=True, mode="collect",
-                                  limit=args.limit_per_shape,
-                                  max_words=max_words, max_length=max_length,
-                                  max_nodes=args.max_nodes)
-                result = enumerate_mds(spec)
-            except SearchSpaceTooLarge as exc:
-                line("skip", f"(n={n}, k={k})_{q}: {exc}")
-                continue
-            if not result.codes:
-                if result.complete:
-                    line("skip", f"(n={n}, k={k})_{q}: no codes exist")
-                else:
-                    line("skip", f"(n={n}, k={k})_{q}: unresolved within node budget")
-                continue
-            tag = f"codes={len(result.codes)}" + ("" if result.complete else " sample")
-
-            spectrum_bad = 0
-            dist_bad = 0
-            dist_empirical = False
-            classify_bad = 0
-            for code in result.codes:
-                for rep in verify_spectrum_theorems(code):
-                    if not rep.passed:
-                        spectrum_bad += 1
-                rep = verify_distribution(code)
-                dist_empirical = rep.out_of_regime
-                if not rep.passed:
-                    dist_bad += 1
-                if q == 2:
-                    try:
-                        classify_binary(code)
-                    except TheoremViolation:
-                        classify_bad += 1
-            if spectrum_bad:
-                failures += 1
-            line("pass" if not spectrum_bad else "fail",
-                 f"spectrum (n={n}, k={k})_{q} {tag}")
-            if dist_empirical:
-                line("empirical" if not dist_bad else "empirical-disagree",
-                     f"distribution (n={n}, k={k})_{q} {tag}")
-            else:
-                if dist_bad:
-                    failures += 1
-                line("pass" if not dist_bad else "fail",
-                     f"distribution (n={n}, k={k})_{q} {tag}")
-            if q == 2:
-                if classify_bad:
-                    failures += 1
-                line("pass" if not classify_bad else "fail",
-                     f"binary-classification (n={n}, k={k})_{q} {tag}")
-
     print(f"checks = {idx}")
     print(f"failures = {failures}")
     print(f"result = {'pass' if failures == 0 else 'fail'}")
@@ -485,11 +400,11 @@ def build_parser():
                        help="verify spectra, distributions, and length bounds by search")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--limit-per-shape", type=int, default=512,
+    p.add_argument("--limit-per-shape", type=int, default=SWEEP_LIMIT_PER_SHAPE,
                    help="cap on codes enumerated per (n, k)")
     p.add_argument("--max-words", type=int, help="override the q^k guard")
     p.add_argument("--max-length", type=int, help="override the length guard")
-    p.add_argument("--max-nodes", type=int, default=200000,
+    p.add_argument("--max-nodes", type=int, default=SWEEP_MAX_NODES,
                    help="walk budget per shape; unresolved shapes are skipped")
     p.set_defaults(func=_cmd_check_theorems)
 

@@ -14,6 +14,7 @@ The parser rejects duplicate words, wrong arity, out-of-range symbols, and
 word counts that are not a power of q.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,6 +22,8 @@ from .errors import (
     CodeFileError,
     InvalidCode,
     LengthMismatch,
+    NotMds,
+    TheoremViolation,
     TooFewWords,
 )
 
@@ -125,15 +128,32 @@ def min_distance(code):
     return best
 
 
+def length_bound(k, q):
+    """Greatest length n of any (n, k)_q MDS code with k >= 2: k+1 when
+    q <= k, else q+k-1.  Codes with k <= 1 exist at every length, so
+    their bound is infinite."""
+    if k < 2:
+        return math.inf
+    return k + 1 if q <= k else q + k - 1
+
+
 def is_mds(code):
     """Check d = n - k + 1; the report carries d and the Singleton bound."""
     d = min_distance(code)
     bound = code.n - code.k + 1
     report = MdsReport(is_mds=(d == bound), d=d, singleton_bound=bound)
-    if report.is_mds:
-        # Length bounds that every MDS code provably satisfies.
-        assert code.k <= 1 or code.n <= code.q + code.k - 1
-        assert code.q > code.k or code.n <= code.k + 1
+    if report.is_mds and code.n > length_bound(code.k, code.q):
+        raise TheoremViolation(
+            f"(n={code.n}, k={code.k})_{code.q} MDS code is longer than the "
+            f"length bound {length_bound(code.k, code.q)}")
+    return report
+
+
+def require_mds(code):
+    """The MdsReport of an MDS code; any other code raises NotMds."""
+    report = is_mds(code)
+    if not report.is_mds:
+        raise NotMds(f"d={report.d} < {report.singleton_bound}")
     return report
 
 

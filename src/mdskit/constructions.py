@@ -8,12 +8,12 @@ n-2 mutually orthogonal Latin squares.
 
 import itertools
 
-from .codes import Code, is_mds
+from .codes import Code, require_mds
 from .errors import (
     DimensionTooLarge,
     DuplicatePoints,
+    InvalidParameters,
     NotLatinSquare,
-    NotMds,
     NotOrthogonal,
     NotPrime,
     OddCharacteristic,
@@ -28,6 +28,8 @@ def repetition_code(n, q):
 
 def universe_code(k, q):
     """(k, k)_q code consisting of every word; minimum distance 1."""
+    if k < 1:
+        raise InvalidParameters(f"need k >= 1, got k={k}")
     return Code(q, itertools.product(range(q), repeat=k))
 
 
@@ -55,7 +57,7 @@ def rs_code(field, k, points):
     if len(set(points)) != len(points):
         raise DuplicatePoints(f"evaluation points {points} are not distinct")
     if any(p not in field.elements for p in points):
-        raise ValueError(f"points {points} must be field elements")
+        raise InvalidParameters(f"points {points} must be field elements")
     if not 1 <= k <= len(points):
         raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got k={k}")
     words = [tuple(field.poly_eval(coeffs, a) for a in points)
@@ -184,8 +186,7 @@ def code_to_mols(code):
         raise WrongDimension(f"need k=2, got k={code.k}")
     if code.n < 3:
         raise WrongDimension(f"need n >= 3, got n={code.n}")
-    if not is_mds(code).is_mds:
-        raise NotMds("code is not MDS")
+    require_mds(code)
     q = code.q
     by_prefix = {w[:2]: w for w in code.words}
     squares = []

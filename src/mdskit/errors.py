@@ -67,7 +67,7 @@ class WrongDimension(MdskitError):
 
 
 class InvalidParameters(MdskitError):
-    """(n, k, q) do not describe a valid MDS parameter set."""
+    """Parameters do not describe a valid code, construction or search."""
 
 
 class InadmissibleParameters(MdskitError):

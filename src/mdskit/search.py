@@ -31,12 +31,12 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 
-from .codes import Code, is_mds, weight
+from .codes import Code, length_bound, require_mds, weight
 from .errors import (
     InvalidParameters,
-    NotMds,
     OutOfStatedRegime,
     SearchSpaceTooLarge,
+    TheoremViolation,
     ZeroWordAbsent,
 )
 from .spectra import (
@@ -45,6 +45,14 @@ from .spectra import (
     weight_distribution_formula,
     weight_spectrum,
 )
+from .transforms import classify_binary
+
+# default search guards on words per code and on code length, and the
+# sweep's default caps on codes checked and walk nodes per shape
+MAX_WORDS = 2 ** 16
+MAX_LENGTH = 12
+SWEEP_LIMIT_PER_SHAPE = 512
+SWEEP_MAX_NODES = 200000
 
 _UNIVERSE_LIMIT = 2 ** 18
 _CANDIDATE_LIMIT = 2 ** 13
@@ -66,8 +74,8 @@ class SearchSpec:
     require_zero: bool = False
     mode: str = "count"
     limit: int = None
-    max_words: int = 2 ** 16
-    max_length: int = 12
+    max_words: int = MAX_WORDS
+    max_length: int = MAX_LENGTH
     max_nodes: int = None
 
     def __post_init__(self):
@@ -226,19 +234,14 @@ def _walk(q, n, k, cand, emit, max_nodes):
     return complete
 
 
-def enumerate_mds(spec):
-    """Walk all (n, k)_q MDS codes (optionally only those containing the
-    zero word) and count, collect, or stop at the first one."""
+def _search(spec, select):
+    """Walk the MDS codes of spec's shape whose words all lie in
+    select(q, n, k, universe), or in the whole universe when select is
+    None, and count, collect, or stop at the first one."""
     _guard(spec)
     q, n, k = spec.q, spec.n, spec.k
-    d = n - k + 1
     universe = list(product(range(q), repeat=n))
-    if spec.require_zero:
-        # any other word with an all-zero information prefix has weight
-        # at most n-k < d, so the zero slot is pinned to the zero word
-        cand = [w for w in universe if weight(w) >= d or not any(w)]
-    else:
-        cand = universe
+    cand = universe if select is None else select(q, n, k, universe)
 
     count = 0
     codes = []
@@ -255,6 +258,20 @@ def enumerate_mds(spec):
 
     complete = _walk(q, n, k, cand, emit, spec.max_nodes)
     return SearchResult(spec, count, tuple(codes), complete)
+
+
+def _zero_candidates(q, n, k, universe):
+    """Candidates of the codes containing the zero word: any other word
+    with an all-zero information prefix has weight at most n-k < d, so
+    the zero slot is pinned to the zero word."""
+    d = n - k + 1
+    return [w for w in universe if weight(w) >= d or not any(w)]
+
+
+def enumerate_mds(spec):
+    """Walk all (n, k)_q MDS codes (optionally only those containing the
+    zero word) and count, collect, or stop at the first one."""
+    return _search(spec, _zero_candidates if spec.require_zero else None)
 
 
 def _canonical_candidates(q, n, k, universe):
@@ -274,14 +291,8 @@ def _canonical_candidates(q, n, k, universe):
         them without disturbing the words pinned above, which all carry
         0 in the first position.
     """
-    d = n - k + 1
     out = []
-    for w in universe:
-        if not any(w):
-            out.append(w)
-            continue
-        if weight(w) < d:
-            continue
+    for w in _zero_candidates(q, n, k, universe):
         if not any(w[:k - 1]):
             y = w[k - 1]
             if any(w[p] != y for p in range(k, n)):
@@ -292,7 +303,7 @@ def _canonical_candidates(q, n, k, universe):
     return out
 
 
-def exists_mds(n, k, q, max_words=2 ** 16, max_length=12, max_nodes=None):
+def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=None):
     """Whether any (n, k)_q MDS code exists.  Only codes in the normal
     form of _canonical_candidates are walked, which is enough: every
     code is carried onto one of them by symbol relabelings that preserve
@@ -301,20 +312,10 @@ def exists_mds(n, k, q, max_words=2 ** 16, max_length=12, max_nodes=None):
     spec = SearchSpec(n, k, q, require_zero=True, mode="exists",
                       max_words=max_words, max_length=max_length,
                       max_nodes=max_nodes)
-    _guard(spec)
-    universe = list(product(range(q), repeat=n))
-    found = False
-
-    def emit(words):
-        nonlocal found
-        found = True
+    result = _search(spec, _canonical_candidates)
+    if result.count:
         return True
-
-    complete = _walk(q, n, k, _canonical_candidates(q, n, k, universe),
-                     emit, max_nodes)
-    if found:
-        return True
-    if not complete:
+    if not result.complete:
         raise SearchSpaceTooLarge(
             f"node budget {max_nodes} exhausted before settling (n={n}, k={k})_{q}")
     return False
@@ -330,16 +331,16 @@ class TheoremReport:
     detail: str = ""
 
 
-def verify_bounds(q, k_max, max_words=2 ** 16, max_length=12, max_nodes=None):
-    """Confirm by exhaustive search that no (n, k)_q MDS code outruns the
-    length bound: n <= k+1 when q <= k, else n <= q+k-1, for each k in
-    2..k_max.  Checking length bound+1 suffices, because deleting any
-    coordinate of a longer MDS code leaves an MDS code.  Sizes the guards
-    refuse or the node budget cannot settle are skipped; only searched
-    cases are reported."""
+def verify_bounds(q, k_max, max_words=MAX_WORDS, max_length=MAX_LENGTH,
+                  max_nodes=None):
+    """Confirm by exhaustive search that no (n, k)_q MDS code outruns
+    length_bound(k, q), for each k in 2..k_max.  Checking length bound+1
+    suffices, because deleting any coordinate of a longer MDS code leaves
+    an MDS code.  Sizes the guards refuse or the node budget cannot
+    settle are skipped; only searched cases are reported."""
     reports = []
     for k in range(2, k_max + 1):
-        bound = k + 1 if q <= k else q + k - 1
+        bound = length_bound(k, q)
         n = bound + 1
         try:
             found = exists_mds(n, k, q, max_words=max_words,
@@ -357,9 +358,7 @@ def verify_bounds(q, k_max, max_words=2 ** 16, max_length=12, max_nodes=None):
 def verify_spectrum_theorems(code):
     """Check the attained nonzero weights of an MDS code containing zero
     against the provable spectrum, plus the full-length-word claims."""
-    report = is_mds(code)
-    if not report.is_mds:
-        raise NotMds(f"d={report.d} < {report.singleton_bound}")
+    require_mds(code)
     if not code.contains_zero():
         raise ZeroWordAbsent("spectrum checks are stated for codes containing zero")
     n, k, q = code.n, code.k, code.q
@@ -386,9 +385,7 @@ def verify_distribution(code):
     containing zero with the closed form.  Outside the stated regime
     (q < k) the outcome is recorded as empirical agreement, not a
     theorem check."""
-    report = is_mds(code)
-    if not report.is_mds:
-        raise NotMds(f"d={report.d} < {report.singleton_bound}")
+    require_mds(code)
     if not code.contains_zero():
         raise ZeroWordAbsent("the closed form counts weights relative to zero")
     n, k, q = code.n, code.k, code.q
@@ -408,3 +405,69 @@ def verify_distribution(code):
         passed=brute == closed,
         out_of_regime=q < k,
         detail=detail)
+
+
+def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
+                   max_words=MAX_WORDS, max_length=MAX_LENGTH,
+                   max_nodes=SWEEP_MAX_NODES):
+    """Check, by search, the length bounds whose witness length fits
+    under max_n, then the spectrum, distribution and (for q = 2) binary
+    classification of up to limit_per_shape codes containing zero for
+    every (n, k)_q shape with n <= min(max_n, length_bound(k, q)).
+    Yields the (status, claim) lines in order as each is settled."""
+    k_max = 1
+    for k in range(2, max_n + 1):
+        if length_bound(k, q) + 1 <= max_n:
+            k_max = k
+    for report in verify_bounds(q, k_max, max_words=max_words,
+                                max_length=max_length, max_nodes=max_nodes):
+        yield ("pass" if report.passed else "fail", report.claim)
+
+    for k in range(1, max_n + 1):
+        for n in range(k, max_n + 1):
+            if n > length_bound(k, q):
+                break
+            shape = f"(n={n}, k={k})_{q}"
+            try:
+                spec = SearchSpec(n, k, q, require_zero=True, mode="collect",
+                                  limit=limit_per_shape,
+                                  max_words=max_words, max_length=max_length,
+                                  max_nodes=max_nodes)
+                result = enumerate_mds(spec)
+            except SearchSpaceTooLarge as exc:
+                yield ("skip", f"{shape}: {exc}")
+                continue
+            if not result.codes:
+                if result.complete:
+                    yield ("skip", f"{shape}: no codes exist")
+                else:
+                    yield ("skip", f"{shape}: unresolved within node budget")
+                continue
+            tag = f"codes={len(result.codes)}" + ("" if result.complete else " sample")
+
+            spectrum_bad = 0
+            dist_bad = 0
+            dist_empirical = False
+            classify_bad = 0
+            for code in result.codes:
+                for rep in verify_spectrum_theorems(code):
+                    if not rep.passed:
+                        spectrum_bad += 1
+                rep = verify_distribution(code)
+                dist_empirical = rep.out_of_regime
+                if not rep.passed:
+                    dist_bad += 1
+                if q == 2:
+                    try:
+                        classify_binary(code)
+                    except TheoremViolation:
+                        classify_bad += 1
+            yield ("fail" if spectrum_bad else "pass", f"spectrum {shape} {tag}")
+            if dist_empirical:
+                yield ("empirical-disagree" if dist_bad else "empirical",
+                       f"distribution {shape} {tag}")
+            else:
+                yield ("fail" if dist_bad else "pass", f"distribution {shape} {tag}")
+            if q == 2:
+                yield ("fail" if classify_bad else "pass",
+                       f"binary-classification {shape} {tag}")

@@ -20,7 +20,7 @@ without claiming a theorem.
 import warnings
 from math import comb
 
-from .codes import hamming_distance, weight
+from .codes import hamming_distance, length_bound, weight
 from .errors import (
     BadPartition,
     InadmissibleParameters,
@@ -69,13 +69,19 @@ class WeightDistribution:
         return {w for w in self.counts if w > 0}
 
 
-def weight_distribution_bruteforce(code):
-    """Exact weight counts by scanning every codeword."""
+def _distances_from(code, center):
+    """Counts of codewords at each distance from center, which need not
+    be a codeword."""
     counts = {}
     for w in code.words:
-        wt = weight(w)
-        counts[wt] = counts.get(wt, 0) + 1
+        t = hamming_distance(w, center)
+        counts[t] = counts.get(t, 0) + 1
     return WeightDistribution(code.n, counts)
+
+
+def weight_distribution_bruteforce(code):
+    """Exact weight counts by scanning every codeword."""
+    return _distances_from(code, code.zero)
 
 
 def _alternating_sum(w, d, q):
@@ -123,10 +129,9 @@ def predicted_spectrum(n, k, q):
     """
     if k < 1 or n < k or q < 2:
         raise InadmissibleParameters(f"(n={n}, k={k}, q={q}) is not a code shape")
-    if k > 1 and n > q + k - 1:
-        raise InadmissibleParameters(f"no (n={n}, k={k})_{q} MDS code: n > q+k-1")
-    if q <= k and n > k + 1:
-        raise InadmissibleParameters(f"no (n={n}, k={k})_{q} MDS code: q <= k forces n <= k+1")
+    if n > length_bound(k, q):
+        raise InadmissibleParameters(
+            f"no (n={n}, k={k})_{q} MDS code: n > {length_bound(k, q)}")
     if k == 1:
         return {n}
     if n == k:
@@ -194,39 +199,9 @@ def partition_weight_enumerator_formula(n, k, q, spec, profile):
     return factor * _alternating_sum(w, d, q)
 
 
-def partition_weight_enumerator_bruteforce(code, spec, profile):
-    """Exact profile count by scanning codewords."""
-    if spec.n != code.n:
-        raise BadPartition(f"partition covers {spec.n} positions, code length is {code.n}")
-    profile = _check_profile(spec, profile)
-    count = 0
-    for word in code.words:
-        if all(sum(word[p] != 0 for p in block) == wi
-               for block, wi in zip(spec.blocks, profile)):
-            count += 1
-    return count
-
-
-# ------------------------------------------------- distance spectra
-
-def distance_distribution_from(code, center):
-    """Counts of codewords at each distance from a chosen codeword."""
-    center = tuple(center)
-    if center not in code.words:
-        raise WordNotInCode(f"{center} is not a codeword")
-    counts = {}
-    for w in code.words:
-        t = hamming_distance(w, center)
-        counts[t] = counts.get(t, 0) + 1
-    return WeightDistribution(code.n, counts)
-
-
-def partition_distance_enumerator(code, center, spec, profile):
-    """Count codewords differing from `center` in exactly profile[i]
-    positions inside block i, for each block."""
-    center = tuple(center)
-    if center not in code.words:
-        raise WordNotInCode(f"{center} is not a codeword")
+def _profile_count(code, center, spec, profile):
+    """Codewords differing from center, which need not be a codeword, in
+    exactly profile[i] positions inside block i, for each block."""
     if spec.n != code.n:
         raise BadPartition(f"partition covers {spec.n} positions, code length is {code.n}")
     profile = _check_profile(spec, profile)
@@ -236,3 +211,27 @@ def partition_distance_enumerator(code, center, spec, profile):
                for block, wi in zip(spec.blocks, profile)):
             count += 1
     return count
+
+
+def partition_weight_enumerator_bruteforce(code, spec, profile):
+    """Exact profile count by scanning codewords."""
+    return _profile_count(code, code.zero, spec, profile)
+
+
+# ------------------------------------------------- distance spectra
+
+def distance_distribution_from(code, center):
+    """Counts of codewords at each distance from a chosen codeword."""
+    center = tuple(center)
+    if center not in code.words:
+        raise WordNotInCode(f"{center} is not a codeword")
+    return _distances_from(code, center)
+
+
+def partition_distance_enumerator(code, center, spec, profile):
+    """Count codewords differing from `center` in exactly profile[i]
+    positions inside block i, for each block."""
+    center = tuple(center)
+    if center not in code.words:
+        raise WordNotInCode(f"{center} is not a codeword")
+    return _profile_count(code, center, spec, profile)

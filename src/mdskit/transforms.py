@@ -23,7 +23,7 @@ which, and raises if a purported counterexample shows up.
 from dataclasses import dataclass
 from enum import Enum
 
-from .codes import Code, is_mds
+from .codes import Code, is_mds, require_mds
 from .errors import (
     BadMove,
     BadPositions,
@@ -133,9 +133,7 @@ class ResidualSpec:
 def residual(code, spec):
     """The residual code: keep words matching the fixed values, delete the
     fixed positions.  Input must be MDS; output is (n-t, k-t)_q MDS."""
-    report = is_mds(code)
-    if not report.is_mds:
-        raise NotMds(f"d={report.d} < {report.singleton_bound}")
+    require_mds(code)
     t = len(spec.positions)
     if t > code.k:
         raise TooManyPositions(f"cannot fix {t} positions with k={code.k}")
@@ -179,9 +177,7 @@ def classify_binary(code):
     to, returning the class and the normalizing moves."""
     if code.q != 2:
         raise NotMds(f"classification applies to q=2 only, got q={code.q}")
-    report = is_mds(code)
-    if not report.is_mds:
-        raise NotMds(f"d={report.d} < {report.singleton_bound}")
+    require_mds(code)
     normalized, moves = normalize_to_zero(code)
     n, k = code.n, code.k
     if k == 1:

@@ -1,10 +1,13 @@
 """End-to-end command line behavior: reports, files, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mdskit
 from mdskit import (
     Code,
     Field,
@@ -18,6 +21,8 @@ from mdskit import (
     write_code,
 )
 from mdskit.cli import run
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 NOT_MDS_WORDS = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
@@ -60,6 +65,20 @@ def test_construct_missing_flags(capsys):
 
 def test_construct_unsupported_order(capsys):
     assert run(["construct", "ext-rs", "--q", "6", "--k", "2"]) == 2
+
+
+def test_construct_rs_points_outside_field(capsys):
+    assert run(["construct", "rs", "--q", "5", "--k", "2", "--points", "0,9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_construct_universe_k0_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "u.txt"
+    assert run(["construct", "universe", "--k", "0", "--q", "2", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_verify_golden(tmp_path, capsys):
@@ -208,6 +227,13 @@ def test_search_guard_and_env_override(capsys, monkeypatch):
     assert "count = 8" in capsys.readouterr().out
 
 
+def test_search_env_override_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "abc")
+    assert run(["search", "--n", "3", "--k", "2", "--q", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: MDSKIT_MAX_SEARCH must be an integer, got 'abc'\n"
+
+
 def test_search_node_budget(capsys):
     assert run(["search", "--n", "4", "--k", "2", "--q", "3", "--require-zero",
                 "--max-nodes", "2"]) == 0
@@ -219,6 +245,12 @@ def test_check_theorems_passes(capsys):
     out = capsys.readouterr().out
     assert "result = pass" in out
     assert "failures = 0" in out
+
+
+def test_check_theorems_golden(capsys):
+    assert run(["check-theorems", "--q", "2", "--max-n", "6"]) == 0
+    golden = (GOLDEN / "check-theorems_q2_max-n6.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):
@@ -238,8 +270,12 @@ def test_usage_errors_exit_2():
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports mdskit from wherever this process found it
+    package_root = str(Path(mdskit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "mdskit.cli", "construct", "mols", "--p", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("MDSKIT v1\n")

@@ -1,21 +1,30 @@
 """Code container, distance scans, and the file format."""
 
+import ast
+import math
+from pathlib import Path
+
 import pytest
 
+import mdskit
 from mdskit import (
     BadPositions,
     Code,
     CodeFileError,
     InvalidCode,
     LengthMismatch,
+    NotMds,
+    TheoremViolation,
     TooFewWords,
     format_code,
     hamming_distance,
     information_set_check,
     is_mds,
+    length_bound,
     min_distance,
     parse_code,
     read_code,
+    require_mds,
     weight,
     write_code,
 )
@@ -68,6 +77,36 @@ def test_min_distance_and_is_mds():
     single = Code(2, [(0, 1)])
     with pytest.raises(TooFewWords):
         min_distance(single)
+
+
+def test_require_mds():
+    assert require_mds(Code(2, EVEN4)).d == 2
+    with pytest.raises(NotMds, match="d=1 < 2"):
+        require_mds(Code(2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]))
+
+
+def test_length_bound():
+    assert length_bound(1, 2) == math.inf
+    assert length_bound(2, 2) == 3       # q <= k: k+1
+    assert length_bound(3, 3) == 4
+    assert length_bound(2, 3) == 4       # q > k: q+k-1
+    assert length_bound(3, 5) == 7
+
+
+def test_is_mds_raises_beyond_length_bound(monkeypatch):
+    code = Code(2, EVEN4)
+    assert is_mds(code).is_mds
+    monkeypatch.setattr(mdskit.codes, "length_bound", lambda k, q: code.n - 1)
+    with pytest.raises(TheoremViolation, match="length bound 3"):
+        is_mds(code)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so checks must raise explicitly
+    for path in Path(mdskit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert at lines {asserts}"
 
 
 def test_information_set_check():

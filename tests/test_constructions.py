@@ -6,6 +6,7 @@ from mdskit import (
     DimensionTooLarge,
     DuplicatePoints,
     Field,
+    InvalidParameters,
     LatinSquare,
     MolsSet,
     NotLatinSquare,
@@ -56,7 +57,7 @@ def test_rs_code():
     _check(full, 5, 3, 5)
     with pytest.raises(DuplicatePoints):
         rs_code(f, 2, [0, 1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameters):
         rs_code(f, 2, [0, 7])
     with pytest.raises(DimensionTooLarge):
         rs_code(f, 4, [0, 1, 2])

@@ -1,9 +1,10 @@
 """Exhaustive walks: frozen counts, guards, budgets, and theorem checks."""
 
-from math import factorial
+from math import factorial, inf
 
 import pytest
 
+import mdskit
 from mdskit import (
     Code,
     Field,
@@ -12,11 +13,13 @@ from mdskit import (
     SearchSpaceTooLarge,
     SearchSpec,
     ZeroWordAbsent,
+    check_theorems,
     doubly_extended_rs,
     enumerate_mds,
     exists_mds,
     extended_rs_code,
     is_mds,
+    length_bound,
     sum_zero_code,
     verify_bounds,
     verify_distribution,
@@ -124,6 +127,26 @@ def test_verify_bounds_binary_and_ternary():
     reports = verify_bounds(3, 3)
     assert all(r.passed for r in reports)
     assert any("n > 4" in r.claim for r in reports)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_length_bound_is_tight(k, q):
+    bound = length_bound(k, q)
+    assert exists_mds(bound, k, q)
+    assert not exists_mds(bound + 1, k, q)
+
+
+def test_check_theorems_skip_lines(monkeypatch):
+    lines = list(check_theorems(2, 4, max_words=8))
+    assert ("skip", "(n=4, k=4)_2: q^k = 16 exceeds the word limit 8") in lines
+    lines = list(check_theorems(3, 3, max_nodes=1))
+    assert ("skip", "(n=3, k=2)_3: unresolved within node budget") in lines
+    # past the length bound the walk completes without finding a code
+    monkeypatch.setattr(mdskit.search, "length_bound",
+                        lambda k, q: inf if k < 2 else k + 2)
+    lines = list(check_theorems(2, 4))
+    assert ("skip", "(n=4, k=2)_2: no codes exist") in lines
 
 
 def test_verify_spectrum_theorems():
