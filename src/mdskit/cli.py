@@ -10,7 +10,6 @@ classification contradicted), 2 on usage or input errors.
 import argparse
 import os
 import sys
-import warnings
 
 from .codes import format_code, information_set_check, is_mds, read_code, require_mds, write_code
 from .constructions import (
@@ -27,7 +26,6 @@ from .errors import (
     CodeFileError,
     MdskitError,
     NotMds,
-    OutOfStatedRegime,
     TheoremViolation,
     ZeroWordAbsent,
 )
@@ -43,12 +41,12 @@ from .search import (
 )
 from .spectra import (
     PartitionSpec,
+    closed_form_distribution,
     distance_distribution_from,
     partition_distance_enumerator,
     partition_weight_enumerator_bruteforce,
     partition_weight_enumerator_formula,
     weight_distribution_bruteforce,
-    weight_distribution_formula,
     weight_spectrum,
 )
 from .transforms import ResidualSpec, classify_binary, format_move, normalize_to_zero, residual
@@ -93,12 +91,14 @@ def _print_shape(shape):
 
 
 def _emit_code(code, out):
-    """Write to `out` when given (and report it), else print the file text."""
+    """Write to `out` when given (and report it), else print the file text.
+    A one-word (k = 0) code has no minimum distance, so its report has no
+    d line; the report is settled before anything is written."""
     if out:
+        report = is_mds(code) if code.k > 0 else None
         write_code(code, out)
-        report = is_mds(code)
         _print_shape(code)
-        if code.k > 0:
+        if report is not None:
             print(f"d = {report.d}")
         print(f"out = {out}")
     else:
@@ -171,9 +171,7 @@ def _cmd_spectrum(args):
     code = _load(args.file)
     report = _require_mds_with_zero(code)
     brute = weight_distribution_bruteforce(code)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfStatedRegime)
-        closed = weight_distribution_formula(code.n, code.k, code.q)
+    closed = closed_form_distribution(code.n, code.k, code.q)
     _print_shape(code)
     print(f"d = {report.d}")
     print(f"total = {brute.total()}")
@@ -212,9 +210,7 @@ def _cmd_distances(args):
     report = require_mds(code)
     center = tuple(args.center) if args.center else min(code.words)
     dist = distance_distribution_from(code, center)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfStatedRegime)
-        closed = weight_distribution_formula(code.n, code.k, code.q)
+    closed = closed_form_distribution(code.n, code.k, code.q)
     _print_shape(code)
     print(f"d = {report.d}")
     print(f"center = {' '.join(str(s) for s in center)}")

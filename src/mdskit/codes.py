@@ -61,6 +61,8 @@ class Code:
         if not wordset:
             raise InvalidCode("code has no words")
         n = len(next(iter(wordset)))
+        if n < 1:
+            raise InvalidCode("words must have length at least 1")
         for w in wordset:
             if len(w) != n:
                 raise InvalidCode("words have mixed lengths")
@@ -112,19 +114,51 @@ class MdsReport:
     singleton_bound: int
 
 
+def symbol_masks(words, n, q):
+    """Bit-sliced view of a word list: masks[p][s] has bit j set when
+    words[j][p] == s, so bit positions follow the order of words."""
+    masks = [[0] * q for _ in range(n)]
+    for j, w in enumerate(words):
+        bit = 1 << j
+        for p, s in enumerate(w):
+            masks[p][s] |= bit
+    return masks
+
+
+def agreeing(word, within, masks, t):
+    """Mask of the words in `within` (bits as in masks) that agree with
+    word in at least t positions.  Counter c[r] holds the words agreeing
+    in at least r of the positions seen so far, so each position costs
+    t big-int AND/OR steps.  At position p the counters above p+1 are
+    still 0, so their steps are cheap no-ops; skipping them costs more
+    than it saves."""
+    c = [within] + [0] * t
+    steps = range(t, 0, -1)
+    for column, s in zip(masks, word):
+        m = column[s]
+        for r in steps:
+            c[r] |= c[r - 1] & m
+    return c[t]
+
+
 def min_distance(code):
-    """Minimum pairwise distance, by full pairwise scan."""
+    """Minimum pairwise distance, by bit-sliced agreement counting over
+    all words at once.  Distance below best means agreement in at least
+    n-best+1 positions, so each word lowers best while some later word
+    agrees with it that often."""
     if len(code.words) < 2:
         raise TooFewWords("minimum distance needs at least two words")
     words = code.sorted_words()
-    best = code.n
-    for i, a in enumerate(words):
-        for b in words[i + 1:]:
-            dist = hamming_distance(a, b)
-            if dist < best:
-                best = dist
-                if best == 1:
-                    return 1
+    n = code.n
+    masks = symbol_masks(words, n, code.q)
+    best = n
+    later = (1 << len(words)) - 1
+    for w in words:
+        later &= later - 1          # drop w's own bit, the lowest one left
+        while agreeing(w, later, masks, n - best + 1):
+            best -= 1
+            if best == 1:
+                return 1
     return best
 
 

@@ -16,7 +16,10 @@ It prunes on exact facts about any completion:
       have too few remaining candidates.
 
 Compatibility sets are kept as one bitmask per candidate word, so the
-inner loop is integer AND plus popcount.
+inner loop is integer AND plus popcount.  They are built bit-sliced
+(codes.symbol_masks, codes.agreeing): per candidate, a threshold count
+over one big int per (position, symbol) marks every word agreeing with
+it in k or more positions, i.e. lying at distance below d.
 
 Existence questions allow a further restriction that counting does not:
 relabeling symbols within each position preserves all distances, so any
@@ -27,22 +30,20 @@ code leaves an MDS code, so non-existence at length L rules out every
 length above L as well.
 """
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
 
-from .codes import Code, length_bound, require_mds, weight
+from .codes import Code, agreeing, length_bound, require_mds, symbol_masks, weight
 from .errors import (
     InvalidParameters,
-    OutOfStatedRegime,
     SearchSpaceTooLarge,
     TheoremViolation,
     ZeroWordAbsent,
 )
 from .spectra import (
+    closed_form_distribution,
     predicted_spectrum,
     weight_distribution_bruteforce,
-    weight_distribution_formula,
     weight_spectrum,
 )
 from .transforms import classify_binary
@@ -113,6 +114,15 @@ def _guard(spec):
 _HORIZON = 64
 
 
+def _compatibility(cand, masks, k):
+    """One bitmask per candidate, bits as in masks: bit j of compat[i]
+    says cand[i] and cand[j] are at distance >= d = n-k+1, i.e. agree in
+    fewer than k positions.  A word agrees with itself in all n >= k
+    positions, so it is never compatible with itself."""
+    full = (1 << len(cand)) - 1
+    return [full & ~agreeing(w, full, masks, k) for w in cand]
+
+
 def _walk(q, n, k, cand, emit, max_nodes):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
@@ -124,7 +134,6 @@ def _walk(q, n, k, cand, emit, max_nodes):
         raise SearchSpaceTooLarge(
             f"{m} candidate words exceed the candidate limit {_CANDIDATE_LIMIT}")
 
-    d = n - k + 1
     per_symbol = q ** (k - 1)
     slots = q ** k
     cand = sorted(cand)
@@ -141,26 +150,11 @@ def _walk(q, n, k, cand, emit, max_nodes):
         start[t + 1] += start[t]
     window = [(1 << start[t + 1]) - (1 << start[t]) for t in range(slots)]
 
-    # one compatibility bitmask per candidate; bit j of compat[i] says
-    # cand[i] and cand[j] are at distance >= d
-    compat = [0] * m
-    for i in range(m):
-        a = cand[i]
-        mask = compat[i]
-        for j in range(i + 1, m):
-            b = cand[j]
-            if sum(x != y for x, y in zip(a, b)) >= d:
-                mask |= 1 << j
-                compat[j] |= 1 << i
-        compat[i] = mask
-
-    # bit j of by_symbol[p][s] says cand[j] has symbol s at position p;
-    # only positions outside the information prefix need balance checks,
-    # the slots force balance on the first k positions
-    by_symbol = [[0] * q for _ in range(n)]
-    for j, w in enumerate(cand):
-        for p in range(k, n):
-            by_symbol[p][w[p]] |= 1 << j
+    # bit j of masks[p][s] says cand[j] has symbol s at position p; only
+    # positions outside the information prefix need balance checks, the
+    # slots force balance on the first k positions
+    masks = symbol_masks(cand, n, q)
+    compat = _compatibility(cand, masks, k)
 
     used = [[0] * q for _ in range(n)]
     chosen = []
@@ -214,12 +208,12 @@ def _walk(q, n, k, cand, emit, max_nodes):
         if not dead:
             for p in range(k, n):
                 row = used[p]
-                masks = by_symbol[p]
+                column = masks[p]
                 for s in range(q):
                     u = row[s]
                     if u > per_symbol or (
                             u < per_symbol
-                            and u + (child & masks[s]).bit_count() < per_symbol):
+                            and u + (child & column[s]).bit_count() < per_symbol):
                         dead = True
                         break
                 if dead:
@@ -390,9 +384,7 @@ def verify_distribution(code):
         raise ZeroWordAbsent("the closed form counts weights relative to zero")
     n, k, q = code.n, code.k, code.q
     brute = weight_distribution_bruteforce(code)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OutOfStatedRegime)
-        closed = weight_distribution_formula(n, k, q)
+    closed = closed_form_distribution(n, k, q)
     if brute == closed:
         detail = "brute force matches the closed form"
     else:

@@ -109,6 +109,14 @@ def weight_distribution_formula(n, k, q):
     return WeightDistribution(n, counts)
 
 
+def closed_form_distribution(n, k, q):
+    """weight_distribution_formula with OutOfStatedRegime silenced, for
+    callers that record the regime (q < k) in their own report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OutOfStatedRegime)
+        return weight_distribution_formula(n, k, q)
+
+
 def weight_spectrum(code):
     """Set of nonzero weights attained; the code must contain the zero word."""
     if not code.contains_zero():

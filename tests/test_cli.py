@@ -81,6 +81,14 @@ def test_construct_universe_k0_writes_nothing(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_construct_repetition_n0_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    assert run(["construct", "repetition", "--n", "0", "--q", "2", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_verify_golden(tmp_path, capsys):
     path = tmp_path / "c.txt"
     write_code(extended_rs_code(Field(3), 2), path)
@@ -163,6 +171,16 @@ def test_residual_pipeline(tmp_path, capsys):
     assert (code.n, code.k) == (4, 1)
     assert run(["residual", str(src), "--positions", "1,2,3,4",
                 "--values", "0,0,0,0"]) == 2
+
+
+def test_residual_to_one_word_code(tmp_path, capsys):
+    src = tmp_path / "ext.txt"
+    write_code(extended_rs_code(Field(4), 3), src)
+    dst = tmp_path / "r.txt"
+    assert run(["residual", str(src), "--positions", "1,2,3", "--values", "0,0,0",
+                "--out", str(dst)]) == 0
+    assert capsys.readouterr().out == f"q = 4\nn = 2\nk = 0\nout = {dst}\n"
+    assert read_code(dst) == Code(4, [(0, 0)])
 
 
 def test_normalize_reports_moves(tmp_path, capsys):
@@ -250,6 +268,13 @@ def test_check_theorems_passes(capsys):
 def test_check_theorems_golden(capsys):
     assert run(["check-theorems", "--q", "2", "--max-n", "6"]) == 0
     golden = (GOLDEN / "check-theorems_q2_max-n6.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("q,max_n", [(3, 6), (4, 4)])
+def test_check_theorems_sweep_golden(q, max_n, capsys):
+    assert run(["check-theorems", "--q", str(q), "--max-n", str(max_n)]) == 0
+    golden = (GOLDEN / f"check-theorems_q{q}_max-n{max_n}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 
 

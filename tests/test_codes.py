@@ -2,20 +2,25 @@
 
 import ast
 import math
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdskit
 from mdskit import (
     BadPositions,
     Code,
     CodeFileError,
+    Field,
     InvalidCode,
     LengthMismatch,
     NotMds,
     TheoremViolation,
     TooFewWords,
+    extended_rs_code,
     format_code,
     hamming_distance,
     information_set_check,
@@ -30,6 +35,20 @@ from mdskit import (
 )
 
 EVEN4 = [(a, b, c, (a + b + c) % 2) for a in range(2) for b in range(2) for c in range(2)]
+
+
+def pairwise_min_distance(code):
+    """Oracle for min_distance: the full pairwise scan, stopping at d = 1."""
+    words = code.sorted_words()
+    best = code.n
+    for i, a in enumerate(words):
+        for b in words[i + 1:]:
+            dist = hamming_distance(a, b)
+            if dist < best:
+                best = dist
+                if best == 1:
+                    return 1
+    return best
 
 
 def test_hamming_distance_and_weight():
@@ -64,6 +83,12 @@ def test_code_rejects_bad_input():
         Code(1, [(0,)])  # alphabet too small
 
 
+def test_code_rejects_empty_words():
+    # the file format needs n >= 1, so such a code could not be read back
+    with pytest.raises(InvalidCode, match="length at least 1"):
+        Code(2, [()])
+
+
 def test_min_distance_and_is_mds():
     code = Code(2, EVEN4)
     assert min_distance(code) == 2
@@ -77,6 +102,53 @@ def test_min_distance_and_is_mds():
     single = Code(2, [(0, 1)])
     with pytest.raises(TooFewWords):
         min_distance(single)
+
+
+@st.composite
+def small_codes(draw):
+    """Codes with q <= 5, n <= 6 and q^k <= 125 words: random word sets
+    (mostly d <= 2, often d = 1) and the images of random generator
+    matrices mod q, which reach every distance up to the Singleton
+    bound."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 6))
+    # k = n only for n = 1: a full universe is a d = 1 code, already common
+    k = draw(st.integers(1, max(1, n - 1)).filter(lambda k: q ** k <= 125))
+    if draw(st.booleans()):
+        picks = draw(st.sets(st.integers(0, q ** n - 1), min_size=q ** k, max_size=q ** k))
+        words = [tuple(x // q ** p % q for p in range(n)) for x in picks]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                             min_size=k, max_size=k))
+        words = set()
+        for x in range(q ** k):
+            coef = [x // q ** i % q for i in range(k)]
+            words.add(tuple(sum(c * r[p] for c, r in zip(coef, rows)) % q for p in range(n)))
+        if len(words) < q ** k:
+            # a rank-deficient matrix: any full set of q^k distinct words instead
+            words = list(product(range(q), repeat=n))[:q ** k]
+    return Code(q, words)
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_codes())
+def test_min_distance_matches_pairwise_oracle(code):
+    assert min_distance(code) == pairwise_min_distance(code)
+
+
+def test_min_distance_oracle_cases():
+    # d = 1 at the last pair, d = n for a repetition-like code, one position
+    assert min_distance(Code(2, [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 0)])) == 1
+    assert min_distance(Code(3, [(0,) * 5, (1,) * 5, (2,) * 5])) == 5
+    assert min_distance(Code(5, [(s,) for s in range(5)])) == 1
+    assert min_distance(Code(2, EVEN4)) == pairwise_min_distance(Code(2, EVEN4)) == 2
+
+
+@pytest.mark.parametrize("q", [16, 27])
+def test_is_mds_on_long_extended_rs(q):
+    # (17,3)_16 has 4096 words and (28,3)_27 has 19683: far past a pairwise scan
+    report = is_mds(extended_rs_code(Field(q), 3))
+    assert report.is_mds and report.d == q + 1 - 3 + 1 == report.singleton_bound
 
 
 def test_require_mds():

@@ -1,5 +1,6 @@
 """Exhaustive walks: frozen counts, guards, budgets, and theorem checks."""
 
+from itertools import product
 from math import factorial, inf
 
 import pytest
@@ -25,6 +26,20 @@ from mdskit import (
     verify_distribution,
     verify_spectrum_theorems,
 )
+from mdskit.codes import symbol_masks
+from mdskit.search import _canonical_candidates, _compatibility, _zero_candidates
+
+
+def pairwise_compatibility(cand, d):
+    """Oracle for _compatibility: bit j of row i set when cand[i] and
+    cand[j] are at distance >= d, by the full pairwise scan."""
+    compat = [0] * len(cand)
+    for i, a in enumerate(cand):
+        for j in range(i + 1, len(cand)):
+            if sum(x != y for x, y in zip(a, cand[j])) >= d:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    return compat
 
 
 def test_spec_validation():
@@ -38,6 +53,16 @@ def test_spec_validation():
         SearchSpec(3, 2, 2, limit=0)
     with pytest.raises(InvalidParameters):
         SearchSpec(3, 2, 2, max_nodes=0)
+
+
+@pytest.mark.parametrize("n,k,q,select", [
+    (6, 2, 4, _canonical_candidates),   # the exists_mds(6,2,4) walk: 1786 words
+    (4, 3, 4, _zero_candidates),        # the require_zero count of (4,3)_4
+])
+def test_compatibility_masks_match_pairwise(n, k, q, select):
+    cand = sorted(select(q, n, k, list(product(range(q), repeat=n))))
+    compat = _compatibility(cand, symbol_masks(cand, n, q), k)
+    assert compat == pairwise_compatibility(cand, n - k + 1)
 
 
 @pytest.mark.parametrize("n,k,q,count", [

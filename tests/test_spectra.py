@@ -30,6 +30,7 @@ from mdskit import (
     weight_distribution_formula,
     weight_spectrum,
 )
+from mdskit.spectra import closed_form_distribution
 
 
 def test_weight_distribution_container():
@@ -215,3 +216,14 @@ def test_partition_distance_enumerator_matches_formula():
             assert got == want, (center, profile)
     with pytest.raises(WordNotInCode):
         partition_distance_enumerator(code, (1, 1, 1, 1), spec, (0, 0))
+
+
+def test_closed_form_distribution_is_silent():
+    import warnings
+    for (n, k, q) in [(5, 4, 2), (4, 2, 3)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quiet = closed_form_distribution(n, k, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert quiet == weight_distribution_formula(n, k, q)
