@@ -37,6 +37,7 @@ from .search import (
     SWEEP_MAX_NODES,
     SearchSpec,
     check_theorems,
+    check_word_limit,
     enumerate_mds,
 )
 from .spectra import (
@@ -113,18 +114,18 @@ def _cmd_construct(args):
         _need(args, "n", "q")
         code = repetition_code(args.n, args.q)
     elif fam == "universe":
-        _need(args, "k", "q")
+        _need_words(args)
         code = universe_code(args.k, args.q)
     elif fam == "sum-zero":
-        _need(args, "k", "q")
+        _need_words(args)
         code = sum_zero_code(args.k, Field(args.q))
     elif fam == "rs":
-        _need(args, "k", "q")
+        _need_words(args)
         fieldobj = Field(args.q)
         points = args.points if args.points is not None else list(fieldobj.elements)
         code = rs_code(fieldobj, args.k, points)
     elif fam == "ext-rs":
-        _need(args, "k", "q")
+        _need_words(args)
         code = extended_rs_code(Field(args.q), args.k)
     elif fam == "dx-rs":
         _need(args, "q")
@@ -142,6 +143,13 @@ def _need(args, *names):
     missing = [f"--{name}" for name in names if getattr(args, name) is None]
     if missing:
         raise MdskitError(f"family {args.family!r} needs {' '.join(missing)}")
+
+
+def _need_words(args):
+    """--k and --q of a family of q^k words, refused before anything is
+    built when q^k exceeds the search word limit."""
+    _need(args, "k", "q")
+    check_word_limit(args.q, args.k, _max_words())
 
 
 def _cmd_verify(args):
@@ -255,7 +263,9 @@ def _cmd_classify_binary(args):
     return 0
 
 
-def _search_limits(args):
+def _max_words(override=None):
+    """The q^k word limit: override when given, else MDSKIT_MAX_SEARCH
+    when set, else MAX_WORDS."""
     max_words = MAX_WORDS
     env = os.environ.get("MDSKIT_MAX_SEARCH")
     if env:
@@ -263,8 +273,11 @@ def _search_limits(args):
             max_words = int(env)
         except ValueError:
             raise MdskitError(f"MDSKIT_MAX_SEARCH must be an integer, got {env!r}") from None
-    if args.max_words is not None:
-        max_words = args.max_words
+    return max_words if override is None else override
+
+
+def _search_limits(args):
+    max_words = _max_words(args.max_words)
     max_length = args.max_length if args.max_length is not None else MAX_LENGTH
     return max_words, max_length
 

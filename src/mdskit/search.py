@@ -21,17 +21,19 @@ inner loop is integer AND plus popcount.  They are built bit-sliced
 over one big int per (position, symbol) marks every word agreeing with
 it in k or more positions, i.e. lying at distance below d.
 
-Existence questions allow a further restriction that counting does not:
-relabeling symbols within each position preserves all distances, so any
-code can be carried onto one in a normal form with several words pinned
-outright (see _canonical_candidates).  Length-bound checks rely on one
-more closure fact, recorded where used: deleting a coordinate of an MDS
-code leaves an MDS code, so non-existence at length L rules out every
-length above L as well.
+Counting and existence walk one code per relabeling class: relabeling
+symbols within each position preserves all distances, and the codes in
+the normal form of _canonical_candidates meet every class exactly once,
+so a count is the number of normal forms times the class size of
+_class_size.  Only collect mode, which must return every code, walks
+them all.  Length-bound checks rely on one more closure fact, recorded
+where used: deleting a coordinate of an MDS code leaves an MDS code, so
+non-existence at length L rules out every length above L as well.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from math import factorial
 
 from .codes import Code, agreeing, length_bound, require_mds, symbol_masks, weight
 from .errors import (
@@ -46,7 +48,7 @@ from .spectra import (
     weight_distribution_bruteforce,
     weight_spectrum,
 )
-from .transforms import classify_binary
+from .transforms import _classify_binary
 
 # default search guards on words per code and on code length, and the
 # sweep's default caps on codes checked and walk nodes per shape
@@ -99,10 +101,18 @@ class SearchResult:
     complete: bool = True
 
 
+def check_word_limit(q, k, max_words):
+    """Refuse a code of q^k words when that exceeds max_words.  For
+    q >= 2 a k past the bit length of max_words is refused without
+    taking the power, which could be too long to compute or to print."""
+    if q >= 2 and k > max_words.bit_length():
+        raise SearchSpaceTooLarge(f"q^k = {q}^{k} exceeds the word limit {max_words}")
+    if q ** k > max_words:
+        raise SearchSpaceTooLarge(f"q^k = {q ** k} exceeds the word limit {max_words}")
+
+
 def _guard(spec):
-    if spec.q ** spec.k > spec.max_words:
-        raise SearchSpaceTooLarge(
-            f"q^k = {spec.q ** spec.k} exceeds the word limit {spec.max_words}")
+    check_word_limit(spec.q, spec.k, spec.max_words)
     if spec.n > spec.max_length:
         raise SearchSpaceTooLarge(
             f"n = {spec.n} exceeds the length limit {spec.max_length}")
@@ -228,32 +238,6 @@ def _walk(q, n, k, cand, emit, max_nodes):
     return complete
 
 
-def _search(spec, select):
-    """Walk the MDS codes of spec's shape whose words all lie in
-    select(q, n, k, universe), or in the whole universe when select is
-    None, and count, collect, or stop at the first one."""
-    _guard(spec)
-    q, n, k = spec.q, spec.n, spec.k
-    universe = list(product(range(q), repeat=n))
-    cand = universe if select is None else select(q, n, k, universe)
-
-    count = 0
-    codes = []
-    limit = spec.limit
-    if spec.mode == "exists":
-        limit = 1
-
-    def emit(words):
-        nonlocal count
-        count += 1
-        if spec.mode == "collect":
-            codes.append(Code(q, words))
-        return limit is not None and count >= limit
-
-    complete = _walk(q, n, k, cand, emit, spec.max_nodes)
-    return SearchResult(spec, count, tuple(codes), complete)
-
-
 def _zero_candidates(q, n, k, universe):
     """Candidates of the codes containing the zero word: any other word
     with an all-zero information prefix has weight at most n-k < d, so
@@ -262,17 +246,11 @@ def _zero_candidates(q, n, k, universe):
     return [w for w in universe if weight(w) >= d or not any(w)]
 
 
-def enumerate_mds(spec):
-    """Walk all (n, k)_q MDS codes (optionally only those containing the
-    zero word) and count, collect, or stop at the first one."""
-    return _search(spec, _zero_candidates if spec.require_zero else None)
-
-
 def _canonical_candidates(q, n, k, universe):
-    """Candidates for an existence search, cut down to one normal form
-    per relabeling class.  Relabeling symbols within each position
-    preserves all distances, and composing such relabelings carries any
-    (n, k)_q MDS code onto one that
+    """Candidates of the codes in a normal form, one per relabeling
+    class.  Relabeling symbols within each position preserves all
+    distances, and composing such relabelings carries any (n, k)_q MDS
+    code onto one that
 
       - contains the zero word,
       - holds, for each y, the word (0,..,0, y, y,..,y) at information
@@ -284,6 +262,9 @@ def _canonical_candidates(q, n, k, universe):
         x fixing 0, so a relabeling of the first position straightens
         them without disturbing the words pinned above, which all carry
         0 in the first position.
+
+    A code is in this normal form exactly when all its words are among
+    the candidates returned.
     """
     out = []
     for w in _zero_candidates(q, n, k, universe):
@@ -297,6 +278,79 @@ def _canonical_candidates(q, n, k, universe):
     return out
 
 
+def _class_size(n, k, q, require_zero):
+    """How many (n, k)_q MDS codes each normal form of
+    _canonical_candidates stands for: the codes containing the zero
+    word, or all codes when require_zero is false.
+
+    Let H be the group of symbol relabelings that fix 0 at each
+    normalized position, positions k..n-1 plus position 0 when
+    2 <= k < n, and the identity elsewhere.  So |H| = ((q-1)!)^e with
+    e = n-k+1 for 2 <= k < n, e = n-1 for k = 1 and e = 0 for n = k.
+    H preserves distances and the zero word, so it permutes the MDS
+    codes containing zero, and every orbit holds a normal form
+    (_canonical_candidates).  Say h in H carries a normal form C onto a
+    normal form.  h moves no information prefix of the form
+    (0,..,0, y), so it sends C's word (0,..,0, y, y,..,y) to the word
+    with that prefix, which must again read y at every position p >= k:
+    each relabeling there is the identity.  When 2 <= k < n, h then
+    sends C's word with prefix (x, 0,..,0), carrying x at position k, to
+    the word with prefix (s(x), 0,..,0), where s relabels position 0; it
+    still carries x at position k, so s(x) = x.  Hence h = 1: only the
+    identity fixes a code, each orbit holds |H| codes, and exactly one
+    of them is in normal form.
+
+    Without the zero word: translating every word by a fixed vector,
+    symbol-wise mod q, preserves distances and acts regularly on words.
+    Pairing each code with each of its q^k words and translating that
+    word onto zero counts q^k times the codes as q^n times the codes
+    containing zero, a further factor q^(n-k).
+    """
+    positions = n - k + (1 if 2 <= k < n else 0)
+    size = factorial(q - 1) ** positions
+    return size if require_zero else size * q ** (n - k)
+
+
+def _search(spec):
+    """Walk the MDS codes of spec's shape, and count, collect, or stop at
+    the first one.  Collect mode walks every code (containing zero when
+    spec.require_zero); count and exists walk the normal forms only and
+    weigh each by its class size.  A count that reaches spec.limit is
+    reported as the limit."""
+    _guard(spec)
+    q, n, k = spec.q, spec.n, spec.k
+    universe = list(product(range(q), repeat=n))
+    if spec.mode == "collect":
+        cand = _zero_candidates(q, n, k, universe) if spec.require_zero else universe
+        size = 1
+    else:
+        cand = _canonical_candidates(q, n, k, universe)
+        size = _class_size(n, k, q, spec.require_zero)
+
+    count = 0
+    codes = []
+    limit = 1 if spec.mode == "exists" else spec.limit
+
+    def emit(words):
+        nonlocal count
+        count += size
+        if spec.mode == "collect":
+            codes.append(Code(q, words))
+        return limit is not None and count >= limit
+
+    complete = _walk(q, n, k, cand, emit, spec.max_nodes)
+    if limit is not None:
+        count = min(count, limit)
+    return SearchResult(spec, count, tuple(codes), complete)
+
+
+def enumerate_mds(spec):
+    """Count, collect, or find the first of all (n, k)_q MDS codes
+    (optionally only those containing the zero word).  Counts walk one
+    code per relabeling class and add its class size; see _search."""
+    return _search(spec)
+
+
 def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=None):
     """Whether any (n, k)_q MDS code exists.  Only codes in the normal
     form of _canonical_candidates are walked, which is enough: every
@@ -306,7 +360,7 @@ def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=No
     spec = SearchSpec(n, k, q, require_zero=True, mode="exists",
                       max_words=max_words, max_length=max_length,
                       max_nodes=max_nodes)
-    result = _search(spec, _canonical_candidates)
+    result = _search(spec)
     if result.count:
         return True
     if not result.complete:
@@ -353,6 +407,11 @@ def verify_spectrum_theorems(code):
     """Check the attained nonzero weights of an MDS code containing zero
     against the provable spectrum, plus the full-length-word claims."""
     require_mds(code)
+    return _spectrum_reports(code)
+
+
+def _spectrum_reports(code):
+    """verify_spectrum_theorems on a code already known to be MDS."""
     if not code.contains_zero():
         raise ZeroWordAbsent("spectrum checks are stated for codes containing zero")
     n, k, q = code.n, code.k, code.q
@@ -380,6 +439,11 @@ def verify_distribution(code):
     (q < k) the outcome is recorded as empirical agreement, not a
     theorem check."""
     require_mds(code)
+    return _distribution_report(code)
+
+
+def _distribution_report(code):
+    """verify_distribution on a code already known to be MDS."""
     if not code.contains_zero():
         raise ZeroWordAbsent("the closed form counts weights relative to zero")
     n, k, q = code.n, code.k, code.q
@@ -442,16 +506,20 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
             dist_empirical = False
             classify_bad = 0
             for code in result.codes:
-                for rep in verify_spectrum_theorems(code):
+                # the walk proved the code MDS; one check keeps the
+                # sweep independent of the walk, and the checks below
+                # take it as given
+                require_mds(code)
+                for rep in _spectrum_reports(code):
                     if not rep.passed:
                         spectrum_bad += 1
-                rep = verify_distribution(code)
+                rep = _distribution_report(code)
                 dist_empirical = rep.out_of_regime
                 if not rep.passed:
                     dist_bad += 1
                 if q == 2:
                     try:
-                        classify_binary(code)
+                        _classify_binary(code)
                     except TheoremViolation:
                         classify_bad += 1
             yield ("fail" if spectrum_bad else "pass", f"spectrum {shape} {tag}")

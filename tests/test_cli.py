@@ -89,6 +89,43 @@ def test_construct_repetition_n0_writes_nothing(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv,builder", [
+    (["universe", "--k", "4", "--q", "2"], "universe_code"),
+    (["sum-zero", "--k", "4", "--q", "2"], "sum_zero_code"),
+    (["rs", "--k", "2", "--q", "3"], "rs_code"),
+    (["ext-rs", "--k", "2", "--q", "3"], "extended_rs_code"),
+])
+def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built past the word limit")
+    monkeypatch.setattr(mdskit.cli, builder, refuse)
+    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "8")
+    path = tmp_path / "c.txt"
+    assert run(["construct", *argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: q^k = ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "universe", "--k", "20000", "--q", "2"],
+    ["search", "--n", "20000", "--k", "20000", "--q", "2"],
+])
+def test_word_limit_huge_k(argv, capsys, monkeypatch):
+    # 2^20000 has more digits than int-to-str conversion allows
+    monkeypatch.delenv("MDSKIT_MAX_SEARCH", raising=False)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: q^k = 2^20000 exceeds the word limit 65536\n")
+
+
+def test_construct_within_word_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "8")
+    path = tmp_path / "u.txt"
+    assert run(["construct", "universe", "--k", "3", "--q", "2", "--out", str(path)]) == 0
+    assert len(read_code(path)) == 8
+
+
 def test_verify_golden(tmp_path, capsys):
     path = tmp_path / "c.txt"
     write_code(extended_rs_code(Field(3), 2), path)
@@ -214,6 +251,21 @@ def test_search_count_golden(capsys):
     assert capsys.readouterr().out == (
         "q = 3\nn = 3\nk = 2\nd = 2\nrequire_zero = true\nmode = count\n"
         "count = 4\ncomplete = true\n")
+
+
+@pytest.mark.parametrize("argv,tail", [
+    (["--n", "3", "--k", "2", "--q", "5", "--limit", "10"],
+     "require_zero = false\nmode = count\ncount = 10\ncomplete = false\n"),
+    (["--n", "3", "--k", "2", "--q", "4"],
+     "require_zero = false\nmode = count\ncount = 576\ncomplete = true\n"),
+    # a budgeted count is a multiple of the class size; here one normal
+    # form settles the shape, standing for 2!^3 * 3^2 codes
+    (["--n", "4", "--k", "2", "--q", "3", "--max-nodes", "40"],
+     "require_zero = false\nmode = count\ncount = 72\ncomplete = true\n"),
+])
+def test_search_count_reports(argv, tail, capsys):
+    assert run(["search", *argv]) == 0
+    assert capsys.readouterr().out.endswith(tail)
 
 
 def test_search_exists(capsys):

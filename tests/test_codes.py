@@ -204,6 +204,23 @@ def test_format_and_parse_round_trip(tmp_path):
     assert parse_code(text) == code
 
 
+@st.composite
+def valid_codes(draw):
+    """Any valid code: q^k distinct words of length n over 0..q-1, with
+    two-digit symbols once q > 10 and one-word (k = 0) codes."""
+    q = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n).filter(lambda k: q ** k <= 64))
+    picks = draw(st.sets(st.integers(0, q ** n - 1), min_size=q ** k, max_size=q ** k))
+    return Code(q, [tuple(x // q ** p % q for p in range(n)) for x in picks])
+
+
+@settings(deadline=None, max_examples=150)
+@given(valid_codes())
+def test_parse_inverts_format(code):
+    assert parse_code(format_code(code)) == code
+
+
 def test_parse_skips_blank_lines():
     text = "MDSKIT v1\nq=2 n=1\n\n0\n\n1\n"
     assert len(parse_code(text)) == 2

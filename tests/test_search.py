@@ -27,7 +27,38 @@ from mdskit import (
     verify_spectrum_theorems,
 )
 from mdskit.codes import symbol_masks
-from mdskit.search import _canonical_candidates, _compatibility, _zero_candidates
+from mdskit.search import (
+    _canonical_candidates,
+    _class_size,
+    _compatibility,
+    _walk,
+    _zero_candidates,
+)
+
+# The full walks of these shapes take seconds; their counts are pinned
+# against the literature in test_latin_counts instead.
+SLOW_FULL_WALKS = {(3, 2, 5), (4, 3, 4)}
+
+
+def full_walk_count(n, k, q, require_zero):
+    """Oracle for count mode: walk every code of the shape, one by one."""
+    universe = list(product(range(q), repeat=n))
+    cand = _zero_candidates(q, n, k, universe) if require_zero else universe
+    found = []
+    assert _walk(q, n, k, cand, lambda words: found.append(1), None)
+    return len(found)
+
+
+def small_shapes():
+    """Every admissible (n, k)_q with q <= 5 and q^n <= 256.  Past q = 5
+    the full walk outgrows a test: (2,1)_q alone has (q-1)! codes with zero."""
+    for q in range(2, 6):
+        for n in range(1, 9):
+            if q ** n > 256:
+                break
+            for k in range(1, n + 1):
+                if n <= length_bound(k, q) and (n, k, q) not in SLOW_FULL_WALKS:
+                    yield n, k, q
 
 
 def pairwise_compatibility(cand, d):
@@ -83,6 +114,66 @@ def test_repetition_like_counts(n, q):
     # the q-1 remaining words, so the count is ((q-1)!)^(n-1)
     result = enumerate_mds(SearchSpec(n, 1, q, require_zero=True, mode="count"))
     assert result.count == factorial(q - 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("require_zero", [True, False])
+def test_class_count_matches_full_walk(require_zero):
+    shapes = list(small_shapes())
+    assert len(shapes) == 48
+    for n, k, q in shapes:
+        result = enumerate_mds(SearchSpec(n, k, q, require_zero=require_zero))
+        assert result.complete
+        assert result.count == full_walk_count(n, k, q, require_zero), (n, k, q)
+
+
+@pytest.mark.parametrize("q,latin", [(2, 2), (3, 12), (4, 576), (5, 161280)])
+def test_latin_counts(q, latin):
+    # (3,2)_q codes are the Latin squares of order q, L(q) in OEIS A002860;
+    # translating the symbols of one position maps those containing zero
+    # onto the others, so 1 in q contains zero
+    assert enumerate_mds(SearchSpec(3, 2, q)).count == latin
+    assert enumerate_mds(SearchSpec(3, 2, q, require_zero=True)).count == latin // q
+
+
+def test_latin_count_order_6():
+    result = enumerate_mds(SearchSpec(3, 2, 6, require_zero=True))
+    assert result.complete
+    assert result.count == 812851200 // 6
+
+
+def test_latin_cube_count():
+    # (4,3)_4 codes are the Latin cubes of order 4
+    assert enumerate_mds(SearchSpec(4, 3, 4)).count == 55296
+    assert enumerate_mds(SearchSpec(4, 3, 4, require_zero=True)).count == 55296 // 4
+
+
+def test_count_limit_caps_the_weighted_count():
+    # every normal form of (3,2)_5 stands for 4!^2 * 5 = 2880 codes
+    result = enumerate_mds(SearchSpec(3, 2, 5, limit=10))
+    assert result.count == 10
+    assert not result.complete
+    result = enumerate_mds(SearchSpec(3, 2, 4, limit=577))
+    assert (result.count, result.complete) == (576, True)
+
+
+def test_exists_mode_counts_one_code():
+    result = enumerate_mds(SearchSpec(4, 2, 3, mode="exists"))
+    assert (result.count, result.complete) == (1, False)
+    result = enumerate_mds(SearchSpec(4, 2, 2, mode="exists"))
+    assert (result.count, result.complete) == (0, True)
+
+
+@pytest.mark.parametrize("n,k,q,with_zero", [
+    (4, 1, 3, 2 ** 3),          # k = 1: positions 1..n-1
+    (1, 1, 5, 1),               # k = 1, n = k
+    (3, 3, 4, 1),               # n = k: nothing to normalize
+    (3, 2, 5, 24 ** 2),         # k >= 2: position 0 and positions k..n-1
+    (6, 3, 4, 6 ** 4),
+    (5, 4, 2, 1),               # q = 2: the only relabeling fixing 0 is 1
+])
+def test_class_size(n, k, q, with_zero):
+    assert _class_size(n, k, q, True) == with_zero
+    assert _class_size(n, k, q, False) == with_zero * q ** (n - k)
 
 
 def test_full_count_without_zero():
