@@ -112,6 +112,7 @@ def _cmd_construct(args):
     fam = args.family
     if fam == "repetition":
         _need(args, "n", "q")
+        check_word_limit(args.q, 1, _max_words())
         code = repetition_code(args.n, args.q)
     elif fam == "universe":
         _need_words(args)
@@ -132,6 +133,7 @@ def _cmd_construct(args):
         code = doubly_extended_rs(Field(args.q))
     elif fam == "mols":
         _need(args, "p")
+        check_word_limit(args.p, 2, _max_words())
         code = mols_to_code(cyclic_mols(args.p))
     else:
         raise MdskitError(f"unknown family {fam!r}")
@@ -252,7 +254,7 @@ def _cmd_normalize(args):
     return 0
 
 
-def _cmd_classify_binary(args):
+def _cmd_classify(args):
     code = _load(args.file)
     result = classify_binary(code)
     _print_shape(code)
@@ -388,7 +390,7 @@ def build_parser():
 
     p = sub.add_parser("classify-binary", help="name the binary MDS shape")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_classify_binary)
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("search", help="exhaustive walk over (n, k)_q MDS codes")
     p.add_argument("--n", type=int, required=True)

@@ -76,6 +76,7 @@ class Code:
         self.n = n
         self.k = k
         self.words = wordset
+        self._d = None              # minimum distance, set by is_mds
 
     @property
     def zero(self):
@@ -172,8 +173,11 @@ def length_bound(k, q):
 
 
 def is_mds(code):
-    """Check d = n - k + 1; the report carries d and the Singleton bound."""
-    d = min_distance(code)
+    """Check d = n - k + 1; the report carries d and the Singleton bound.
+    The code keeps d from its first call, so a code is scanned once."""
+    if code._d is None:
+        code._d = min_distance(code)
+    d = code._d
     bound = code.n - code.k + 1
     report = MdsReport(is_mds=(d == bound), d=d, singleton_bound=bound)
     if report.is_mds and code.n > length_bound(code.k, code.q):

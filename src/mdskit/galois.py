@@ -15,7 +15,8 @@ from .errors import UnsupportedOrder
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
 
 # Monic irreducible modulus per non-prime order, low-degree coefficients
-# first; the leading coefficient x^m is implicit.
+# first; the leading coefficient x^m is implicit.  A prime order uses x,
+# i.e. (0,), which leaves the degree-0 products as they are, mod p.
 #   4: x^2+x+1   8: x^3+x+1     9: x^2+1
 #  16: x^4+x+1  25: x^2+2      27: x^3+2x+1
 _MODULUS = {
@@ -74,23 +75,19 @@ class Field:
         self.q = q
         self.p, self.m = _factor_prime_power(q)
 
-        if self.m == 1:
-            self._add = [[(a + b) % q for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % q for b in range(q)] for a in range(q)]
-        else:
-            p, m = self.p, self.m
-            modulus = _MODULUS[q]
-            polys = [_digits(v, p, m) for v in range(q)]
-            self._add = [
-                [sum(((ai + bi) % p) * p**i for i, (ai, bi) in enumerate(zip(a, b)))
-                 for b in polys]
-                for a in polys
-            ]
-            self._mul = [
-                [sum(ci * p**i for i, ci in enumerate(_poly_mul(a, b, modulus, p)))
-                 for b in polys]
-                for a in polys
-            ]
+        p, m = self.p, self.m
+        modulus = _MODULUS.get(q, (0,))
+        polys = [_digits(v, p, m) for v in range(q)]
+        self._add = [
+            [sum(((ai + bi) % p) * p**i for i, (ai, bi) in enumerate(zip(a, b)))
+             for b in polys]
+            for a in polys
+        ]
+        self._mul = [
+            [sum(ci * p**i for i, ci in enumerate(_poly_mul(a, b, modulus, p)))
+             for b in polys]
+            for a in polys
+        ]
 
         self._neg = [next(b for b in range(q) if self._add[a][b] == 0)
                      for a in range(q)]

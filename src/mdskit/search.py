@@ -48,7 +48,7 @@ from .spectra import (
     weight_distribution_bruteforce,
     weight_spectrum,
 )
-from .transforms import _classify_binary
+from .transforms import classify_binary
 
 # default search guards on words per code and on code length, and the
 # sweep's default caps on codes checked and walk nodes per shape
@@ -101,14 +101,19 @@ class SearchResult:
     complete: bool = True
 
 
-def check_word_limit(q, k, max_words):
-    """Refuse a code of q^k words when that exceeds max_words.  For
-    q >= 2 a k past the bit length of max_words is refused without
+def _check_power(q, e, limit, symbol, name):
+    """Refuse q^e above limit, reported as e.g. "q^k" and "word limit".
+    For q >= 2 an e past the bit length of limit is refused without
     taking the power, which could be too long to compute or to print."""
-    if q >= 2 and k > max_words.bit_length():
-        raise SearchSpaceTooLarge(f"q^k = {q}^{k} exceeds the word limit {max_words}")
-    if q ** k > max_words:
-        raise SearchSpaceTooLarge(f"q^k = {q ** k} exceeds the word limit {max_words}")
+    if q >= 2 and e > limit.bit_length():
+        raise SearchSpaceTooLarge(f"{symbol} = {q}^{e} exceeds the {name} {limit}")
+    if q ** e > limit:
+        raise SearchSpaceTooLarge(f"{symbol} = {q ** e} exceeds the {name} {limit}")
+
+
+def check_word_limit(q, k, max_words):
+    """Refuse a code of q^k words when that exceeds max_words."""
+    _check_power(q, k, max_words, "q^k", "word limit")
 
 
 def _guard(spec):
@@ -116,9 +121,7 @@ def _guard(spec):
     if spec.n > spec.max_length:
         raise SearchSpaceTooLarge(
             f"n = {spec.n} exceeds the length limit {spec.max_length}")
-    if spec.q ** spec.n > _UNIVERSE_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"q^n = {spec.q ** spec.n} exceeds the universe limit {_UNIVERSE_LIMIT}")
+    _check_power(spec.q, spec.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
 _HORIZON = 64
@@ -407,11 +410,6 @@ def verify_spectrum_theorems(code):
     """Check the attained nonzero weights of an MDS code containing zero
     against the provable spectrum, plus the full-length-word claims."""
     require_mds(code)
-    return _spectrum_reports(code)
-
-
-def _spectrum_reports(code):
-    """verify_spectrum_theorems on a code already known to be MDS."""
     if not code.contains_zero():
         raise ZeroWordAbsent("spectrum checks are stated for codes containing zero")
     n, k, q = code.n, code.k, code.q
@@ -439,11 +437,6 @@ def verify_distribution(code):
     (q < k) the outcome is recorded as empirical agreement, not a
     theorem check."""
     require_mds(code)
-    return _distribution_report(code)
-
-
-def _distribution_report(code):
-    """verify_distribution on a code already known to be MDS."""
     if not code.contains_zero():
         raise ZeroWordAbsent("the closed form counts weights relative to zero")
     n, k, q = code.n, code.k, code.q
@@ -506,20 +499,16 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
             dist_empirical = False
             classify_bad = 0
             for code in result.codes:
-                # the walk proved the code MDS; one check keeps the
-                # sweep independent of the walk, and the checks below
-                # take it as given
-                require_mds(code)
-                for rep in _spectrum_reports(code):
+                for rep in verify_spectrum_theorems(code):
                     if not rep.passed:
                         spectrum_bad += 1
-                rep = _distribution_report(code)
+                rep = verify_distribution(code)
                 dist_empirical = rep.out_of_regime
                 if not rep.passed:
                     dist_bad += 1
                 if q == 2:
                     try:
-                        _classify_binary(code)
+                        classify_binary(code)
                     except TheoremViolation:
                         classify_bad += 1
             yield ("fail" if spectrum_bad else "pass", f"spectrum {shape} {tag}")

@@ -178,11 +178,6 @@ def classify_binary(code):
     if code.q != 2:
         raise NotMds(f"classification applies to q=2 only, got q={code.q}")
     require_mds(code)
-    return _classify_binary(code)
-
-
-def _classify_binary(code):
-    """classify_binary on a binary code already known to be MDS."""
     normalized, moves = normalize_to_zero(code)
     n, k = code.n, code.k
     if k == 1:

@@ -94,6 +94,8 @@ def test_construct_repetition_n0_writes_nothing(tmp_path, capsys):
     (["sum-zero", "--k", "4", "--q", "2"], "sum_zero_code"),
     (["rs", "--k", "2", "--q", "3"], "rs_code"),
     (["ext-rs", "--k", "2", "--q", "3"], "extended_rs_code"),
+    (["mols", "--p", "3"], "cyclic_mols"),
+    (["repetition", "--n", "2", "--q", "9"], "repetition_code"),
 ])
 def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
     def refuse(*args):
@@ -107,16 +109,19 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "universe", "--k", "20000", "--q", "2"],
-    ["search", "--n", "20000", "--k", "20000", "--q", "2"],
-])
-def test_word_limit_huge_k(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,line", [
+    (["construct", "universe", "--k", "20000", "--q", "2"],
+     "error: q^k = 2^20000 exceeds the word limit 65536\n"),
+    (["search", "--n", "20000", "--k", "20000", "--q", "2"],
+     "error: q^k = 2^20000 exceeds the word limit 65536\n"),
+    (["search", "--n", "20000", "--k", "1", "--q", "2", "--max-length", "30000"],
+     "error: q^n = 2^20000 exceeds the universe limit 262144\n"),
+], ids=["construct-words", "search-words", "search-universe"])
+def test_word_limit_huge_k(argv, line, capsys, monkeypatch):
     # 2^20000 has more digits than int-to-str conversion allows
     monkeypatch.delenv("MDSKIT_MAX_SEARCH", raising=False)
     assert run(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: q^k = 2^20000 exceeds the word limit 65536\n")
+    assert capsys.readouterr().err == line
 
 
 def test_construct_within_word_limit(tmp_path, capsys, monkeypatch):

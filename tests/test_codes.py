@@ -157,6 +157,19 @@ def test_require_mds():
         require_mds(Code(2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]))
 
 
+def test_is_mds_scans_a_code_once(min_distance_calls):
+    code = Code(2, EVEN4)
+    assert require_mds(code).d == require_mds(code).d == 2
+    assert min_distance_calls == [code]
+
+
+def test_equal_code_built_anew_is_scanned_again(min_distance_calls):
+    first, second = Code(2, EVEN4), Code(2, EVEN4)
+    assert first == second
+    assert is_mds(first) == is_mds(second)
+    assert [id(c) for c in min_distance_calls] == [id(first), id(second)]
+
+
 def test_length_bound():
     assert length_bound(1, 2) == math.inf
     assert length_bound(2, 2) == 3       # q <= k: k+1

@@ -82,9 +82,11 @@ def test_all_polynomials_cover_every_tuple():
     assert all(len(p) == 2 for p in polys)
 
 
-def test_prime_field_is_integers_mod_p():
-    f = Field(7)
+@pytest.mark.parametrize("p", [q for q in SUPPORTED_ORDERS
+                               if all(q % d for d in range(2, q))])
+def test_prime_field_is_integers_mod_p(p):
+    f = Field(p)
     for a in f.elements:
         for b in f.elements:
-            assert f.add(a, b) == (a + b) % 7
-            assert f.mul(a, b) == (a * b) % 7
+            assert f.add(a, b) == (a + b) % p
+            assert f.mul(a, b) == (a * b) % p

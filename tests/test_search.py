@@ -295,3 +295,13 @@ def test_verify_distribution_in_and_out_of_regime():
     report = verify_distribution(sum_zero_code(4, Field(2)))
     assert report.out_of_regime
     assert report.passed  # agrees empirically for the binary parity check
+
+
+def test_check_theorems_scans_each_swept_code_once(min_distance_calls):
+    lines = list(check_theorems(3, 4))
+    # one spectrum line per swept shape, tagged codes=N
+    swept = sum(int(claim.split("codes=")[1].split()[0])
+                for _, claim in lines if claim.startswith("spectrum "))
+    assert swept > 0
+    assert len(min_distance_calls) == swept
+    assert len({id(code) for code in min_distance_calls}) == swept

@@ -3,6 +3,8 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdskit import (
     BadMove,
@@ -18,6 +20,7 @@ from mdskit import (
     apply_move,
     apply_moves,
     classify_binary,
+    distance_distribution_from,
     doubly_extended_rs,
     extended_rs_code,
     format_move,
@@ -25,6 +28,7 @@ from mdskit import (
     normalize_to_zero,
     repetition_code,
     residual,
+    rs_code,
     sum_zero_code,
     transposition,
     universe_code,
@@ -103,6 +107,59 @@ def test_residual_shapes_and_mds():
                 out = residual(code, ResidualSpec(positions, values))
                 assert (out.n, out.k, out.q) == (6 - t, 3 - t, 4)
                 assert is_mds(out).is_mds
+
+
+def test_residual_checks_its_input_once(min_distance_calls):
+    code = extended_rs_code(Field(4), 3)
+    word = max(code.words)
+    for p in range(code.k):
+        residual(code, ResidualSpec((p,), (word[p],)))
+    assert sum(c is code for c in min_distance_calls) == 1
+
+
+@st.composite
+def rs_family_codes(draw):
+    """An RS (n = q) or extended RS (n = q+1) code over GF(2..5) with
+    2 <= k <= q."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5])))
+    k = draw(st.integers(2, field.q))
+    if draw(st.booleans()):
+        return extended_rs_code(field, k)
+    return rs_code(field, k, field.elements)
+
+
+@st.composite
+def moves(draw, n, q):
+    """A random SP or PP move on an (n, .)_q code."""
+    if draw(st.booleans()):
+        return SP(draw(st.integers(0, n - 1)), draw(st.permutations(range(q))))
+    return PP(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_moves_preserve_mds_and_distances(data):
+    code = data.draw(rs_family_codes())
+    center = data.draw(st.sampled_from(code.sorted_words()))
+    path = data.draw(st.lists(moves(code.n, code.q), max_size=6))
+    moved = apply_moves(code, path)
+    # the center travels with the code: move it as a one-word code
+    (moved_center,) = apply_moves(Code(code.q, [center]), path).words
+    assert is_mds(moved).is_mds
+    assert (distance_distribution_from(moved, moved_center)
+            == distance_distribution_from(code, center))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_every_residual_is_mds(data):
+    code = data.draw(rs_family_codes())
+    t = data.draw(st.integers(1, code.k - 1))
+    positions = data.draw(st.permutations(range(code.n)))[:t]
+    word = data.draw(st.sampled_from(code.sorted_words()))
+    out = residual(code, ResidualSpec(positions, [word[p] for p in positions]))
+    assert (out.n, out.k, out.q) == (code.n - t, code.k - t, code.q)
+    assert is_mds(out).is_mds
 
 
 def test_residual_to_dimension_zero():
