@@ -8,7 +8,7 @@ n-2 mutually orthogonal Latin squares.
 
 import itertools
 
-from .codes import Code, require_mds
+from .codes import Code, is_mds, require_mds
 from .errors import (
     DimensionTooLarge,
     DuplicatePoints,
@@ -136,19 +136,29 @@ def are_orthogonal(a, b):
 
 
 class MolsSet:
-    """Pairwise-orthogonal Latin squares of one order; verified eagerly."""
+    """Pairwise-orthogonal Latin squares of one order; verified eagerly.
+
+    Two words (i, j, L_1(i,j), .., L_s(i,j)) with distinct (i, j) agree
+    in at most one position unless two squares superpose some ordered
+    pair twice: agreeing in i or in j and in some L_t would repeat a
+    symbol in a row or column of L_t.  So the squares are pairwise
+    orthogonal exactly when these q^2 words form an (s+2, 2)_q MDS code,
+    and one MDS check of that code, kept as self.code, replaces the
+    pairwise comparison.
+    """
 
     def __init__(self, order, squares):
         squares = tuple(squares)
         for sq in squares:
             if sq.order != order:
                 raise NotOrthogonal(f"square of order {sq.order} in an order-{order} set")
-        for i, a in enumerate(squares):
-            for b in squares[i + 1:]:
-                if not are_orthogonal(a, b):
-                    raise NotOrthogonal("squares are not pairwise orthogonal")
+        code = Code(order, [(i, j) + tuple(sq.cells[i][j] for sq in squares)
+                            for i in range(order) for j in range(order)])
+        if not is_mds(code).is_mds:
+            raise NotOrthogonal("squares are not pairwise orthogonal")
         self.order = order
         self.squares = squares
+        self.code = code
 
     def __len__(self):
         return len(self.squares)
@@ -172,10 +182,7 @@ def cyclic_mols(p):
 
 def mols_to_code(mols):
     """(s+2, 2)_q code with words (i, j, L_1(i,j), .., L_s(i,j))."""
-    q = mols.order
-    words = [(i, j) + tuple(sq.cells[i][j] for sq in mols.squares)
-             for i in range(q) for j in range(q)]
-    return Code(q, words)
+    return mols.code
 
 
 def code_to_mols(code):

@@ -5,18 +5,16 @@ An (n, k)_q MDS code is exactly a set of q^k words of length n over
 bijectively onto its first k coordinates, so it holds exactly one word
 per "slot" (per k-symbol information prefix).  The walk below fills the
 q^k slots in lexicographic order, which visits every code exactly once,
-choosing at each step a word compatible with everything chosen so far.
-It prunes on exact facts about any completion:
-
-  P1: every unfilled slot must still have a compatible candidate, and
-      there must be at least as many compatible candidates left as
-      unfilled slots;
-  P2: in a finished code every symbol occurs exactly q^(k-1) times at
-      every position, so no (position, symbol) pair may be overfull or
-      have too few remaining candidates.
+choosing at each step a word compatible with every word placed so far.
+It prunes on one exact fact about any completion: every one of the next
+_HORIZON unfilled slots must still have a compatible candidate.  Two
+more exact rules, at least as many candidates left as unfilled slots and
+each symbol q^(k-1) times at each position, were dropped: the horizon
+check already implies the first whenever at most _HORIZON slots remain,
+and the second cut under 1% of nodes at (n-k)*q popcounts per node.
 
 Compatibility sets are kept as one bitmask per candidate word, so the
-inner loop is integer AND plus popcount.  They are built bit-sliced
+inner loop is integer AND plus a test for zero.  They are built bit-sliced
 (codes.symbol_masks, codes.agreeing): per candidate, a threshold count
 over one big int per (position, symbol) marks every word agreeing with
 it in k or more positions, i.e. lying at distance below d.
@@ -124,6 +122,8 @@ def _guard(spec):
     _check_power(spec.q, spec.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
+# how many slots ahead the walk checks for a compatible candidate;
+# checking every unfilled slot cost more time than it pruned
 _HORIZON = 64
 
 
@@ -147,7 +147,6 @@ def _walk(q, n, k, cand, emit, max_nodes):
         raise SearchSpaceTooLarge(
             f"{m} candidate words exceed the candidate limit {_CANDIDATE_LIMIT}")
 
-    per_symbol = q ** (k - 1)
     slots = q ** k
     cand = sorted(cand)
 
@@ -163,20 +162,13 @@ def _walk(q, n, k, cand, emit, max_nodes):
         start[t + 1] += start[t]
     window = [(1 << start[t + 1]) - (1 << start[t]) for t in range(slots)]
 
-    # bit j of masks[p][s] says cand[j] has symbol s at position p; only
-    # positions outside the information prefix need balance checks, the
-    # slots force balance on the first k positions
-    masks = symbol_masks(cand, n, q)
-    compat = _compatibility(cand, masks, k)
+    compat = _compatibility(cand, symbol_masks(cand, n, q), k)
 
-    used = [[0] * q for _ in range(n)]
-    chosen = []
     complete = True
     nodes = 0
     budget = max_nodes
     # frames are (available-candidates mask, cursor); the frame at depth
-    # t fills slot t, and owns the word chosen just before it was pushed,
-    # except the bottom frame
+    # t fills slot t, and its cursor sits one past the word it chose
     stack = [((1 << m) - 1, 0)]
     while stack:
         avail, i = stack[-1]
@@ -184,10 +176,6 @@ def _walk(q, n, k, cand, emit, max_nodes):
         rest = avail & window[t] & (-1 << i)
         if rest == 0:
             stack.pop()
-            if stack:
-                w = cand[chosen.pop()]
-                for p in range(k, n):
-                    used[p][w[p]] -= 1
             continue
         if budget is not None and nodes >= budget:
             complete = False
@@ -196,47 +184,19 @@ def _walk(q, n, k, cand, emit, max_nodes):
         j = (rest & -rest).bit_length() - 1
         stack[-1] = (avail, j + 1)
 
-        w = cand[j]
-        chosen.append(j)
-        for p in range(k, n):
-            used[p][w[p]] += 1
-
         if t + 1 == slots:
-            stop = emit([cand[c] for c in chosen])
-            chosen.pop()
-            for p in range(k, n):
-                used[p][w[p]] -= 1
-            if stop:
+            if emit([cand[c - 1] for _, c in stack]):
                 complete = False
                 break
             continue
 
+        # prune unless each of the next _HORIZON slots keeps a candidate
         child = avail & compat[j]
-        dead = child.bit_count() < slots - t - 1
-        if not dead:
-            for s in range(t + 1, min(slots, t + 1 + _HORIZON)):
-                if child & window[s] == 0:
-                    dead = True
-                    break
-        if not dead:
-            for p in range(k, n):
-                row = used[p]
-                column = masks[p]
-                for s in range(q):
-                    u = row[s]
-                    if u > per_symbol or (
-                            u < per_symbol
-                            and u + (child & column[s]).bit_count() < per_symbol):
-                        dead = True
-                        break
-                if dead:
-                    break
-        if dead:
-            chosen.pop()
-            for p in range(k, n):
-                used[p][w[p]] -= 1
-            continue
-        stack.append((child, start[t + 1]))
+        for s in range(t + 1, min(slots, t + 1 + _HORIZON)):
+            if child & window[s] == 0:
+                break
+        else:
+            stack.append((child, start[t + 1]))
 
     return complete
 

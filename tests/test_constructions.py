@@ -1,11 +1,14 @@
 """Construction families: parameters, the MDS property, and MOLS."""
 
+from itertools import combinations
+
 import pytest
 
 from mdskit import (
     DimensionTooLarge,
     DuplicatePoints,
     Field,
+    InvalidCode,
     InvalidParameters,
     LatinSquare,
     MolsSet,
@@ -102,6 +105,39 @@ def test_orthogonality():
         MolsSet(3, [a, a])
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_mols_set_accepts_exactly_the_orthogonal_sets(p):
+    # the MDS check of MolsSet against the pairwise oracle, on subsets of
+    # the cyclic squares with a repeated, a transposed or a row-permuted
+    # square added; a transposed or permuted square is orthogonal to
+    # some cyclic squares and not to others
+    squares = cyclic_mols(p).squares
+    first, second, third = squares[:3]
+    extras = [
+        first,
+        LatinSquare(zip(*second.cells)),
+        LatinSquare(third.cells[1:] + third.cells[:1]),
+    ]
+    sets = [list(c) for r in (1, 2, 3) for c in combinations(squares, r)]
+    sets += [list(c) + [e] for e in extras
+             for r in (1, 2) for c in combinations(squares, r)]
+    verdicts = set()
+    for chosen in sets:
+        orthogonal = all(are_orthogonal(a, b) for a, b in combinations(chosen, 2))
+        verdicts.add(orthogonal)
+        if orthogonal:
+            assert MolsSet(p, chosen).squares == tuple(chosen)
+        else:
+            with pytest.raises(NotOrthogonal):
+                MolsSet(p, chosen)
+    assert verdicts == {True, False}
+
+
+def test_mols_set_of_order_one_is_not_a_code():
+    with pytest.raises(InvalidCode):
+        MolsSet(1, [LatinSquare([[0]])])
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_cyclic_mols(p):
     mols = cyclic_mols(p)
@@ -118,6 +154,7 @@ def test_cyclic_mols_rejects_composites():
 def test_mols_code_round_trip():
     mols = cyclic_mols(5)
     code = mols_to_code(mols)
+    assert code is mols.code
     _check(code, 6, 2, 5)
     assert code_to_mols(code) == mols
 

@@ -19,6 +19,7 @@ from mdskit import (
     enumerate_mds,
     exists_mds,
     extended_rs_code,
+    hamming_distance,
     is_mds,
     length_bound,
     sum_zero_code,
@@ -47,6 +48,29 @@ def full_walk_count(n, k, q, require_zero):
     found = []
     assert _walk(q, n, k, cand, lambda words: found.append(1), None)
     return len(found)
+
+
+def reference_codes(n, k, q, cand):
+    """Oracle for _walk: every set of q^k words from cand, one per
+    information prefix, at pairwise distance >= n-k+1, found by plain
+    recursion with no masks and no prunes."""
+    d = n - k + 1
+    by_prefix = {}
+    for w in cand:
+        by_prefix.setdefault(w[:k], []).append(w)
+    prefixes = list(product(range(q), repeat=k))
+    found = set()
+
+    def fill(placed):
+        if len(placed) == len(prefixes):
+            found.add(frozenset(placed))
+            return
+        for w in by_prefix.get(prefixes[len(placed)], []):
+            if all(hamming_distance(w, c) >= d for c in placed):
+                fill(placed + [w])
+
+    fill([])
+    return found
 
 
 def small_shapes():
@@ -124,6 +148,22 @@ def test_class_count_matches_full_walk(require_zero):
         result = enumerate_mds(SearchSpec(n, k, q, require_zero=require_zero))
         assert result.complete
         assert result.count == full_walk_count(n, k, q, require_zero), (n, k, q)
+
+
+def test_walk_emits_exactly_the_reference_codes():
+    # every shape with q <= 5 and q^n <= 81, past the length bound too;
+    # (2,1)_q alone has q! codes, so larger q outgrow the oracle
+    shapes = [(n, k, q) for q in range(2, 6) for n in range(1, 7)
+              if q ** n <= 81 for k in range(1, n + 1)]
+    assert len(shapes) == 40
+    for n, k, q in shapes:
+        universe = list(product(range(q), repeat=n))
+        for cand in (universe, _zero_candidates(q, n, k, universe)):
+            emitted = []
+            assert _walk(q, n, k, cand, lambda words: emitted.append(frozenset(words)),
+                         None)
+            assert len(set(emitted)) == len(emitted), (n, k, q)
+            assert set(emitted) == reference_codes(n, k, q, cand), (n, k, q)
 
 
 @pytest.mark.parametrize("q,latin", [(2, 2), (3, 12), (4, 576), (5, 161280)])
