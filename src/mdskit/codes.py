@@ -77,6 +77,7 @@ class Code:
         self.k = k
         self.words = wordset
         self._d = None              # minimum distance, set by is_mds
+        self._view = None           # (word order, symbol masks), set by bit_view
 
     @property
     def zero(self):
@@ -126,20 +127,30 @@ def symbol_masks(words, n, q):
     return masks
 
 
-def agreeing(word, within, masks, t):
-    """Mask of the words in `within` (bits as in masks) that agree with
-    word in at least t positions.  Counter c[r] holds the words agreeing
-    in at least r of the positions seen so far, so each position costs
-    t big-int AND/OR steps.  At position p the counters above p+1 are
-    still 0, so their steps are cheap no-ops; skipping them costs more
-    than it saves."""
+def bit_view(code):
+    """The code's words in sorted order and their symbol masks, built on
+    first use and kept on the code: its words are a frozenset, so the
+    view cannot go stale."""
+    if code._view is None:
+        words = code.sorted_words()
+        code._view = (words, symbol_masks(words, code.n, code.q))
+    return code._view
+
+
+def agreement_counters(word, within, masks, t):
+    """Counters c[0..t] over the words in `within` (bits as in masks):
+    c[r] holds the words agreeing with word in at least r of the
+    positions that masks and word cover.  Each position costs t big-int
+    AND/OR steps.  At position p the counters above p+1 are still 0, so
+    their steps are cheap no-ops; skipping them costs more than it
+    saves."""
     c = [within] + [0] * t
     steps = range(t, 0, -1)
     for column, s in zip(masks, word):
         m = column[s]
         for r in steps:
             c[r] |= c[r - 1] & m
-    return c[t]
+    return c
 
 
 def min_distance(code):
@@ -149,14 +160,13 @@ def min_distance(code):
     agrees with it that often."""
     if len(code.words) < 2:
         raise TooFewWords("minimum distance needs at least two words")
-    words = code.sorted_words()
+    words, masks = bit_view(code)
     n = code.n
-    masks = symbol_masks(words, n, code.q)
     best = n
     later = (1 << len(words)) - 1
     for w in words:
         later &= later - 1          # drop w's own bit, the lowest one left
-        while agreeing(w, later, masks, n - best + 1):
+        while agreement_counters(w, later, masks, n - best + 1)[-1]:
             best -= 1
             if best == 1:
                 return 1

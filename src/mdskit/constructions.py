@@ -160,6 +160,14 @@ class MolsSet:
         self.squares = squares
         self.code = code
 
+    @classmethod
+    def _of_mds_code(cls, code, squares):
+        """The set of squares read from code, an (n, 2)_q code already
+        proved MDS, kept as self.code without a second scan."""
+        mols = cls.__new__(cls)
+        mols.order, mols.squares, mols.code = code.q, tuple(squares), code
+        return mols
+
     def __len__(self):
         return len(self.squares)
 
@@ -187,7 +195,8 @@ def mols_to_code(mols):
 
 def code_to_mols(code):
     """Inverse bridge: coordinate t+2 of an (n, 2)_q MDS code, indexed by its
-    first two coordinates, is the t-th Latin square.
+    first two coordinates, is the t-th Latin square.  The code is the
+    set's code word for word, so its one MDS check stands for both.
     """
     if code.k != 2:
         raise WrongDimension(f"need k=2, got k={code.k}")
@@ -200,4 +209,4 @@ def code_to_mols(code):
     for t in range(code.n - 2):
         cells = [[by_prefix[i, j][t + 2] for j in range(q)] for i in range(q)]
         squares.append(LatinSquare(cells))
-    return MolsSet(q, squares)
+    return MolsSet._of_mds_code(code, squares)

@@ -14,10 +14,11 @@ check already implies the first whenever at most _HORIZON slots remain,
 and the second cut under 1% of nodes at (n-k)*q popcounts per node.
 
 Compatibility sets are kept as one bitmask per candidate word, so the
-inner loop is integer AND plus a test for zero.  They are built bit-sliced
-(codes.symbol_masks, codes.agreeing): per candidate, a threshold count
-over one big int per (position, symbol) marks every word agreeing with
-it in k or more positions, i.e. lying at distance below d.
+inner loop is integer AND plus a test for zero.  They are built
+bit-sliced (codes.symbol_masks, codes.agreement_counters): per candidate,
+a threshold count over one big int per (position, symbol) marks every
+word agreeing with it in k or more positions, i.e. lying at distance
+below d.
 
 Counting and existence walk one code per relabeling class: relabeling
 symbols within each position preserves all distances, and the codes in
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .codes import Code, agreeing, length_bound, require_mds, symbol_masks, weight
+from .codes import Code, agreement_counters, length_bound, require_mds, symbol_masks, weight
 from .errors import (
     InvalidParameters,
     SearchSpaceTooLarge,
@@ -133,7 +134,7 @@ def _compatibility(cand, masks, k):
     fewer than k positions.  A word agrees with itself in all n >= k
     positions, so it is never compatible with itself."""
     full = (1 << len(cand)) - 1
-    return [full & ~agreeing(w, full, masks, k) for w in cand]
+    return [full & ~agreement_counters(w, full, masks, k)[k] for w in cand]
 
 
 def _walk(q, n, k, cand, emit, max_nodes):

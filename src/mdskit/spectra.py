@@ -1,4 +1,4 @@
-"""Weight and distance spectra: brute-force counts and closed forms.
+"""Weight and distance spectra: exhaustive counts and closed forms.
 
 For an (n, k)_q MDS code containing the zero word, the number of words of
 weight w >= d (d = n-k+1) has the exact closed form
@@ -10,17 +10,22 @@ per-block binomials, counts words with a prescribed weight profile over a
 partition of the coordinates.  Everything here is exact integer arithmetic;
 the alternating sum must cancel exactly, so no floats are ever involved.
 
-Each closed form is paired with a brute-force scan over the code, which is
-the independent oracle the formulas are verified against.  The stated
-hypothesis of the closed forms is q >= k; evaluating them with q < k emits
-an OutOfStatedRegime warning so callers can record empirical agreement
-without claiming a theorem.
+Each closed form is paired with an exhaustive count over the code, which
+is the independent oracle the formulas are verified against.  The counts
+never use the closed forms: they read the code's bit-sliced view
+(codes.bit_view), where a threshold counter over the center's symbol
+masks marks the words agreeing with the center in at least r positions,
+for every r at once, and bit_count() reads off each count.
+
+The stated hypothesis of the closed forms is q >= k; evaluating them with
+q < k emits an OutOfStatedRegime warning so callers can record empirical
+agreement without claiming a theorem.
 """
 
 import warnings
 from math import comb
 
-from .codes import hamming_distance, length_bound, weight
+from .codes import agreement_counters, bit_view, length_bound
 from .errors import (
     BadPartition,
     InadmissibleParameters,
@@ -71,16 +76,19 @@ class WeightDistribution:
 
 def _distances_from(code, center):
     """Counts of codewords at each distance from center, which need not
-    be a codeword."""
-    counts = {}
-    for w in code.words:
-        t = hamming_distance(w, center)
-        counts[t] = counts.get(t, 0) + 1
-    return WeightDistribution(code.n, counts)
+    be a codeword: a word at distance t agrees with center in exactly
+    n-t positions."""
+    n = code.n
+    words, masks = bit_view(code)
+    at_least = [c.bit_count() for c in
+                agreement_counters(center, (1 << len(words)) - 1, masks, n)]
+    at_least.append(0)
+    return WeightDistribution(n, {n - a: at_least[a] - at_least[a + 1]
+                                  for a in range(n + 1)})
 
 
 def weight_distribution_bruteforce(code):
-    """Exact weight counts by scanning every codeword."""
+    """Exact weight counts over every codeword."""
     return _distances_from(code, code.zero)
 
 
@@ -121,7 +129,7 @@ def weight_spectrum(code):
     """Set of nonzero weights attained; the code must contain the zero word."""
     if not code.contains_zero():
         raise ZeroWordAbsent("weight spectrum is defined relative to the zero word")
-    return {weight(w) for w in code.words if any(w)}
+    return _distances_from(code, code.zero).spectrum()
 
 
 def predicted_spectrum(n, k, q):
@@ -213,16 +221,19 @@ def _profile_count(code, center, spec, profile):
     if spec.n != code.n:
         raise BadPartition(f"partition covers {spec.n} positions, code length is {code.n}")
     profile = _check_profile(spec, profile)
-    count = 0
-    for word in code.words:
-        if all(sum(word[p] != center[p] for p in block) == wi
-               for block, wi in zip(spec.blocks, profile)):
-            count += 1
-    return count
+    words, masks = bit_view(code)
+    hits = (1 << len(words)) - 1
+    for block, wi in zip(spec.blocks, profile):
+        # the words left that agree with center in exactly a block positions
+        a = len(block) - wi
+        c = agreement_counters([center[p] for p in block], hits,
+                               [masks[p] for p in block], a + 1)
+        hits = c[a] & ~c[a + 1]
+    return hits.bit_count()
 
 
 def partition_weight_enumerator_bruteforce(code, spec, profile):
-    """Exact profile count by scanning codewords."""
+    """Exact profile count over every codeword."""
     return _profile_count(code, code.zero, spec, profile)
 
 

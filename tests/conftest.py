@@ -18,3 +18,18 @@ def min_distance_calls(monkeypatch):
 
     monkeypatch.setattr(mdskit.codes, "min_distance", counted)
     return calls
+
+
+@pytest.fixture
+def symbol_masks_calls(monkeypatch):
+    """The word lists passed to codes.symbol_masks during the test, one
+    entry per call, i.e. per bit-sliced view that codes.bit_view builds."""
+    calls = []
+    build = mdskit.codes.symbol_masks
+
+    def counted(words, n, q):
+        calls.append(words)
+        return build(words, n, q)
+
+    monkeypatch.setattr(mdskit.codes, "symbol_masks", counted)
+    return calls

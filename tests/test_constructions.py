@@ -159,6 +159,15 @@ def test_mols_code_round_trip():
     assert code_to_mols(code) == mols
 
 
+def test_code_to_mols_scans_its_input_once(min_distance_calls):
+    code = extended_rs_code(Field(7), 2)          # a fresh (8, 2)_7 code
+    mols = code_to_mols(code)
+    assert min_distance_calls == [code]
+    assert len(mols) == 6 and mols.code == code
+    assert all(are_orthogonal(a, b) for a, b in combinations(mols.squares, 2))
+    assert MolsSet(7, mols.squares) == mols
+
+
 def test_code_to_mols_rejects_wrong_shapes():
     with pytest.raises(WrongDimension):
         code_to_mols(universe_code(3, 2))  # k != 2

@@ -1,11 +1,17 @@
-"""Weight and partition enumerators: closed forms against brute force."""
+"""Weight and partition enumerators: closed forms against exhaustive
+counts, and the bit-sliced counts against per-word oracles."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdskit import (
+    SP,
     BadPartition,
+    Code,
     Field,
     InadmissibleParameters,
     InvalidParameters,
@@ -15,9 +21,12 @@ from mdskit import (
     WeightDistribution,
     WordNotInCode,
     ZeroWordAbsent,
+    apply_moves,
     distance_distribution_from,
     doubly_extended_rs,
     extended_rs_code,
+    hamming_distance,
+    is_mds,
     partition_distance_enumerator,
     partition_weight_enumerator_bruteforce,
     partition_weight_enumerator_formula,
@@ -30,7 +39,7 @@ from mdskit import (
     weight_distribution_formula,
     weight_spectrum,
 )
-from mdskit.spectra import closed_form_distribution
+from mdskit.spectra import _distances_from, _profile_count, closed_form_distribution
 
 
 def test_weight_distribution_container():
@@ -227,3 +236,112 @@ def test_closed_form_distribution_is_silent():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert quiet == weight_distribution_formula(n, k, q)
+
+
+# ------------------------------------------- per-word oracles
+
+
+def oracle_distances(code, center):
+    """Distances from center, one hamming_distance per codeword."""
+    return WeightDistribution(
+        code.n, Counter(hamming_distance(w, center) for w in code.words))
+
+
+def oracle_profiles(code, center, spec):
+    """Codewords per profile: how many positions of each block differ
+    from center, one word at a time."""
+    return Counter(tuple(sum(w[p] != center[p] for p in block) for block in spec.blocks)
+                   for w in code.words)
+
+
+MAX_WORDS = 256
+
+
+@st.composite
+def word_codes(draw):
+    """A code over q <= 16 with at most MAX_WORDS words: q^k random
+    distinct words, or an RS code on random points with a random
+    relabeling of some positions.  The first is rarely MDS, the second
+    always is; either may or may not contain zero."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16]))
+    k_max = max(k for k in range(9) if q ** k <= MAX_WORDS)
+    if draw(st.booleans()):
+        field = Field(q)
+        n = draw(st.integers(1, min(q, 8)))
+        k = draw(st.integers(1, min(n, k_max)))
+        points = draw(st.permutations(field.elements))[:n]
+        relabel = draw(st.lists(st.tuples(st.integers(0, n - 1), st.permutations(range(q))),
+                                max_size=2))
+        return apply_moves(rs_code(field, k, points), [SP(p, perm) for p, perm in relabel])
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(n, k_max)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Code(q, [tuple(i // q ** p % q for p in range(n))
+                    for i in rng.sample(range(q ** n), q ** k)])
+
+
+@st.composite
+def partitions(draw, n):
+    """1 to 4 blocks (at most n) of a random order of 0..n-1."""
+    blocks = draw(st.integers(1, min(4, n)))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.permutations(range(1, n)))[:blocks - 1])
+    return PartitionSpec(n, [order[a:b] for a, b in zip([0] + cuts, cuts + [n])])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_bit_sliced_counts_match_per_word_oracles(data):
+    code = data.draw(word_codes())
+    n, q, zero = code.n, code.q, code.zero
+    codeword = data.draw(st.sampled_from(code.sorted_words()))
+    word = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    spec = data.draw(partitions(n))
+    profiles = list(product(*(range(size + 1) for size in spec.sizes)))
+
+    assert weight_distribution_bruteforce(code) == oracle_distances(code, zero)
+    if code.contains_zero():
+        assert weight_spectrum(code) == {t for t in oracle_distances(code, zero).counts if t}
+    else:
+        with pytest.raises(ZeroWordAbsent):
+            weight_spectrum(code)
+    by_weight = oracle_profiles(code, zero, spec)
+    for profile in profiles:
+        assert partition_weight_enumerator_bruteforce(code, spec, profile) == by_weight[profile]
+
+    for center in (codeword, word):
+        assert _distances_from(code, center) == oracle_distances(code, center)
+        by_distance = oracle_profiles(code, center, spec)
+        for profile in profiles:
+            assert _profile_count(code, center, spec, profile) == by_distance[profile]
+        if center in code:
+            assert distance_distribution_from(code, center) == oracle_distances(code, center)
+            for profile in profiles:
+                assert (partition_distance_enumerator(code, center, spec, profile)
+                        == by_distance[profile])
+        else:
+            with pytest.raises(WordNotInCode):
+                distance_distribution_from(code, center)
+            with pytest.raises(WordNotInCode):
+                partition_distance_enumerator(code, center, spec, profiles[0])
+
+
+def test_one_bit_sliced_view_per_code(symbol_masks_calls):
+    code = doubly_extended_rs(Field(4))
+    spec = PartitionSpec(6, [[0, 2, 4], [1, 3], [5]])
+    center = sorted(code.words)[17]
+    assert is_mds(code).is_mds
+    assert weight_distribution_bruteforce(code).total() == 64
+    assert weight_spectrum(code) == {4, 6}
+    assert distance_distribution_from(code, center).total() == 64
+    profiles = list(product(range(4), range(3), range(2)))
+    assert sum(partition_weight_enumerator_bruteforce(code, spec, profile)
+               for profile in profiles) == 64
+    assert sum(partition_distance_enumerator(code, center, spec, profile)
+               for profile in profiles) == 64
+    assert len(symbol_masks_calls) == 1
+
+    again = doubly_extended_rs(Field(4))
+    assert again == code
+    assert weight_spectrum(again) == weight_spectrum(code)
+    assert len(symbol_masks_calls) == 2
