@@ -157,14 +157,15 @@ def _need_words(args):
 def _cmd_verify(args):
     code = _load(args.file)
     report = is_mds(code)
+    good = None
+    if args.information_set is not None:
+        good = information_set_check(code, _positions_from_cli(args.information_set))
     _print_shape(code)
     print(f"d = {report.d}")
     print(f"singleton_bound = {report.singleton_bound}")
     print(f"is_mds = {_bool(report.is_mds)}")
     ok = report.is_mds
-    if args.information_set is not None:
-        positions = _positions_from_cli(args.information_set)
-        good = information_set_check(code, positions)
+    if good is not None:
         print(f"information_set = {_bool(good)}")
         ok = ok and good
     return 0 if ok else 1
@@ -314,14 +315,14 @@ def _cmd_search(args):
 
 def _cmd_check_theorems(args):
     max_words, max_length = _search_limits(args)
+    lines = check_theorems(args.q, args.max_n, limit_per_shape=args.limit_per_shape,
+                           max_words=max_words, max_length=max_length,
+                           max_nodes=args.max_nodes)
     print(f"q = {args.q}")
     print(f"max_n = {args.max_n}")
     idx = 0
     failures = 0
-    for idx, (status, claim) in enumerate(
-            check_theorems(args.q, args.max_n, limit_per_shape=args.limit_per_shape,
-                           max_words=max_words, max_length=max_length,
-                           max_nodes=args.max_nodes), start=1):
+    for idx, (status, claim) in enumerate(lines, start=1):
         print(f"check[{idx}] = {status} {claim}")
         if status == "fail":
             failures += 1

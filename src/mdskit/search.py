@@ -424,7 +424,18 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     under max_n, then the spectrum, distribution and (for q = 2) binary
     classification of up to limit_per_shape codes containing zero for
     every (n, k)_q shape with n <= min(max_n, length_bound(k, q)).
-    Yields the (status, claim) lines in order as each is settled."""
+    Returns an iterator of the (status, claim) lines, each yielded as it
+    is settled; bad arguments raise here, before any line."""
+    if q < 2:
+        raise InvalidParameters(f"q must be at least 2, got {q}")
+    if limit_per_shape is not None and limit_per_shape < 1:
+        raise InvalidParameters(f"limit_per_shape must be positive, got {limit_per_shape}")
+    if max_nodes is not None and max_nodes < 1:
+        raise InvalidParameters(f"max_nodes must be positive, got {max_nodes}")
+    return _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes)
+
+
+def _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes):
     k_max = 1
     for k in range(2, max_n + 1):
         if length_bound(k, q) + 1 <= max_n:

@@ -8,8 +8,11 @@ distances, hence (n, k, d).  The moves here are the generators:
     SP: apply a symbol permutation at one position
     PP: swap two positions
 
-Any code is carried onto one containing the zero word by per-position
-transpositions, which is what normalize_to_zero does.
+A list of moves composes into one relabeling: output position p reads
+some input position and relabels its symbol.  apply_moves folds the
+list into that map and builds and validates one Code for the whole list,
+not one per move.  Any code is carried onto one containing the zero word
+by per-position transpositions, which is what normalize_to_zero does.
 
 A t-residual code fixes t coordinates of an MDS code to values that some
 codeword attains, keeps the matching words, and deletes the fixed
@@ -50,37 +53,42 @@ class PP:
     j: int
 
 
-def _check_sp(move, code):
-    if not 0 <= move.position < code.n:
-        raise BadMove(f"position {move.position} outside 0..{code.n - 1}")
-    if sorted(move.perm) != list(range(code.q)):
-        raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
+def apply_moves(code, moves):
+    """Apply the moves in order, returning one new code (the input code
+    itself when there are none).  The list folds into, per output
+    position p, the input position source[p] it reads and the
+    relabeling relabel[p] of that symbol; every move is checked as it
+    folds, before any word is rewritten, and each word is rewritten
+    once."""
+    moves = tuple(moves)
+    if not moves:
+        return code
+    source = list(range(code.n))
+    relabel = [tuple(range(code.q))] * code.n
+    for move in moves:
+        if isinstance(move, SP):
+            p = move.position
+            if not 0 <= p < code.n:
+                raise BadMove(f"position {p} outside 0..{code.n - 1}")
+            if sorted(move.perm) != list(range(code.q)):
+                raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
+            relabel[p] = tuple(move.perm[s] for s in relabel[p])
+        elif isinstance(move, PP):
+            i, j = move.i, move.j
+            if not (0 <= i < code.n and 0 <= j < code.n):
+                raise BadMove(f"positions ({i}, {j}) outside 0..{code.n - 1}")
+            source[i], source[j] = source[j], source[i]
+            relabel[i], relabel[j] = relabel[j], relabel[i]
+        else:
+            raise BadMove(f"unknown move {move!r}")
+    columns = list(zip(*code.words))
+    moved = [map(relabel[p].__getitem__, columns[source[p]]) for p in range(code.n)]
+    return Code(code.q, zip(*moved))
 
 
 def apply_move(code, move):
     """Apply one SP or PP move, returning a new code."""
-    if isinstance(move, SP):
-        _check_sp(move, code)
-        p = move.position
-        words = [w[:p] + (move.perm[w[p]],) + w[p + 1:] for w in code.words]
-    elif isinstance(move, PP):
-        if not (0 <= move.i < code.n and 0 <= move.j < code.n):
-            raise BadMove(f"positions ({move.i}, {move.j}) outside 0..{code.n - 1}")
-        i, j = move.i, move.j
-        words = []
-        for w in code.words:
-            w = list(w)
-            w[i], w[j] = w[j], w[i]
-            words.append(tuple(w))
-    else:
-        raise BadMove(f"unknown move {move!r}")
-    return Code(code.q, words)
-
-
-def apply_moves(code, moves):
-    for move in moves:
-        code = apply_move(code, move)
-    return code
+    return apply_moves(code, (move,))
 
 
 def transposition(q, a, b):

@@ -33,3 +33,18 @@ def symbol_masks_calls(monkeypatch):
 
     monkeypatch.setattr(mdskit.codes, "symbol_masks", counted)
     return calls
+
+
+@pytest.fixture
+def code_inits(monkeypatch):
+    """The codes built by Code.__init__ during the test, one entry per
+    construction."""
+    calls = []
+    init = mdskit.codes.Code.__init__
+
+    def counted(self, q, words):
+        calls.append(self)
+        init(self, q, words)
+
+    monkeypatch.setattr(mdskit.codes.Code, "__init__", counted)
+    return calls

@@ -146,6 +146,19 @@ def test_verify_information_set(tmp_path, capsys):
     assert "information_set = true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("positions,message", [
+    ("0,1", "positions must lie in 0..3"),
+    ("1,1", "need exactly k=2 distinct positions"),
+])
+def test_verify_bad_information_set_prints_no_report(positions, message, tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    write_code(extended_rs_code(Field(3), 2), path)
+    assert run(["verify", str(path), "--information-set", positions]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_not_mds_exits_1(tmp_path, capsys):
     path = _write_not_mds(tmp_path / "bad.txt")
     assert run(["verify", path]) == 1
@@ -333,6 +346,18 @@ def test_check_theorems_sweep_golden(q, max_n, capsys):
     assert run(["check-theorems", "--q", str(q), "--max-n", str(max_n)]) == 0
     golden = (GOLDEN / f"check-theorems_q{q}_max-n{max_n}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--q", "1"], "q must be at least 2, got 1"),
+    (["--q", "2", "--limit-per-shape", "0"], "limit_per_shape must be positive, got 0"),
+    (["--q", "2", "--max-nodes", "0"], "max_nodes must be positive, got 0"),
+])
+def test_check_theorems_bad_arguments_print_no_header(flags, message, capsys):
+    assert run(["check-theorems", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):

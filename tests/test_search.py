@@ -305,6 +305,17 @@ def test_check_theorems_skip_lines(monkeypatch):
     assert ("skip", "(n=4, k=2)_2: no codes exist") in lines
 
 
+@pytest.mark.parametrize("q,kwargs,name", [
+    (1, {}, "q"),
+    (2, {"limit_per_shape": 0}, "limit_per_shape"),
+    (2, {"max_nodes": 0}, "max_nodes"),
+])
+def test_check_theorems_refuses_bad_arguments_when_called(q, kwargs, name):
+    # raised by the call itself, not by the first next() on its lines
+    with pytest.raises(InvalidParameters, match=f"^{name} "):
+        check_theorems(q, 4, **kwargs)
+
+
 def test_verify_spectrum_theorems():
     code = doubly_extended_rs(Field(4))
     reports = verify_spectrum_theorems(code)

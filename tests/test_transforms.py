@@ -150,6 +150,118 @@ def test_moves_preserve_mds_and_distances(data):
             == distance_distribution_from(code, center))
 
 
+def sequential_move(code, move):
+    """One move applied on its own, building and validating a Code: the
+    one-move-at-a-time path that apply_moves replaced."""
+    if isinstance(move, SP):
+        if not 0 <= move.position < code.n:
+            raise BadMove(f"position {move.position} outside 0..{code.n - 1}")
+        if sorted(move.perm) != list(range(code.q)):
+            raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
+        p = move.position
+        words = [w[:p] + (move.perm[w[p]],) + w[p + 1:] for w in code.words]
+    elif isinstance(move, PP):
+        if not (0 <= move.i < code.n and 0 <= move.j < code.n):
+            raise BadMove(f"positions ({move.i}, {move.j}) outside 0..{code.n - 1}")
+        i, j = move.i, move.j
+        words = []
+        for w in code.words:
+            w = list(w)
+            w[i], w[j] = w[j], w[i]
+            words.append(tuple(w))
+    else:
+        raise BadMove(f"unknown move {move!r}")
+    return Code(code.q, words)
+
+
+def sequential_moves(code, moves):
+    """Oracle for apply_moves: one Code per move, in order."""
+    for move in moves:
+        code = sequential_move(code, move)
+    return code
+
+
+@st.composite
+def small_mds_codes(draw):
+    """An RS, extended RS or sum-zero code over GF(2..5) of at most
+    q^3 words."""
+    field = Field(draw(st.sampled_from([2, 3, 4, 5])))
+    k = draw(st.integers(1, min(field.q, 3)))
+    family = draw(st.sampled_from(["rs", "ext-rs", "sum-zero"]))
+    if family == "sum-zero":
+        return sum_zero_code(k, field)
+    if family == "ext-rs":
+        return extended_rs_code(field, k)
+    return rs_code(field, k, field.elements)
+
+
+@st.composite
+def mixed_moves(draw, n, q):
+    """An SP, a PP of two drawn positions, or a PP of one position with
+    itself."""
+    position = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["SP", "PP", "PP-self"]))
+    if kind == "SP":
+        return SP(draw(position), draw(st.permutations(range(q))))
+    i = draw(position)
+    return PP(i, i if kind == "PP-self" else draw(position))
+
+
+@st.composite
+def bad_moves(draw, n, q):
+    """A move that does not fit an (n, .)_q code."""
+    outside = st.one_of(st.integers(-3, -1), st.integers(n, n + 3))
+    return draw(st.one_of(
+        st.builds(SP, outside, st.permutations(range(q))),
+        st.builds(SP, st.integers(0, n - 1),
+                  st.lists(st.integers(0, q), min_size=q - 1, max_size=q + 1)
+                  .filter(lambda perm: sorted(perm) != list(range(q)))),
+        st.builds(PP, outside, st.integers(0, n - 1)),
+        st.builds(PP, st.integers(0, n - 1), outside),
+        st.just("not a move"),
+    ))
+
+
+def _outcome(apply, code, path):
+    """The moved code, or the BadMove message."""
+    try:
+        return apply(code, path)
+    except BadMove as exc:
+        return f"BadMove: {exc}"
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_composed_moves_match_sequential(data):
+    code = data.draw(small_mds_codes())
+    path = data.draw(st.lists(mixed_moves(code.n, code.q), max_size=12))
+    # up to two bad moves at any index: the first one must be refused
+    for _ in range(data.draw(st.integers(0, 2))):
+        index = data.draw(st.integers(0, len(path)))
+        path.insert(index, data.draw(bad_moves(code.n, code.q)))
+    expected = _outcome(sequential_moves, code, path)
+    assert _outcome(apply_moves, code, path) == expected
+
+
+def test_apply_moves_builds_one_code(code_inits):
+    code = extended_rs_code(Field(5), 3)
+    path = [SP(p, (1, 2, 3, 4, 0)) for p in range(code.n)] + [PP(0, code.n - 1)]
+    code_inits.clear()
+    moved = apply_moves(code, path)
+    assert len(code_inits) == 1 and code_inits[0] is moved
+    assert apply_moves(code, []) is code
+    assert len(code_inits) == 1
+
+
+def test_normalize_to_zero_builds_one_code(code_inits):
+    code = extended_rs_code(Field(5), 3)
+    word = next(w for w in code.sorted_words() if all(w))
+    code_inits.clear()
+    normalized, moves = normalize_to_zero(code, word)
+    assert len(moves) == code.n
+    assert len(code_inits) == 1 and code_inits[0] is normalized
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_every_residual_is_mds(data):
