@@ -4,7 +4,8 @@ Reports are deterministic `key = value` lines on stdout.  Positions,
 blocks, and move serializations are 1-based on the command line; the
 library is 0-based throughout.  Exit status: 0 on success, 1 when a
 well-formed input fails a verification (not MDS, spectra disagree,
-classification contradicted), 2 on usage or input errors.
+classification contradicted) or a sweep checks nothing, 2 on usage or
+input errors.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from .constructions import (
     universe_code,
 )
 from .errors import (
+    BadPositions,
     CodeFileError,
     MdskitError,
     NotMds,
@@ -73,8 +75,11 @@ def _bool(value):
     return "true" if value else "false"
 
 
-def _positions_from_cli(raw):
-    """1-based CLI positions to 0-based, preserving order."""
+def _positions_from_cli(raw, n):
+    """1-based CLI positions of a length-n code to 0-based, preserving
+    order; a position outside 1..n is refused in CLI terms."""
+    if any(not 1 <= p <= n for p in raw):
+        raise BadPositions(f"positions must lie in 1..{n}")
     return [p - 1 for p in raw]
 
 
@@ -159,7 +164,8 @@ def _cmd_verify(args):
     report = is_mds(code)
     good = None
     if args.information_set is not None:
-        good = information_set_check(code, _positions_from_cli(args.information_set))
+        positions = _positions_from_cli(args.information_set, code.n)
+        good = information_set_check(code, positions)
     _print_shape(code)
     print(f"d = {report.d}")
     print(f"singleton_bound = {report.singleton_bound}")
@@ -198,7 +204,7 @@ def _cmd_spectrum(args):
 def _cmd_pwe(args):
     code = _load(args.file)
     report = _require_mds_with_zero(code)
-    blocks = [_positions_from_cli(b) for b in args.partition]
+    blocks = [_positions_from_cli(b, code.n) for b in args.partition]
     spec = PartitionSpec(code.n, blocks)
     profile = tuple(args.profile)
     brute = partition_weight_enumerator_bruteforce(code, spec, profile)
@@ -234,7 +240,7 @@ def _cmd_distances(args):
 
 def _cmd_residual(args):
     code = _load(args.file)
-    positions = _positions_from_cli(args.positions)
+    positions = _positions_from_cli(args.positions, code.n)
     values = tuple(args.values)
     spec = ResidualSpec(tuple(positions), values)
     out = residual(code, spec)
@@ -310,6 +316,8 @@ def _cmd_search(args):
             path = os.path.join(args.emit_codes, f"code-{idx:04d}.txt")
             write_code(code, path)
             print(f"code[{idx}] = {path}")
+    if args.stats:
+        print(f"nodes = {result.nodes}")
     return 0
 
 
@@ -322,14 +330,17 @@ def _cmd_check_theorems(args):
     print(f"max_n = {args.max_n}")
     idx = 0
     failures = 0
+    skips = 0
     for idx, (status, claim) in enumerate(lines, start=1):
         print(f"check[{idx}] = {status} {claim}")
-        if status == "fail":
-            failures += 1
+        failures += status == "fail"
+        skips += status == "skip"
+    # a sweep that skipped every line checked nothing, so it passes nothing
+    result = "fail" if failures else "none" if skips == idx else "pass"
     print(f"checks = {idx}")
     print(f"failures = {failures}")
-    print(f"result = {'pass' if failures == 0 else 'fail'}")
-    return 0 if failures == 0 else 1
+    print(f"result = {result}")
+    return 0 if result == "pass" else 1
 
 
 # ---------------------------------------------------------------- parser
@@ -406,6 +417,8 @@ def build_parser():
     p.add_argument("--max-length", type=int, help="override the length guard")
     p.add_argument("--max-nodes", type=int,
                    help="stop after this many partial extensions (default: no cap)")
+    p.add_argument("--stats", action="store_true",
+                   help="also report the number of walk nodes visited")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("check-theorems",

@@ -6,19 +6,17 @@ bijectively onto its first k coordinates, so it holds exactly one word
 per "slot" (per k-symbol information prefix).  The walk below fills the
 q^k slots in lexicographic order, which visits every code exactly once,
 choosing at each step a word compatible with every word placed so far.
-It prunes on one exact fact about any completion: every one of the next
-_HORIZON unfilled slots must still have a compatible candidate.  Two
-more exact rules, at least as many candidates left as unfilled slots and
-each symbol q^(k-1) times at each position, were dropped: the horizon
-check already implies the first whenever at most _HORIZON slots remain,
-and the second cut under 1% of nodes at (n-k)*q popcounts per node.
+It prunes on one exact rule: every unfilled slot keeps a compatible
+candidate.  The rule is exact, since any completion takes a word from
+each unfilled slot, so no code is lost.
 
-Compatibility sets are kept as one bitmask per candidate word, so the
-inner loop is integer AND plus a test for zero.  They are built
-bit-sliced (codes.symbol_masks, codes.agreement_counters): per candidate,
-a threshold count over one big int per (position, symbol) marks every
-word agreeing with it in k or more positions, i.e. lying at distance
-below d.
+Compatibility sets are kept as one bitmask per candidate word, and the
+candidates of each slot form one bit field of it, so a node costs an
+integer AND plus one add-and-mask test over every unfilled slot at once.
+The masks are built bit-sliced (codes.symbol_masks,
+codes.agreement_counters): per candidate, a threshold count over one big
+int per (position, symbol) marks every word agreeing with it in k or
+more positions, i.e. lying at distance below d.
 
 Counting and existence walk one code per relabeling class: relabeling
 symbols within each position preserves all distances, and the codes in
@@ -94,10 +92,13 @@ class SearchSpec:
 
 @dataclass
 class SearchResult:
+    """What a walk found, whether it ran to completion, and how many
+    nodes (words placed) it visited."""
     spec: SearchSpec
     count: int
     codes: tuple = ()
     complete: bool = True
+    nodes: int = 0
 
 
 def _check_power(q, e, limit, symbol, name):
@@ -123,11 +124,6 @@ def _guard(spec):
     _check_power(spec.q, spec.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
-# how many slots ahead the walk checks for a compatible candidate;
-# checking every unfilled slot cost more time than it pruned
-_HORIZON = 64
-
-
 def _compatibility(cand, masks, k):
     """One bitmask per candidate, bits as in masks: bit j of compat[i]
     says cand[i] and cand[j] are at distance >= d = n-k+1, i.e. agree in
@@ -137,12 +133,29 @@ def _compatibility(cand, masks, k):
     return [full & ~agreement_counters(w, full, masks, k)[k] for w in cand]
 
 
+def _slot_fields(start):
+    """The masks (low, high) of the bit fields start[t]..start[t+1]-1,
+    each at least one bit wide: high holds the top bit of each field and
+    low every bit below it."""
+    high = 0
+    for end in start[1:]:
+        high |= 1 << (end - 1)
+    return (1 << start[-1]) - 1 - high, high
+
+
+def _fields_hit(x, low, high):
+    """The top bits, among those in high, of the fields in which x has a
+    bit.  (x & low) + low carries into a field's top bit exactly when x
+    has a bit below it, and never out of the field."""
+    return ((x & low) + low | x) & high
+
+
 def _walk(q, n, k, cand, emit, max_nodes):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
     order.  Calls emit once per finished code with its word list and
-    stops early when emit returns True.  Returns True when the walk ran
-    to completion."""
+    stops early when emit returns True.  Returns (complete, nodes): True
+    when the walk ran to completion, and the number of words it placed."""
     m = len(cand)
     if m > _CANDIDATE_LIMIT:
         raise SearchSpaceTooLarge(
@@ -161,20 +174,25 @@ def _walk(q, n, k, cand, emit, max_nodes):
         start[sid + 1] += 1
     for t in range(slots):
         start[t + 1] += start[t]
-    window = [(1 << start[t + 1]) - (1 << start[t]) for t in range(slots)]
+    # a slot with no candidate leaves no code to find
+    if any(start[t] == start[t + 1] for t in range(slots)):
+        return True, 0
+    # need[t] holds the top bit of each slot after t, and every[t] the
+    # candidates of slot t shifted down to bit 0
+    low, high = _slot_fields(start)
+    need = [high & (-1 << start[t + 1]) for t in range(slots)]
+    every = [(1 << (start[t + 1] - start[t])) - 1 for t in range(slots)]
 
     compat = _compatibility(cand, symbol_masks(cand, n, q), k)
 
     complete = True
     nodes = 0
     budget = max_nodes
-    # frames are (available-candidates mask, cursor); the frame at depth
-    # t fills slot t, and its cursor sits one past the word it chose
-    stack = [((1 << m) - 1, 0)]
+    # frames are (available-candidates mask, untried candidates of the
+    # slot as in every, candidate chosen); the frame at depth t fills slot t
+    stack = [((1 << m) - 1, every[0], 0)]
     while stack:
-        avail, i = stack[-1]
-        t = len(stack) - 1
-        rest = avail & window[t] & (-1 << i)
+        avail, rest, _ = stack[-1]
         if rest == 0:
             stack.pop()
             continue
@@ -182,24 +200,23 @@ def _walk(q, n, k, cand, emit, max_nodes):
             complete = False
             break
         nodes += 1
-        j = (rest & -rest).bit_length() - 1
-        stack[-1] = (avail, j + 1)
+        t = len(stack) - 1
+        bit = rest & -rest
+        j = start[t] + bit.bit_length() - 1
+        stack[-1] = (avail, rest ^ bit, j)
 
         if t + 1 == slots:
-            if emit([cand[c - 1] for _, c in stack]):
+            if emit([cand[c] for _, _, c in stack]):
                 complete = False
                 break
             continue
 
-        # prune unless each of the next _HORIZON slots keeps a candidate
+        # prune unless every unfilled slot keeps a candidate
         child = avail & compat[j]
-        for s in range(t + 1, min(slots, t + 1 + _HORIZON)):
-            if child & window[s] == 0:
-                break
-        else:
-            stack.append((child, start[t + 1]))
+        if _fields_hit(child, low, need[t]) == need[t]:
+            stack.append((child, (child >> start[t + 1]) & every[t + 1], 0))
 
-    return complete
+    return complete, nodes
 
 
 def _zero_candidates(q, n, k, universe):
@@ -302,10 +319,10 @@ def _search(spec):
             codes.append(Code(q, words))
         return limit is not None and count >= limit
 
-    complete = _walk(q, n, k, cand, emit, spec.max_nodes)
+    complete, nodes = _walk(q, n, k, cand, emit, spec.max_nodes)
     if limit is not None:
         count = min(count, limit)
-    return SearchResult(spec, count, tuple(codes), complete)
+    return SearchResult(spec, count, tuple(codes), complete, nodes)
 
 
 def enumerate_mds(spec):
@@ -428,6 +445,10 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     is settled; bad arguments raise here, before any line."""
     if q < 2:
         raise InvalidParameters(f"q must be at least 2, got {q}")
+    for name, value in (("max_n", max_n), ("max_words", max_words),
+                        ("max_length", max_length)):
+        if value < 1:
+            raise InvalidParameters(f"{name} must be positive, got {value}")
     if limit_per_shape is not None and limit_per_shape < 1:
         raise InvalidParameters(f"limit_per_shape must be positive, got {limit_per_shape}")
     if max_nodes is not None and max_nodes < 1:

@@ -3,7 +3,7 @@
 Every count is an exact integer; there are no tolerances anywhere.  Run
 with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The Euler search (criterion 8) runs only when MDSKIT_RUN_LONG is
-set, since it takes 20-26 s (measured with Python 3.11 on a 2-core x86-64
+set, since it takes 9-12 s (measured with Python 3.11 on a 2-core x86-64
 machine).
 """
 
@@ -173,7 +173,7 @@ def test_criterion_7_length_bounds():
 
 
 @pytest.mark.skipif(not os.environ.get("MDSKIT_RUN_LONG"),
-                    reason="20-26 s search; set MDSKIT_RUN_LONG=1 to run")
+                    reason="9-12 s search; set MDSKIT_RUN_LONG=1 to run")
 def test_criterion_8_euler_officers():
     with criterion("criterion 8 (no (4,2)_6 MDS code / no orthogonal pair of order 6)"):
         assert not exists_mds(4, 2, 6)

@@ -147,7 +147,7 @@ def test_verify_information_set(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("positions,message", [
-    ("0,1", "positions must lie in 0..3"),
+    ("0,1", "positions must lie in 1..4"),
     ("1,1", "need exactly k=2 distinct positions"),
 ])
 def test_verify_bad_information_set_prints_no_report(positions, message, tmp_path, capsys):
@@ -197,6 +197,21 @@ def test_pwe_bad_partition(tmp_path, capsys):
     write_code(extended_rs_code(Field(3), 2), path)
     assert run(["pwe", str(path), "--partition", "1,2/2,3,4", "--profile", "1,1"]) == 2
     assert run(["pwe", str(path), "--partition", "1,2/3,4", "--profile", "9,0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["pwe", "--partition", "0,1/2,3", "--profile", "1,1"],
+    ["pwe", "--partition", "1,2/3,5", "--profile", "1,1"],
+    ["residual", "--positions", "0", "--values", "0"],
+    ["residual", "--positions", "5", "--values", "0"],
+])
+def test_positions_outside_the_code_are_named_1_based(argv, tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    write_code(extended_rs_code(Field(3), 2), path)
+    assert run([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: positions must lie in 1..4\n"
 
 
 def test_distances_default_center(tmp_path, capsys):
@@ -286,6 +301,14 @@ def test_search_count_reports(argv, tail, capsys):
     assert capsys.readouterr().out.endswith(tail)
 
 
+def test_search_stats_appends_nodes(capsys):
+    argv = ["search", "--n", "3", "--k", "2", "--q", "5", "--require-zero"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run([*argv, "--stats"]) == 0
+    assert capsys.readouterr().out == default + "nodes = 904\n"
+
+
 def test_search_exists(capsys):
     assert run(["search", "--n", "4", "--k", "2", "--q", "2",
                 "--require-zero", "--mode", "exists"]) == 0
@@ -335,6 +358,14 @@ def test_check_theorems_passes(capsys):
     assert "failures = 0" in out
 
 
+def test_check_theorems_that_checks_nothing_passes_nothing(capsys):
+    # every shape is over the word limit, so every line is a skip
+    assert run(["check-theorems", "--q", "2", "--max-words", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(" = skip " in line for line in lines if line.startswith("check["))
+    assert lines[-3:] == ["checks = 12", "failures = 0", "result = none"]
+
+
 def test_check_theorems_golden(capsys):
     assert run(["check-theorems", "--q", "2", "--max-n", "6"]) == 0
     golden = (GOLDEN / "check-theorems_q2_max-n6.txt").read_text(encoding="utf-8")
@@ -352,6 +383,9 @@ def test_check_theorems_sweep_golden(q, max_n, capsys):
     (["--q", "1"], "q must be at least 2, got 1"),
     (["--q", "2", "--limit-per-shape", "0"], "limit_per_shape must be positive, got 0"),
     (["--q", "2", "--max-nodes", "0"], "max_nodes must be positive, got 0"),
+    (["--q", "2", "--max-n", "0"], "max_n must be positive, got 0"),
+    (["--q", "2", "--max-words", "0"], "max_words must be positive, got 0"),
+    (["--q", "2", "--max-length", "0"], "max_length must be positive, got 0"),
 ])
 def test_check_theorems_bad_arguments_print_no_header(flags, message, capsys):
     assert run(["check-theorems", *flags]) == 2

@@ -4,6 +4,8 @@ from itertools import product
 from math import factorial, inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdskit
 from mdskit import (
@@ -32,6 +34,8 @@ from mdskit.search import (
     _canonical_candidates,
     _class_size,
     _compatibility,
+    _fields_hit,
+    _slot_fields,
     _walk,
     _zero_candidates,
 )
@@ -46,7 +50,8 @@ def full_walk_count(n, k, q, require_zero):
     universe = list(product(range(q), repeat=n))
     cand = _zero_candidates(q, n, k, universe) if require_zero else universe
     found = []
-    assert _walk(q, n, k, cand, lambda words: found.append(1), None)
+    complete, _ = _walk(q, n, k, cand, lambda words: found.append(1), None)
+    assert complete
     return len(found)
 
 
@@ -160,10 +165,66 @@ def test_walk_emits_exactly_the_reference_codes():
         universe = list(product(range(q), repeat=n))
         for cand in (universe, _zero_candidates(q, n, k, universe)):
             emitted = []
-            assert _walk(q, n, k, cand, lambda words: emitted.append(frozenset(words)),
-                         None)
+            complete, _ = _walk(q, n, k, cand,
+                                lambda words: emitted.append(frozenset(words)), None)
+            assert complete
             assert len(set(emitted)) == len(emitted), (n, k, q)
             assert set(emitted) == reference_codes(n, k, q, cand), (n, k, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=12), st.data())
+def test_fields_hit_matches_per_slot_loop(widths, data):
+    # slot layouts with width-1 fields among wider ones; each field of x
+    # is empty often enough that misses are tested as well as hits
+    start = [0]
+    for width in widths:
+        start.append(start[-1] + width)
+    x = 0
+    for t, width in enumerate(widths):
+        bits = data.draw(st.just(0) | st.integers(1, (1 << width) - 1))
+        x |= bits << start[t]
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(widths), max_size=len(widths)))
+    low, high = _slot_fields(start)
+    tops = [1 << (start[t + 1] - 1) for t in range(len(widths))]
+    assert high == sum(tops)
+    subset = sum(top for top, c in zip(tops, chosen) if c)
+    expected = 0
+    for t, top in enumerate(tops):
+        field = (1 << start[t + 1]) - (1 << start[t])
+        if chosen[t] and x & field:
+            expected |= top
+    assert _fields_hit(x, low, subset) == expected
+
+
+def test_walk_with_an_empty_slot_finds_nothing():
+    universe = list(product(range(3), repeat=3))
+    cand = [w for w in universe if w[:2] != (1, 2)]
+    emitted = []
+    assert _walk(3, 3, 2, cand, emitted.append, None) == (True, 0)
+    assert emitted == []
+
+
+@pytest.mark.parametrize("n,k,q", [(3, 2, 4), (4, 3, 3), (6, 5, 3)])
+def test_collect_emits_codes_in_increasing_order(n, k, q):
+    # pins which codes a budgeted sweep line takes as its sample
+    result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode="collect"))
+    keys = [tuple(sorted(code.words)) for code in result.codes]
+    assert len(keys) > 1
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("n,k,q,mode,nodes", [
+    (4, 3, 4, "count", 17910),
+    (3, 2, 5, "count", 904),
+    (6, 2, 4, "exists", 4),
+    (5, 2, 5, "exists", 229),
+])
+def test_walk_node_counts(n, k, q, mode, nodes):
+    # counts of the earlier walk, which tested only the next 64 slots;
+    # these shapes have at most 64 slots, so both rules prune alike
+    result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode=mode))
+    assert result.nodes == nodes
 
 
 @pytest.mark.parametrize("q,latin", [(2, 2), (3, 12), (4, 576), (5, 161280)])
@@ -309,11 +370,15 @@ def test_check_theorems_skip_lines(monkeypatch):
     (1, {}, "q"),
     (2, {"limit_per_shape": 0}, "limit_per_shape"),
     (2, {"max_nodes": 0}, "max_nodes"),
+    (2, {"max_n": 0}, "max_n"),
+    (2, {"max_words": 0}, "max_words"),
+    (2, {"max_length": 0}, "max_length"),
 ])
 def test_check_theorems_refuses_bad_arguments_when_called(q, kwargs, name):
     # raised by the call itself, not by the first next() on its lines
+    kwargs = {"max_n": 4, **kwargs}
     with pytest.raises(InvalidParameters, match=f"^{name} "):
-        check_theorems(q, 4, **kwargs)
+        check_theorems(q, **kwargs)
 
 
 def test_verify_spectrum_theorems():
