@@ -24,6 +24,7 @@ from .constructions import (
     universe_code,
 )
 from .errors import (
+    BadPartition,
     BadPositions,
     CodeFileError,
     MdskitError,
@@ -205,6 +206,8 @@ def _cmd_pwe(args):
     code = _load(args.file)
     report = _require_mds_with_zero(code)
     blocks = [_positions_from_cli(b, code.n) for b in args.partition]
+    if sorted(p for b in blocks for p in b) != list(range(code.n)):
+        raise BadPartition(f"blocks do not partition 1..{code.n}")
     spec = PartitionSpec(code.n, blocks)
     profile = tuple(args.profile)
     brute = partition_weight_enumerator_bruteforce(code, spec, profile)
@@ -426,7 +429,8 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--limit-per-shape", type=int, default=SWEEP_LIMIT_PER_SHAPE,
-                   help="cap on codes enumerated per (n, k)")
+                   help="cap on codes checked per (n, k), each normal form "
+                        "counted with its relabeling class")
     p.add_argument("--max-words", type=int, help="override the q^k guard")
     p.add_argument("--max-length", type=int, help="override the length guard")
     p.add_argument("--max-nodes", type=int, default=SWEEP_MAX_NODES,

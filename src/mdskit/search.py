@@ -18,14 +18,15 @@ codes.agreement_counters): per candidate, a threshold count over one big
 int per (position, symbol) marks every word agreeing with it in k or
 more positions, i.e. lying at distance below d.
 
-Counting and existence walk one code per relabeling class: relabeling
-symbols within each position preserves all distances, and the codes in
-the normal form of _canonical_candidates meet every class exactly once,
-so a count is the number of normal forms times the class size of
-_class_size.  Only collect mode, which must return every code, walks
-them all.  Length-bound checks rely on one more closure fact, recorded
-where used: deleting a coordinate of an MDS code leaves an MDS code, so
-non-existence at length L rules out every length above L as well.
+Counting, existence and the theorem sweep walk one code per relabeling
+class: relabeling symbols within each position preserves all distances,
+and the codes in the normal form of _canonical_candidates meet every
+class exactly once, so a count is the number of normal forms times the
+class size of _class_size.  Only collect mode, which must return every
+code, walks them all.  Length-bound checks rely on one more closure
+fact, recorded where used: deleting a coordinate of an MDS code leaves
+an MDS code, so non-existence at length L rules out every length above
+L as well.
 """
 
 from dataclasses import dataclass
@@ -292,12 +293,13 @@ def _class_size(n, k, q, require_zero):
     return size if require_zero else size * q ** (n - k)
 
 
-def _search(spec):
-    """Walk the MDS codes of spec's shape, and count, collect, or stop at
-    the first one.  Collect mode walks every code (containing zero when
-    spec.require_zero); count and exists walk the normal forms only and
-    weigh each by its class size.  A count that reaches spec.limit is
-    reported as the limit."""
+def _walk_shape(spec, keep):
+    """Guard spec's shape and walk its codes, passing each code's word
+    list to keep when keep is given.  Collect mode walks every code
+    (containing zero when spec.require_zero); count and exists walk the
+    normal forms only and weigh each by its class size.  Returns (count,
+    complete, nodes); a count that reaches the limit is reported as the
+    limit."""
     _guard(spec)
     q, n, k = spec.q, spec.n, spec.k
     universe = list(product(range(q), repeat=n))
@@ -309,27 +311,31 @@ def _search(spec):
         size = _class_size(n, k, q, spec.require_zero)
 
     count = 0
-    codes = []
     limit = 1 if spec.mode == "exists" else spec.limit
 
     def emit(words):
         nonlocal count
         count += size
-        if spec.mode == "collect":
-            codes.append(Code(q, words))
+        if keep is not None:
+            keep(words)
         return limit is not None and count >= limit
 
     complete, nodes = _walk(q, n, k, cand, emit, spec.max_nodes)
     if limit is not None:
         count = min(count, limit)
-    return SearchResult(spec, count, tuple(codes), complete, nodes)
+    return count, complete, nodes
 
 
 def enumerate_mds(spec):
     """Count, collect, or find the first of all (n, k)_q MDS codes
     (optionally only those containing the zero word).  Counts walk one
-    code per relabeling class and add its class size; see _search."""
-    return _search(spec)
+    code per relabeling class and add its class size; see _walk_shape.
+    Only collect mode keeps the codes found."""
+    words = []
+    count, complete, nodes = _walk_shape(
+        spec, words.append if spec.mode == "collect" else None)
+    codes = tuple(Code(spec.q, w) for w in words)
+    return SearchResult(spec, count, codes, complete, nodes)
 
 
 def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=None):
@@ -341,10 +347,10 @@ def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=No
     spec = SearchSpec(n, k, q, require_zero=True, mode="exists",
                       max_words=max_words, max_length=max_length,
                       max_nodes=max_nodes)
-    result = _search(spec)
-    if result.count:
+    count, complete, _ = _walk_shape(spec, None)
+    if count:
         return True
-    if not result.complete:
+    if not complete:
         raise SearchSpaceTooLarge(
             f"node budget {max_nodes} exhausted before settling (n={n}, k={k})_{q}")
     return False
@@ -354,31 +360,37 @@ def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=No
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """One checked claim; a skipped one was not settled, for the reason
+    in detail."""
     claim: str
     passed: bool
     out_of_regime: bool = False
     detail: str = ""
+    skipped: bool = False
 
 
 def verify_bounds(q, k_max, max_words=MAX_WORDS, max_length=MAX_LENGTH,
                   max_nodes=None):
     """Confirm by exhaustive search that no (n, k)_q MDS code outruns
-    length_bound(k, q), for each k in 2..k_max.  Checking length bound+1
-    suffices, because deleting any coordinate of a longer MDS code leaves
-    an MDS code.  Sizes the guards refuse or the node budget cannot
-    settle are skipped; only searched cases are reported."""
+    length_bound(k, q), for each k in 2..k_max, one report per k.
+    Checking length bound+1 suffices, because deleting any coordinate of
+    a longer MDS code leaves an MDS code.  A size the guards refuse, or a
+    search the node budget cannot settle, gives a skipped report that
+    names the reason."""
     reports = []
     for k in range(2, k_max + 1):
         bound = length_bound(k, q)
         n = bound + 1
+        claim = f"no (n, {k})_{q} MDS code with n > {bound}"
         try:
             found = exists_mds(n, k, q, max_words=max_words,
                                max_length=max_length, max_nodes=max_nodes)
-        except SearchSpaceTooLarge:
+        except SearchSpaceTooLarge as exc:
+            reports.append(TheoremReport(claim, False, detail=str(exc), skipped=True))
             continue
         detail = f"searched all (n={n}, k={k})_{q} candidates up to relabeling"
         reports.append(TheoremReport(
-            claim=f"no (n, {k})_{q} MDS code with n > {bound}",
+            claim=claim,
             passed=not found,
             detail=detail if not found else f"found an (n={n}, k={k})_{q} MDS code"))
     return reports
@@ -439,10 +451,16 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
                    max_nodes=SWEEP_MAX_NODES):
     """Check, by search, the length bounds whose witness length fits
     under max_n, then the spectrum, distribution and (for q = 2) binary
-    classification of up to limit_per_shape codes containing zero for
-    every (n, k)_q shape with n <= min(max_n, length_bound(k, q)).
-    Returns an iterator of the (status, claim) lines, each yielded as it
-    is settled; bad arguments raise here, before any line."""
+    classification of the codes containing zero for every (n, k)_q shape
+    with n <= min(max_n, length_bound(k, q)).
+
+    Each normal form of _canonical_candidates is checked once for its
+    whole class: the relabelings of _class_size fix 0 at every position,
+    so they keep every word's weight.  A line's codes=N tag counts normal
+    forms times their class size, capped at limit_per_shape, where the
+    walk stops; a walk cut short is tagged sample.  Returns an iterator
+    of the (status, claim) lines, each yielded as it is settled; bad
+    arguments raise here, before any line."""
     if q < 2:
         raise InvalidParameters(f"q must be at least 2, got {q}")
     for name, value in (("max_n", max_n), ("max_words", max_words),
@@ -463,35 +481,39 @@ def _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes)
             k_max = k
     for report in verify_bounds(q, k_max, max_words=max_words,
                                 max_length=max_length, max_nodes=max_nodes):
-        yield ("pass" if report.passed else "fail", report.claim)
+        if report.skipped:
+            yield ("skip", f"{report.claim}: {report.detail}")
+        else:
+            yield ("pass" if report.passed else "fail", report.claim)
 
     for k in range(1, max_n + 1):
         for n in range(k, max_n + 1):
             if n > length_bound(k, q):
                 break
             shape = f"(n={n}, k={k})_{q}"
+            spec = SearchSpec(n, k, q, require_zero=True, limit=limit_per_shape,
+                              max_words=max_words, max_length=max_length,
+                              max_nodes=max_nodes)
+            forms = []
             try:
-                spec = SearchSpec(n, k, q, require_zero=True, mode="collect",
-                                  limit=limit_per_shape,
-                                  max_words=max_words, max_length=max_length,
-                                  max_nodes=max_nodes)
-                result = enumerate_mds(spec)
+                count, complete, _ = _walk_shape(spec, forms.append)
             except SearchSpaceTooLarge as exc:
                 yield ("skip", f"{shape}: {exc}")
                 continue
-            if not result.codes:
-                if result.complete:
+            if not forms:
+                if complete:
                     yield ("skip", f"{shape}: no codes exist")
                 else:
                     yield ("skip", f"{shape}: unresolved within node budget")
                 continue
-            tag = f"codes={len(result.codes)}" + ("" if result.complete else " sample")
+            tag = f"codes={count}" + ("" if complete else " sample")
 
             spectrum_bad = 0
             dist_bad = 0
             dist_empirical = False
             classify_bad = 0
-            for code in result.codes:
+            for words in forms:
+                code = Code(q, words)
                 for rep in verify_spectrum_theorems(code):
                     if not rep.passed:
                         spectrum_bad += 1

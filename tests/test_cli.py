@@ -199,6 +199,16 @@ def test_pwe_bad_partition(tmp_path, capsys):
     assert run(["pwe", str(path), "--partition", "1,2/3,4", "--profile", "9,0"]) == 2
 
 
+@pytest.mark.parametrize("partition", ["1,2/3", "1,2/2,3,4"])
+def test_pwe_bad_partition_is_named_1_based(partition, tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    write_code(extended_rs_code(Field(3), 2), path)
+    assert run(["pwe", str(path), "--partition", partition, "--profile", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: blocks do not partition 1..4\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["pwe", "--partition", "0,1/2,3", "--profile", "1,1"],
     ["pwe", "--partition", "1,2/3,5", "--profile", "1,1"],
@@ -363,7 +373,20 @@ def test_check_theorems_that_checks_nothing_passes_nothing(capsys):
     assert run(["check-theorems", "--q", "2", "--max-words", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert all(" = skip " in line for line in lines if line.startswith("check["))
-    assert lines[-3:] == ["checks = 12", "failures = 0", "result = none"]
+    assert lines[-3:] == ["checks = 14", "failures = 0", "result = none"]
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["--max-nodes", "1"], "node budget 1 exhausted before settling (n={n}, k={k})_2"),
+    (["--max-words", "1"], "q^k = 2^{k} exceeds the word limit 1"),
+])
+def test_check_theorems_skips_unsettled_length_bounds(flags, reason, capsys):
+    assert run(["check-theorems", "--q", "2", "--max-n", "5", *flags]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == [
+        f"check[{k - 1}] = skip no (n, {k})_2 MDS code with n > {k + 1}: "
+        + reason.format(n=k + 2, k=k)
+        for k in (2, 3)]
 
 
 def test_check_theorems_golden(capsys):

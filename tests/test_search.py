@@ -1,5 +1,6 @@
 """Exhaustive walks: frozen counts, guards, budgets, and theorem checks."""
 
+import re
 from itertools import product
 from math import factorial, inf
 
@@ -15,8 +16,10 @@ from mdskit import (
     NotMds,
     SearchSpaceTooLarge,
     SearchSpec,
+    TheoremViolation,
     ZeroWordAbsent,
     check_theorems,
+    classify_binary,
     doubly_extended_rs,
     enumerate_mds,
     exists_mds,
@@ -31,12 +34,15 @@ from mdskit import (
 )
 from mdskit.codes import symbol_masks
 from mdskit.search import (
+    SWEEP_LIMIT_PER_SHAPE,
+    SWEEP_MAX_NODES,
     _canonical_candidates,
     _class_size,
     _compatibility,
     _fields_hit,
     _slot_fields,
     _walk,
+    _walk_shape,
     _zero_candidates,
 )
 
@@ -413,11 +419,128 @@ def test_verify_distribution_in_and_out_of_regime():
     assert report.passed  # agrees empirically for the binary parity check
 
 
-def test_check_theorems_scans_each_swept_code_once(min_distance_calls):
-    lines = list(check_theorems(3, 4))
-    # one spectrum line per swept shape, tagged codes=N
-    swept = sum(int(claim.split("codes=")[1].split()[0])
-                for _, claim in lines if claim.startswith("spectrum "))
-    assert swept > 0
-    assert len(min_distance_calls) == swept
-    assert len({id(code) for code in min_distance_calls}) == swept
+def _shape_tags(lines):
+    """{(n, k): N} from the codes=N tags of a sweep's spectrum lines."""
+    tags = {}
+    for _, claim in lines:
+        match = re.match(r"spectrum \(n=(\d+), k=(\d+)\)_\d+ codes=(\d+)", claim)
+        if match:
+            n, k, codes = map(int, match.groups())
+            tags[n, k] = codes
+    return tags
+
+
+@pytest.mark.parametrize("q,max_n,scans", [(2, 6, 15), (3, 6, 27), (4, 4, 28)])
+def test_check_theorems_scans_each_normal_form_once(q, max_n, scans, min_distance_calls):
+    lines = list(check_theorems(q, max_n))
+    assert len(min_distance_calls) == scans
+    assert len({id(code) for code in min_distance_calls}) == scans
+    forms = {}
+    for code in min_distance_calls:
+        universe = list(product(range(q), repeat=code.n))
+        assert code.words <= set(_canonical_candidates(q, code.n, code.k, universe))
+        forms.setdefault((code.n, code.k), set()).add(code.words)
+    # one scan per distinct normal form, weighed by its class size
+    assert sum(len(shape_forms) for shape_forms in forms.values()) == scans
+    tags = _shape_tags(lines)
+    assert set(tags) == set(forms)
+    for (n, k), shape_forms in forms.items():
+        weighed = len(shape_forms) * _class_size(n, k, q, True)
+        assert tags[n, k] == min(weighed, SWEEP_LIMIT_PER_SHAPE)
+
+
+def check_outcomes(code):
+    """Whether each check of the sweep passed on one code."""
+    spectrum = tuple(rep.passed for rep in verify_spectrum_theorems(code))
+    distribution = verify_distribution(code)
+    classified = True
+    if code.q == 2:
+        try:
+            classify_binary(code)
+        except TheoremViolation:
+            classified = False
+    return spectrum, distribution.passed, distribution.out_of_regime, classified
+
+
+def collect_sweep(q, max_n):
+    """Oracle for the shape lines of check_theorems: collect every code
+    containing zero, up to the sweep's limits, and check each one.
+    Yields (n, k, lines, codes) for each shape whose collect walk
+    finished."""
+    for k in range(1, max_n + 1):
+        for n in range(k, min(max_n, length_bound(k, q)) + 1):
+            # a count of the same shape stops where collect would, and
+            # skips building the codes of a sample that is not compared
+            if not enumerate_mds(SearchSpec(n, k, q, require_zero=True,
+                                            limit=SWEEP_LIMIT_PER_SHAPE)).complete:
+                continue
+            result = enumerate_mds(SearchSpec(
+                n, k, q, require_zero=True, mode="collect",
+                limit=SWEEP_LIMIT_PER_SHAPE, max_nodes=SWEEP_MAX_NODES))
+            if not result.complete:
+                continue
+            shape = f"(n={n}, k={k})_{q}"
+            if not result.codes:
+                yield n, k, [("skip", f"{shape}: no codes exist")], ()
+                continue
+            tag = f"codes={len(result.codes)}"
+            spectrum_bad = dist_bad = classify_bad = 0
+            dist_empirical = False
+            for code in result.codes:
+                spectrum, dist_passed, dist_empirical, classified = check_outcomes(code)
+                spectrum_bad += not all(spectrum)
+                dist_bad += not dist_passed
+                classify_bad += not classified
+            lines = [("fail" if spectrum_bad else "pass", f"spectrum {shape} {tag}")]
+            if dist_empirical:
+                lines.append(("empirical-disagree" if dist_bad else "empirical",
+                              f"distribution {shape} {tag}"))
+            else:
+                lines.append(("fail" if dist_bad else "pass", f"distribution {shape} {tag}"))
+            if q == 2:
+                lines.append(("fail" if classify_bad else "pass",
+                              f"binary-classification {shape} {tag}"))
+            yield n, k, lines, result.codes
+
+
+def normal_form(code):
+    """The code of _canonical_candidates' normal form in code's
+    relabeling class (code contains zero): relabel each position p >= k
+    so that the word with information prefix (0,..,0, y) reads y there,
+    then, for 2 <= k < n, position 0 so that the word with prefix
+    (x, 0,..,0) carries x at position k."""
+    n, k, q = code.n, code.k, code.q
+    by_prefix = {w[:k]: w for w in code.words}
+    relabel = [list(range(q)) for _ in range(n)]
+    for p in range(k, n):
+        for y in range(q):
+            relabel[p][by_prefix[(0,) * (k - 1) + (y,)][p]] = y
+    if 2 <= k < n:
+        for x in range(q):
+            relabel[0][x] = relabel[k][by_prefix[(x,) + (0,) * (k - 1)][k]]
+    return Code(q, [tuple(relabel[p][s] for p, s in enumerate(w)) for w in code.words])
+
+
+@pytest.mark.parametrize("q,shapes", [(2, 12), (3, 13), (4, 10), (5, 6)])
+def test_check_theorems_agrees_with_the_collect_sweep(q, shapes):
+    max_n = 5
+    lines = list(check_theorems(q, max_n))
+    compared = 0
+    for n, k, oracle_lines, codes in collect_sweep(q, max_n):
+        shape = f"(n={n}, k={k})_{q}"
+        assert [line for line in lines
+                if line[1].startswith(shape) or f" {shape} " in line[1]] == oracle_lines
+        forms = []
+        _walk_shape(SearchSpec(n, k, q, require_zero=True), forms.append)
+        outcomes = {frozenset(words): check_outcomes(Code(q, words)) for words in forms}
+        # every collected code sits in the class of a walked normal form
+        # and passes exactly the checks that normal form passed
+        reached = set()
+        for code in codes:
+            form = normal_form(code).words
+            reached.add(form)
+            assert check_outcomes(code) == outcomes[form]
+        assert reached == set(outcomes)
+        assert len(codes) == len(forms) * _class_size(n, k, q, True)
+        compared += 1
+    assert compared == shapes
