@@ -321,6 +321,7 @@ def _cmd_search(args):
             print(f"code[{idx}] = {path}")
     if args.stats:
         print(f"nodes = {result.nodes}")
+        print(f"masks = {result.masks}")
     return 0
 
 
@@ -421,7 +422,7 @@ def build_parser():
     p.add_argument("--max-nodes", type=int,
                    help="stop after this many partial extensions (default: no cap)")
     p.add_argument("--stats", action="store_true",
-                   help="also report the number of walk nodes visited")
+                   help="also report the walk nodes visited and the masks built")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("check-theorems",

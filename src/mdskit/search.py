@@ -13,10 +13,14 @@ each unfilled slot, so no code is lost.
 Compatibility sets are kept as one bitmask per candidate word, and the
 candidates of each slot form one bit field of it, so a node costs an
 integer AND plus one add-and-mask test over every unfilled slot at once.
-The masks are built bit-sliced (codes.symbol_masks,
-codes.agreement_counters): per candidate, a threshold count over one big
-int per (position, symbol) marks every word agreeing with it in k or
-more positions, i.e. lying at distance below d.
+A mask is built bit-sliced the first time its candidate is chosen below
+the last slot (codes.symbol_masks, codes.agreement_counters): a
+threshold count over one big int per (position, symbol) marks every
+word agreeing with it in k or more positions, i.e. lying at distance
+below d.  A candidate the walk never places, or places only in the last
+slot, never gets a mask, and in most walks that is most candidates.  So
+the walk is bounded by the mask bits it has built, _MASK_BIT_LIMIT, not
+by the number of candidates.
 
 Counting, existence and the theorem sweep walk one code per relabeling
 class: relabeling symbols within each position preserves all distances,
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
-from .codes import Code, agreement_counters, length_bound, require_mds, symbol_masks, weight
+from .codes import Code, agreement_counters, length_bound, require_mds, symbol_masks
 from .errors import (
     InvalidParameters,
     SearchSpaceTooLarge,
@@ -56,7 +60,8 @@ SWEEP_LIMIT_PER_SHAPE = 512
 SWEEP_MAX_NODES = 200000
 
 _UNIVERSE_LIMIT = 2 ** 18
-_CANDIDATE_LIMIT = 2 ** 13
+# compatibility-mask bits a walk may build: 32 MiB
+_MASK_BIT_LIMIT = 2 ** 28
 
 _MODES = ("count", "exists", "collect")
 
@@ -93,13 +98,15 @@ class SearchSpec:
 
 @dataclass
 class SearchResult:
-    """What a walk found, whether it ran to completion, and how many
-    nodes (words placed) it visited."""
+    """What a walk found, whether it ran to completion, how many nodes
+    (words placed) it visited and how many compatibility masks it
+    built."""
     spec: SearchSpec
     count: int
     codes: tuple = ()
     complete: bool = True
     nodes: int = 0
+    masks: int = 0
 
 
 def _check_power(q, e, limit, symbol, name):
@@ -125,13 +132,13 @@ def _guard(spec):
     _check_power(spec.q, spec.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
-def _compatibility(cand, masks, k):
-    """One bitmask per candidate, bits as in masks: bit j of compat[i]
-    says cand[i] and cand[j] are at distance >= d = n-k+1, i.e. agree in
-    fewer than k positions.  A word agrees with itself in all n >= k
-    positions, so it is never compatible with itself."""
-    full = (1 << len(cand)) - 1
-    return [full & ~agreement_counters(w, full, masks, k)[k] for w in cand]
+def _compatibility(w, full, masks, k):
+    """The compatibility mask of word w, bits as in masks: bit j says w
+    and the j-th word are at distance >= d = n-k+1, i.e. agree in fewer
+    than k positions.  full holds a bit for every word.  A word agrees
+    with itself in all n >= k positions, so it is never compatible with
+    itself."""
+    return full & ~agreement_counters(w, full, masks, k)[k]
 
 
 def _slot_fields(start):
@@ -155,13 +162,12 @@ def _walk(q, n, k, cand, emit, max_nodes):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
     order.  Calls emit once per finished code with its word list and
-    stops early when emit returns True.  Returns (complete, nodes): True
-    when the walk ran to completion, and the number of words it placed."""
+    stops early when emit returns True.  Returns (complete, nodes,
+    built): True when the walk ran to completion, the number of words it
+    placed, and the number of compatibility masks it built.  Raises
+    SearchSpaceTooLarge rather than build masks of more than
+    _MASK_BIT_LIMIT bits in all."""
     m = len(cand)
-    if m > _CANDIDATE_LIMIT:
-        raise SearchSpaceTooLarge(
-            f"{m} candidate words exceed the candidate limit {_CANDIDATE_LIMIT}")
-
     slots = q ** k
     cand = sorted(cand)
 
@@ -177,21 +183,29 @@ def _walk(q, n, k, cand, emit, max_nodes):
         start[t + 1] += start[t]
     # a slot with no candidate leaves no code to find
     if any(start[t] == start[t + 1] for t in range(slots)):
-        return True, 0
+        return True, 0, 0
     # need[t] holds the top bit of each slot after t, and every[t] the
     # candidates of slot t shifted down to bit 0
     low, high = _slot_fields(start)
-    need = [high & (-1 << start[t + 1]) for t in range(slots)]
     every = [(1 << (start[t + 1] - start[t])) - 1 for t in range(slots)]
 
-    compat = _compatibility(cand, symbol_masks(cand, n, q), k)
+    # compat[j] is candidate j's mask, built when j is first chosen, and
+    # need[t] when depth t is first tested.  Depth t lies below t chosen
+    # candidates, each with a built mask, so the m-bit ints the walk
+    # holds (masks, need entries, frames) number at most about three per
+    # built mask, and the mask bound bounds the walk's memory too.
+    masks = symbol_masks(cand, n, q)
+    full = (1 << m) - 1
+    compat = [None] * m
+    need = [None] * slots
+    built = 0
 
     complete = True
     nodes = 0
     budget = max_nodes
     # frames are (available-candidates mask, untried candidates of the
     # slot as in every, candidate chosen); the frame at depth t fills slot t
-    stack = [((1 << m) - 1, every[0], 0)]
+    stack = [(full, every[0], 0)]
     while stack:
         avail, rest, _ = stack[-1]
         if rest == 0:
@@ -212,20 +226,31 @@ def _walk(q, n, k, cand, emit, max_nodes):
                 break
             continue
 
+        mask = compat[j]
+        if mask is None:
+            built += 1
+            if built * m > _MASK_BIT_LIMIT:
+                raise SearchSpaceTooLarge(
+                    f"masks x bits = {built} x {m} exceeds the mask bit limit "
+                    f"{_MASK_BIT_LIMIT}")
+            mask = compat[j] = _compatibility(cand[j], full, masks, k)
         # prune unless every unfilled slot keeps a candidate
-        child = avail & compat[j]
-        if _fields_hit(child, low, need[t]) == need[t]:
+        child = avail & mask
+        after = need[t]
+        if after is None:
+            after = need[t] = high & (-1 << start[t + 1])
+        if _fields_hit(child, low, after) == after:
             stack.append((child, (child >> start[t + 1]) & every[t + 1], 0))
 
-    return complete, nodes
+    return complete, nodes, built
 
 
 def _zero_candidates(q, n, k, universe):
     """Candidates of the codes containing the zero word: any other word
     with an all-zero information prefix has weight at most n-k < d, so
-    the zero slot is pinned to the zero word."""
-    d = n - k + 1
-    return [w for w in universe if weight(w) >= d or not any(w)]
+    the zero slot is pinned to the zero word.  A word has weight at
+    least d = n-k+1 exactly when fewer than k of its symbols are 0."""
+    return [w for w in universe if w.count(0) < k or not any(w)]
 
 
 def _canonical_candidates(q, n, k, universe):
@@ -297,9 +322,9 @@ def _walk_shape(spec, keep):
     """Guard spec's shape and walk its codes, passing each code's word
     list to keep when keep is given.  Collect mode walks every code
     (containing zero when spec.require_zero); count and exists walk the
-    normal forms only and weigh each by its class size.  Returns (count,
-    complete, nodes); a count that reaches the limit is reported as the
-    limit."""
+    normal forms only and weigh each by its class size.  Returns a
+    SearchResult without codes; a count that reaches the limit is
+    reported as the limit."""
     _guard(spec)
     q, n, k = spec.q, spec.n, spec.k
     universe = list(product(range(q), repeat=n))
@@ -320,10 +345,10 @@ def _walk_shape(spec, keep):
             keep(words)
         return limit is not None and count >= limit
 
-    complete, nodes = _walk(q, n, k, cand, emit, spec.max_nodes)
+    complete, nodes, built = _walk(q, n, k, cand, emit, spec.max_nodes)
     if limit is not None:
         count = min(count, limit)
-    return count, complete, nodes
+    return SearchResult(spec, count, complete=complete, nodes=nodes, masks=built)
 
 
 def enumerate_mds(spec):
@@ -332,10 +357,9 @@ def enumerate_mds(spec):
     code per relabeling class and add its class size; see _walk_shape.
     Only collect mode keeps the codes found."""
     words = []
-    count, complete, nodes = _walk_shape(
-        spec, words.append if spec.mode == "collect" else None)
-    codes = tuple(Code(spec.q, w) for w in words)
-    return SearchResult(spec, count, codes, complete, nodes)
+    result = _walk_shape(spec, words.append if spec.mode == "collect" else None)
+    result.codes = tuple(Code(spec.q, w) for w in words)
+    return result
 
 
 def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=None):
@@ -347,10 +371,10 @@ def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=No
     spec = SearchSpec(n, k, q, require_zero=True, mode="exists",
                       max_words=max_words, max_length=max_length,
                       max_nodes=max_nodes)
-    count, complete, _ = _walk_shape(spec, None)
-    if count:
+    result = _walk_shape(spec, None)
+    if result.count:
         return True
-    if not complete:
+    if not result.complete:
         raise SearchSpaceTooLarge(
             f"node budget {max_nodes} exhausted before settling (n={n}, k={k})_{q}")
     return False
@@ -496,17 +520,17 @@ def _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes)
                               max_nodes=max_nodes)
             forms = []
             try:
-                count, complete, _ = _walk_shape(spec, forms.append)
+                result = _walk_shape(spec, forms.append)
             except SearchSpaceTooLarge as exc:
                 yield ("skip", f"{shape}: {exc}")
                 continue
             if not forms:
-                if complete:
+                if result.complete:
                     yield ("skip", f"{shape}: no codes exist")
                 else:
                     yield ("skip", f"{shape}: unresolved within node budget")
                 continue
-            tag = f"codes={count}" + ("" if complete else " sample")
+            tag = f"codes={result.count}" + ("" if result.complete else " sample")
 
             spectrum_bad = 0
             dist_bad = 0

@@ -316,7 +316,7 @@ def test_search_stats_appends_nodes(capsys):
     assert run(argv) == 0
     default = capsys.readouterr().out
     assert run([*argv, "--stats"]) == 0
-    assert capsys.readouterr().out == default + "nodes = 904\n"
+    assert capsys.readouterr().out == default + "nodes = 904\nmasks = 57\n"
 
 
 def test_search_exists(capsys):
@@ -402,6 +402,24 @@ def test_check_theorems_sweep_golden(q, max_n, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_check_theorems_settles_the_length_bound_past_the_old_candidate_limit(capsys):
+    # exists (7,3)_4 walks 11992 normal-form candidates
+    assert run(["check-theorems", "--q", "4", "--max-n", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "check[2] = pass no (n, 3)_4 MDS code with n > 6"
+    assert not any(" = skip " in line for line in lines)
+
+
+def test_check_theorems_walks_every_length_six_shape_over_five_symbols(capsys):
+    assert run(["check-theorems", "--q", "5", "--max-n", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(" = skip " in line for line in lines)
+    # (6,k)_5 for k = 2..6 were refused by the old candidate limit
+    for k in range(2, 7):
+        assert any(f" = pass spectrum (n=6, k={k})_5 codes=" in line for line in lines)
+    assert lines[-3:] == ["checks = 42", "failures = 0", "result = pass"]
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--q", "1"], "q must be at least 2, got 1"),
     (["--q", "2", "--limit-per-shape", "0"], "limit_per_shape must be positive, got 0"),
@@ -433,13 +451,22 @@ def test_usage_errors_exit_2():
     assert err.value.code == 2
 
 
-def test_module_entry_point(tmp_path):
+def _run_module(*argv):
     # the child imports mdskit from wherever this process found it
     package_root = str(Path(mdskit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mdskit.cli", "construct", "mols", "--p", "3"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    proc = _run_module("mdskit.cli", "construct", "mols", "--p", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("MDSKIT v1\n")
+
+
+def test_package_runs_as_a_module():
+    proc = _run_module("mdskit", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: mdskit ")

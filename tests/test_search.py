@@ -1,6 +1,7 @@
 """Exhaustive walks: frozen counts, guards, budgets, and theorem checks."""
 
 import re
+import tracemalloc
 from itertools import product
 from math import factorial, inf
 
@@ -32,7 +33,7 @@ from mdskit import (
     verify_distribution,
     verify_spectrum_theorems,
 )
-from mdskit.codes import symbol_masks
+from mdskit.codes import symbol_masks, weight
 from mdskit.search import (
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
@@ -56,7 +57,7 @@ def full_walk_count(n, k, q, require_zero):
     universe = list(product(range(q), repeat=n))
     cand = _zero_candidates(q, n, k, universe) if require_zero else universe
     found = []
-    complete, _ = _walk(q, n, k, cand, lambda words: found.append(1), None)
+    complete, _, _ = _walk(q, n, k, cand, lambda words: found.append(1), None)
     assert complete
     return len(found)
 
@@ -127,8 +128,23 @@ def test_spec_validation():
 ])
 def test_compatibility_masks_match_pairwise(n, k, q, select):
     cand = sorted(select(q, n, k, list(product(range(q), repeat=n))))
-    compat = _compatibility(cand, symbol_masks(cand, n, q), k)
+    masks = symbol_masks(cand, n, q)
+    full = (1 << len(cand)) - 1
+    compat = [_compatibility(w, full, masks, k) for w in cand]
     assert compat == pairwise_compatibility(cand, n - k + 1)
+
+
+def test_zero_candidates_match_the_weight_filter():
+    # fewer than k zeros is weight >= d = n-k+1, on every shape q <= 5, n <= 6
+    shapes = 0
+    for q in range(2, 6):
+        for n in range(1, 7):
+            universe = list(product(range(q), repeat=n))
+            for k in range(1, n + 1):
+                expected = [w for w in universe if weight(w) >= n - k + 1 or not any(w)]
+                assert _zero_candidates(q, n, k, universe) == expected, (n, k, q)
+                shapes += 1
+    assert shapes == 84
 
 
 @pytest.mark.parametrize("n,k,q,count", [
@@ -171,8 +187,8 @@ def test_walk_emits_exactly_the_reference_codes():
         universe = list(product(range(q), repeat=n))
         for cand in (universe, _zero_candidates(q, n, k, universe)):
             emitted = []
-            complete, _ = _walk(q, n, k, cand,
-                                lambda words: emitted.append(frozenset(words)), None)
+            complete, _, _ = _walk(q, n, k, cand,
+                                   lambda words: emitted.append(frozenset(words)), None)
             assert complete
             assert len(set(emitted)) == len(emitted), (n, k, q)
             assert set(emitted) == reference_codes(n, k, q, cand), (n, k, q)
@@ -207,7 +223,7 @@ def test_walk_with_an_empty_slot_finds_nothing():
     universe = list(product(range(3), repeat=3))
     cand = [w for w in universe if w[:2] != (1, 2)]
     emitted = []
-    assert _walk(3, 3, 2, cand, emitted.append, None) == (True, 0)
+    assert _walk(3, 3, 2, cand, emitted.append, None) == (True, 0, 0)
     assert emitted == []
 
 
@@ -231,6 +247,71 @@ def test_walk_node_counts(n, k, q, mode, nodes):
     # these shapes have at most 64 slots, so both rules prune alike
     result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode=mode))
     assert result.nodes == nodes
+
+
+@pytest.mark.parametrize("n,k,q,mode,nodes,masks,candidates", [
+    (4, 3, 4, "count", 17910, 195, 232),
+    (3, 2, 5, "count", 904, 57, 89),
+    (6, 2, 4, "exists", 4, 4, 1786),
+    (5, 2, 5, "exists", 229, 77, 1861),
+])
+def test_walk_builds_masks_lazily(n, k, q, mode, nodes, masks, candidates):
+    # a mask is built the first time its candidate is chosen below the
+    # last slot, so at most once per node and per candidate
+    result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode=mode))
+    universe = list(product(range(q), repeat=n))
+    assert len(_canonical_candidates(q, n, k, universe)) == candidates
+    assert (result.nodes, result.masks) == (nodes, masks)
+
+
+def test_mask_builds_stay_within_nodes(monkeypatch):
+    built = []
+    build = mdskit.search._compatibility
+
+    def counted(w, full, masks, k):
+        built.append(w)
+        return build(w, full, masks, k)
+
+    monkeypatch.setattr(mdskit.search, "_compatibility", counted)
+    result = enumerate_mds(SearchSpec(6, 2, 4, require_zero=True, mode="exists"))
+    assert result.count == 0 and result.complete
+    assert len(built) == len(set(built)) == result.masks
+    assert 0 < len(built) <= result.nodes
+
+
+def test_walk_memory_follows_the_masks_built(monkeypatch):
+    # (6,6)_4 has 4096 candidates, one per slot, all compatible; stopped
+    # after 64 masks, the walk holds about three 4096-bit ints per mask,
+    # far below one per slot
+    n, k, q = 6, 6, 4
+    cand = _canonical_candidates(q, n, k, list(product(range(q), repeat=n)))
+    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 64 * len(cand))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match="^masks x bits = 65 x 4096 "):
+            _walk(q, n, k, cand, lambda words: None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_int_per_slot = q ** k * len(cand) // 8
+    assert peak < one_int_per_slot // 2
+
+
+def test_mask_bit_limit_refuses_the_walk(monkeypatch):
+    # exists (6,2)_4 builds 4 masks of 1786 bits; allow 3 of them
+    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 3 * 1786)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^masks x bits = 4 x 1786 exceeds the mask bit limit 5358$"):
+        exists_mds(6, 2, 4)
+
+
+def test_mask_bit_limit_gives_a_skip_line(monkeypatch):
+    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 10)
+    lines = list(check_theorems(2, 4))
+    assert lines[0] == ("skip", "no (n, 2)_2 MDS code with n > 3: "
+                                "masks x bits = 2 x 6 exceeds the mask bit limit 10")
+    assert ("skip", "(n=4, k=4)_2: masks x bits = 1 x 16 exceeds the mask bit limit 10") \
+        in lines
 
 
 @pytest.mark.parametrize("q,latin", [(2, 2), (3, 12), (4, 576), (5, 161280)])
@@ -352,7 +433,9 @@ def test_verify_bounds_binary_and_ternary():
     assert any("n > 4" in r.claim for r in reports)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+# at (k, q) = (3, 4) the search past the bound walks 11992 normal-form
+# candidates, which only a walk bounded by the masks it builds reaches
+@pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("k", [2, 3])
 def test_length_bound_is_tight(k, q):
     bound = length_bound(k, q)
