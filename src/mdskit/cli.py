@@ -34,8 +34,6 @@ from .errors import (
 )
 from .galois import Field
 from .search import (
-    MAX_LENGTH,
-    MAX_WORDS,
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
     SearchSpec,
@@ -47,7 +45,6 @@ from .spectra import (
     PartitionSpec,
     closed_form_distribution,
     distance_distribution_from,
-    partition_distance_enumerator,
     partition_weight_enumerator_bruteforce,
     partition_weight_enumerator_formula,
     weight_distribution_bruteforce,
@@ -118,7 +115,7 @@ def _cmd_construct(args):
     fam = args.family
     if fam == "repetition":
         _need(args, "n", "q")
-        check_word_limit(args.q, 1, _max_words())
+        check_word_limit(args.q, 1)
         code = repetition_code(args.n, args.q)
     elif fam == "universe":
         _need_words(args)
@@ -139,7 +136,7 @@ def _cmd_construct(args):
         code = doubly_extended_rs(Field(args.q))
     elif fam == "mols":
         _need(args, "p")
-        check_word_limit(args.p, 2, _max_words())
+        check_word_limit(args.p, 2)
         code = mols_to_code(cyclic_mols(args.p))
     else:
         raise MdskitError(f"unknown family {fam!r}")
@@ -155,9 +152,9 @@ def _need(args, *names):
 
 def _need_words(args):
     """--k and --q of a family of q^k words, refused before anything is
-    built when q^k exceeds the search word limit."""
+    built when q^k exceeds the word limit MAX_WORDS."""
     _need(args, "k", "q")
-    check_word_limit(args.q, args.k, _max_words())
+    check_word_limit(args.q, args.k)
 
 
 def _cmd_verify(args):
@@ -275,33 +272,11 @@ def _cmd_classify(args):
     return 0
 
 
-def _max_words(override=None):
-    """The q^k word limit: override when given, else MDSKIT_MAX_SEARCH
-    when set, else MAX_WORDS."""
-    max_words = MAX_WORDS
-    env = os.environ.get("MDSKIT_MAX_SEARCH")
-    if env:
-        try:
-            max_words = int(env)
-        except ValueError:
-            raise MdskitError(f"MDSKIT_MAX_SEARCH must be an integer, got {env!r}") from None
-    return max_words if override is None else override
-
-
-def _search_limits(args):
-    max_words = _max_words(args.max_words)
-    max_length = args.max_length if args.max_length is not None else MAX_LENGTH
-    return max_words, max_length
-
-
 def _cmd_search(args):
-    max_words, max_length = _search_limits(args)
     spec = SearchSpec(args.n, args.k, args.q,
                       require_zero=args.require_zero,
                       mode=args.mode,
                       limit=args.limit,
-                      max_words=max_words,
-                      max_length=max_length,
                       max_nodes=args.max_nodes)
     result = enumerate_mds(spec)
     _print_shape(args)
@@ -326,9 +301,7 @@ def _cmd_search(args):
 
 
 def _cmd_check_theorems(args):
-    max_words, max_length = _search_limits(args)
     lines = check_theorems(args.q, args.max_n, limit_per_shape=args.limit_per_shape,
-                           max_words=max_words, max_length=max_length,
                            max_nodes=args.max_nodes)
     print(f"q = {args.q}")
     print(f"max_n = {args.max_n}")
@@ -417,8 +390,6 @@ def build_parser():
     p.add_argument("--limit", type=int)
     p.add_argument("--emit-codes", metavar="DIR",
                    help="in collect mode, write one file per code here")
-    p.add_argument("--max-words", type=int, help="override the q^k guard")
-    p.add_argument("--max-length", type=int, help="override the length guard")
     p.add_argument("--max-nodes", type=int,
                    help="stop after this many partial extensions (default: no cap)")
     p.add_argument("--stats", action="store_true",
@@ -432,8 +403,6 @@ def build_parser():
     p.add_argument("--limit-per-shape", type=int, default=SWEEP_LIMIT_PER_SHAPE,
                    help="cap on codes checked per (n, k), each normal form "
                         "counted with its relabeling class")
-    p.add_argument("--max-words", type=int, help="override the q^k guard")
-    p.add_argument("--max-length", type=int, help="override the length guard")
     p.add_argument("--max-nodes", type=int, default=SWEEP_MAX_NODES,
                    help="walk budget per shape; unresolved shapes are skipped")
     p.set_defaults(func=_cmd_check_theorems)

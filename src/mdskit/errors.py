@@ -104,7 +104,7 @@ class TheoremViolation(MdskitError):
 
 
 class SearchSpaceTooLarge(MdskitError):
-    """Search parameters exceed the configured desk-scale guards."""
+    """Search parameters exceed the guards of mdskit.search."""
 
 
 class OutOfStatedRegime(UserWarning):

@@ -52,13 +52,18 @@ from .spectra import (
 )
 from .transforms import classify_binary
 
-# default search guards on words per code and on code length, and the
-# sweep's default caps on codes checked and walk nodes per shape
+# search guards on words per code and on code length, and the sweep's
+# default caps on codes checked and walk nodes per shape.  Raising
+# MAX_WORDS would settle no more shapes: each one with q^k > MAX_WORDS
+# and q^n <= _UNIVERSE_LIMIT is n = k or (18,17)_2.  Each has a code,
+# and a walk finds it only by building q^k - 1 masks of at least q^k
+# bits, past _MASK_BIT_LIMIT.
 MAX_WORDS = 2 ** 16
 MAX_LENGTH = 12
 SWEEP_LIMIT_PER_SHAPE = 512
 SWEEP_MAX_NODES = 200000
 
+# words of length n the walk may list: q^n
 _UNIVERSE_LIMIT = 2 ** 18
 # compatibility-mask bits a walk may build: 32 MiB
 _MASK_BIT_LIMIT = 2 ** 28
@@ -80,8 +85,6 @@ class SearchSpec:
     require_zero: bool = False
     mode: str = "count"
     limit: int = None
-    max_words: int = MAX_WORDS
-    max_length: int = MAX_LENGTH
     max_nodes: int = None
 
     def __post_init__(self):
@@ -111,24 +114,26 @@ class SearchResult:
 
 def _check_power(q, e, limit, symbol, name):
     """Refuse q^e above limit, reported as e.g. "q^k" and "word limit".
-    For q >= 2 an e past the bit length of limit is refused without
-    taking the power, which could be too long to compute or to print."""
-    if q >= 2 and e > limit.bit_length():
+    A q below 2 is left to the caller's own check of the alphabet.  An e
+    past the bit length of limit is refused without taking the power,
+    which could be too long to compute or to print."""
+    if q < 2:
+        return
+    if e > limit.bit_length():
         raise SearchSpaceTooLarge(f"{symbol} = {q}^{e} exceeds the {name} {limit}")
     if q ** e > limit:
         raise SearchSpaceTooLarge(f"{symbol} = {q ** e} exceeds the {name} {limit}")
 
 
-def check_word_limit(q, k, max_words):
-    """Refuse a code of q^k words when that exceeds max_words."""
-    _check_power(q, k, max_words, "q^k", "word limit")
+def check_word_limit(q, k):
+    """Refuse a code of q^k words when that exceeds MAX_WORDS."""
+    _check_power(q, k, MAX_WORDS, "q^k", "word limit")
 
 
 def _guard(spec):
-    check_word_limit(spec.q, spec.k, spec.max_words)
-    if spec.n > spec.max_length:
-        raise SearchSpaceTooLarge(
-            f"n = {spec.n} exceeds the length limit {spec.max_length}")
+    check_word_limit(spec.q, spec.k)
+    if spec.n > MAX_LENGTH:
+        raise SearchSpaceTooLarge(f"n = {spec.n} exceeds the length limit {MAX_LENGTH}")
     _check_power(spec.q, spec.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
@@ -362,15 +367,13 @@ def enumerate_mds(spec):
     return result
 
 
-def exists_mds(n, k, q, max_words=MAX_WORDS, max_length=MAX_LENGTH, max_nodes=None):
+def exists_mds(n, k, q, max_nodes=None):
     """Whether any (n, k)_q MDS code exists.  Only codes in the normal
     form of _canonical_candidates are walked, which is enough: every
     code is carried onto one of them by symbol relabelings that preserve
     all distances.  A node budget that runs out before the question is
     settled raises rather than guessing."""
-    spec = SearchSpec(n, k, q, require_zero=True, mode="exists",
-                      max_words=max_words, max_length=max_length,
-                      max_nodes=max_nodes)
+    spec = SearchSpec(n, k, q, require_zero=True, mode="exists", max_nodes=max_nodes)
     result = _walk_shape(spec, None)
     if result.count:
         return True
@@ -393,8 +396,7 @@ class TheoremReport:
     skipped: bool = False
 
 
-def verify_bounds(q, k_max, max_words=MAX_WORDS, max_length=MAX_LENGTH,
-                  max_nodes=None):
+def verify_bounds(q, k_max, max_nodes=None):
     """Confirm by exhaustive search that no (n, k)_q MDS code outruns
     length_bound(k, q), for each k in 2..k_max, one report per k.
     Checking length bound+1 suffices, because deleting any coordinate of
@@ -407,8 +409,7 @@ def verify_bounds(q, k_max, max_words=MAX_WORDS, max_length=MAX_LENGTH,
         n = bound + 1
         claim = f"no (n, {k})_{q} MDS code with n > {bound}"
         try:
-            found = exists_mds(n, k, q, max_words=max_words,
-                               max_length=max_length, max_nodes=max_nodes)
+            found = exists_mds(n, k, q, max_nodes=max_nodes)
         except SearchSpaceTooLarge as exc:
             reports.append(TheoremReport(claim, False, detail=str(exc), skipped=True))
             continue
@@ -471,7 +472,6 @@ def verify_distribution(code):
 
 
 def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
-                   max_words=MAX_WORDS, max_length=MAX_LENGTH,
                    max_nodes=SWEEP_MAX_NODES):
     """Check, by search, the length bounds whose witness length fits
     under max_n, then the spectrum, distribution and (for q = 2) binary
@@ -487,24 +487,21 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     arguments raise here, before any line."""
     if q < 2:
         raise InvalidParameters(f"q must be at least 2, got {q}")
-    for name, value in (("max_n", max_n), ("max_words", max_words),
-                        ("max_length", max_length)):
-        if value < 1:
-            raise InvalidParameters(f"{name} must be positive, got {value}")
+    if max_n < 1:
+        raise InvalidParameters(f"max_n must be positive, got {max_n}")
     if limit_per_shape is not None and limit_per_shape < 1:
         raise InvalidParameters(f"limit_per_shape must be positive, got {limit_per_shape}")
     if max_nodes is not None and max_nodes < 1:
         raise InvalidParameters(f"max_nodes must be positive, got {max_nodes}")
-    return _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes)
+    return _check_theorems(q, max_n, limit_per_shape, max_nodes)
 
 
-def _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes):
+def _check_theorems(q, max_n, limit_per_shape, max_nodes):
     k_max = 1
     for k in range(2, max_n + 1):
         if length_bound(k, q) + 1 <= max_n:
             k_max = k
-    for report in verify_bounds(q, k_max, max_words=max_words,
-                                max_length=max_length, max_nodes=max_nodes):
+    for report in verify_bounds(q, k_max, max_nodes=max_nodes):
         if report.skipped:
             yield ("skip", f"{report.claim}: {report.detail}")
         else:
@@ -516,7 +513,6 @@ def _check_theorems(q, max_n, limit_per_shape, max_words, max_length, max_nodes)
                 break
             shape = f"(n={n}, k={k})_{q}"
             spec = SearchSpec(n, k, q, require_zero=True, limit=limit_per_shape,
-                              max_words=max_words, max_length=max_length,
                               max_nodes=max_nodes)
             forms = []
             try:

@@ -21,6 +21,7 @@ from mdskit import (
     write_code,
 )
 from mdskit.cli import run
+from mdskit.search import MAX_WORDS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -101,7 +102,7 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("built past the word limit")
     monkeypatch.setattr(mdskit.cli, builder, refuse)
-    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "8")
+    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
     path = tmp_path / "c.txt"
     assert run(["construct", *argv, "--out", str(path)]) == 2
     err = capsys.readouterr().err
@@ -114,18 +115,29 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
      "error: q^k = 2^20000 exceeds the word limit 65536\n"),
     (["search", "--n", "20000", "--k", "20000", "--q", "2"],
      "error: q^k = 2^20000 exceeds the word limit 65536\n"),
-    (["search", "--n", "20000", "--k", "1", "--q", "2", "--max-length", "30000"],
-     "error: q^n = 2^20000 exceeds the universe limit 262144\n"),
+    (["search", "--n", "12", "--k", "1", "--q", "3"],
+     "error: q^n = 531441 exceeds the universe limit 262144\n"),
 ], ids=["construct-words", "search-words", "search-universe"])
-def test_word_limit_huge_k(argv, line, capsys, monkeypatch):
+def test_word_limit_huge_k(argv, line, capsys):
     # 2^20000 has more digits than int-to-str conversion allows
-    monkeypatch.delenv("MDSKIT_MAX_SEARCH", raising=False)
     assert run(argv) == 2
     assert capsys.readouterr().err == line
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["universe", "--k", "20000", "--q", "-2"],
+     "error: alphabet size q=-2 must be at least 2\n"),
+    (["sum-zero", "--k", "20000", "--q", "-3"],
+     "error: q=-3 is not a supported prime power\n"),
+], ids=["universe", "sum-zero"])
+def test_construct_negative_q_is_refused_by_the_builder(argv, line, capsys):
+    # a q below 2 counts no words, so the builder, not the word limit, refuses it
+    assert run(["construct", *argv]) == 2
+    assert capsys.readouterr().err == line
+
+
 def test_construct_within_word_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "8")
+    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
     path = tmp_path / "u.txt"
     assert run(["construct", "universe", "--k", "3", "--q", "2", "--out", str(path)]) == 0
     assert len(read_code(path)) == 8
@@ -338,21 +350,22 @@ def test_search_collect_emits_files(tmp_path, capsys):
         assert (code.n, code.k, code.q) == (3, 2, 3)
 
 
-def test_search_guard_and_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "8")
+def test_search_guard(capsys, monkeypatch):
+    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
     assert run(["search", "--n", "4", "--k", "2", "--q", "3", "--require-zero"]) == 2
-    assert "exceeds" in capsys.readouterr().err
-    # explicit flag wins over the environment
-    assert run(["search", "--n", "4", "--k", "2", "--q", "3", "--require-zero",
-                "--max-words", "9"]) == 0
-    assert "count = 8" in capsys.readouterr().out
+    assert capsys.readouterr().err == "error: q^k = 9 exceeds the word limit 8\n"
 
 
-def test_search_env_override_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("MDSKIT_MAX_SEARCH", "abc")
-    assert run(["search", "--n", "3", "--k", "2", "--q", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: MDSKIT_MAX_SEARCH must be an integer, got 'abc'\n"
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "4", "--k", "2", "--q", "3"],
+    ["check-theorems", "--q", "2"],
+], ids=["search", "check-theorems"])
+@pytest.mark.parametrize("flag", ["--max-words", "--max-length"])
+def test_search_guards_take_no_override(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, flag, "9"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 9" in capsys.readouterr().err
 
 
 def test_search_node_budget(capsys):
@@ -368,19 +381,23 @@ def test_check_theorems_passes(capsys):
     assert "failures = 0" in out
 
 
-def test_check_theorems_that_checks_nothing_passes_nothing(capsys):
+def test_check_theorems_that_checks_nothing_passes_nothing(capsys, monkeypatch):
     # every shape is over the word limit, so every line is a skip
-    assert run(["check-theorems", "--q", "2", "--max-words", "1"]) == 1
+    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 1)
+    assert run(["check-theorems", "--q", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert all(" = skip " in line for line in lines if line.startswith("check["))
     assert lines[-3:] == ["checks = 14", "failures = 0", "result = none"]
 
 
-@pytest.mark.parametrize("flags,reason", [
-    (["--max-nodes", "1"], "node budget 1 exhausted before settling (n={n}, k={k})_2"),
-    (["--max-words", "1"], "q^k = 2^{k} exceeds the word limit 1"),
+@pytest.mark.parametrize("flags,reason,max_words", [
+    (["--max-nodes", "1"], "node budget 1 exhausted before settling (n={n}, k={k})_2",
+     MAX_WORDS),
+    ([], "q^k = 2^{k} exceeds the word limit 1", 1),
 ])
-def test_check_theorems_skips_unsettled_length_bounds(flags, reason, capsys):
+def test_check_theorems_skips_unsettled_length_bounds(flags, reason, max_words, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(mdskit.search, "MAX_WORDS", max_words)
     assert run(["check-theorems", "--q", "2", "--max-n", "5", *flags]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[2:4] == [
@@ -425,8 +442,6 @@ def test_check_theorems_walks_every_length_six_shape_over_five_symbols(capsys):
     (["--q", "2", "--limit-per-shape", "0"], "limit_per_shape must be positive, got 0"),
     (["--q", "2", "--max-nodes", "0"], "max_nodes must be positive, got 0"),
     (["--q", "2", "--max-n", "0"], "max_n must be positive, got 0"),
-    (["--q", "2", "--max-words", "0"], "max_words must be positive, got 0"),
-    (["--q", "2", "--max-length", "0"], "max_length must be positive, got 0"),
 ])
 def test_check_theorems_bad_arguments_print_no_header(flags, message, capsys):
     assert run(["check-theorems", *flags]) == 2

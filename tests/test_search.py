@@ -35,8 +35,11 @@ from mdskit import (
 )
 from mdskit.codes import symbol_masks, weight
 from mdskit.search import (
+    MAX_WORDS,
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
+    _MASK_BIT_LIMIT,
+    _UNIVERSE_LIMIT,
     _canonical_candidates,
     _class_size,
     _compatibility,
@@ -409,19 +412,30 @@ def test_budget_stops_walk_honestly():
 
 
 def test_guards():
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_mds(SearchSpec(12, 12, 3))          # q^k too big
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_mds(SearchSpec(13, 2, 2))           # n too long
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_mds(SearchSpec(12, 2, 5))           # q^n universe too big
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_mds(SearchSpec(9, 9, 3))            # candidate set too big
-    # guards are configuration, not hard limits
-    result = enumerate_mds(SearchSpec(3, 2, 2, max_words=4, max_length=3))
-    assert result.count == 2
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_mds(SearchSpec(3, 2, 2, max_words=3))
+    with pytest.raises(SearchSpaceTooLarge, match="word limit"):
+        enumerate_mds(SearchSpec(12, 12, 3))
+    with pytest.raises(SearchSpaceTooLarge, match="^n = 13 exceeds the length limit 12$"):
+        enumerate_mds(SearchSpec(13, 2, 2))
+    with pytest.raises(SearchSpaceTooLarge, match="universe limit"):
+        enumerate_mds(SearchSpec(12, 2, 5))
+    with pytest.raises(SearchSpaceTooLarge, match="mask bit limit"):
+        enumerate_mds(SearchSpec(9, 9, 3))
+
+
+def test_word_limit_refuses_no_settleable_shape():
+    # every shape the word limit refuses and the universe limit admits
+    refused = []
+    for q in range(2, _UNIVERSE_LIMIT + 1):
+        n = 1
+        while q ** n <= _UNIVERSE_LIMIT:
+            refused += [(n, k, q) for k in range(1, n + 1) if q ** k > MAX_WORDS]
+            n += 1
+    assert refused
+    for n, k, q in refused:
+        assert n == k or (n, k, q) == (18, 17, 2)
+        # such a shape has a code, found only after q^k - 1 masks of
+        # at least q^k bits
+        assert (q ** k - 1) * q ** k > _MASK_BIT_LIMIT
 
 
 def test_verify_bounds_binary_and_ternary():
@@ -444,7 +458,9 @@ def test_length_bound_is_tight(k, q):
 
 
 def test_check_theorems_skip_lines(monkeypatch):
-    lines = list(check_theorems(2, 4, max_words=8))
+    with monkeypatch.context() as patch:
+        patch.setattr(mdskit.search, "MAX_WORDS", 8)
+        lines = list(check_theorems(2, 4))
     assert ("skip", "(n=4, k=4)_2: q^k = 16 exceeds the word limit 8") in lines
     lines = list(check_theorems(3, 3, max_nodes=1))
     assert ("skip", "(n=3, k=2)_3: unresolved within node budget") in lines
@@ -460,8 +476,6 @@ def test_check_theorems_skip_lines(monkeypatch):
     (2, {"limit_per_shape": 0}, "limit_per_shape"),
     (2, {"max_nodes": 0}, "max_nodes"),
     (2, {"max_n": 0}, "max_n"),
-    (2, {"max_words": 0}, "max_words"),
-    (2, {"max_length": 0}, "max_length"),
 ])
 def test_check_theorems_refuses_bad_arguments_when_called(q, kwargs, name):
     # raised by the call itself, not by the first next() on its lines
