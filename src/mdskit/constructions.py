@@ -38,6 +38,8 @@ def sum_zero_code(k, field):
 
     Over GF(2) this is the even-weight (single-parity-check) code.
     """
+    if k < 1:
+        raise InvalidParameters(f"need k >= 1, got k={k}")
     words = []
     for prefix in itertools.product(field.elements, repeat=k):
         total = 0

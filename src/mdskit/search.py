@@ -31,9 +31,26 @@ code, walks them all.  Length-bound checks rely on one more closure
 fact, recorded where used: deleting a coordinate of an MDS code leaves
 an MDS code, so non-existence at length L rules out every length above
 L as well.
+
+Two shapes skip the walk over length-n words.  At n = k, d = 1, so the
+universe is the one code.  At k = 2, count and exists grow codes one
+coordinate at a time instead (_walk_squares).  An (n, 2)_q code is a
+set of n-2 mutually orthogonal Latin squares, and its normal forms of
+length 3 are the reduced Latin squares, which _walk finds.  Deleting the
+last coordinate of a normal form of length n > 3 leaves a normal form of
+length n-1, whose q^2 words that last coordinate splits into q
+transversals: sets of q words, one per row (first symbol), that differ
+pairwise in every position.  Conversely each cover of the words of a
+length-(n-1) normal form by q disjoint transversals is one extension in
+normal form: each transversal holds one word (0, y, y,..,y), and the
+normal form gives its words the new symbol y.  So every normal form of
+length n is reached exactly once, from the normal form its deletion
+leaves, by one cover.  Transversals are found by a walk over rows with
+one "differs everywhere" mask per word, and covers by a walk over y.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import factorial
 
@@ -53,11 +70,11 @@ from .spectra import (
 from .transforms import classify_binary
 
 # search guards on words per code and on code length, and the sweep's
-# default caps on codes checked and walk nodes per shape.  Raising
-# MAX_WORDS would settle no more shapes: each one with q^k > MAX_WORDS
-# and q^n <= _UNIVERSE_LIMIT is n = k or (18,17)_2.  Each has a code,
-# and a walk finds it only by building q^k - 1 masks of at least q^k
-# bits, past _MASK_BIT_LIMIT.
+# default caps on codes checked and walk nodes per shape.  No search or
+# construction builds a Code of more than MAX_WORDS words.  Every shape
+# with q^k > MAX_WORDS and q^n <= _UNIVERSE_LIMIT is n = k, whose one
+# code would be such a Code, or (18,17)_2, whose code a walk finds only
+# by building q^k - 1 masks of at least q^k bits, past _MASK_BIT_LIMIT.
 MAX_WORDS = 2 ** 16
 MAX_LENGTH = 12
 SWEEP_LIMIT_PER_SHAPE = 512
@@ -102,8 +119,8 @@ class SearchSpec:
 @dataclass
 class SearchResult:
     """What a walk found, whether it ran to completion, how many nodes
-    (words placed) it visited and how many compatibility masks it
-    built."""
+    (words placed, and for k = 2 the steps of _walk_squares) it visited
+    and how many compatibility masks it built."""
     spec: SearchSpec
     count: int
     codes: tuple = ()
@@ -163,7 +180,7 @@ def _fields_hit(x, low, high):
     return ((x & low) + low | x) & high
 
 
-def _walk(q, n, k, cand, emit, max_nodes):
+def _walk(q, n, k, cand, emit, max_nodes, shared=None):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
     order.  Calls emit once per finished code with its word list and
@@ -171,7 +188,11 @@ def _walk(q, n, k, cand, emit, max_nodes):
     built): True when the walk ran to completion, the number of words it
     placed, and the number of compatibility masks it built.  Raises
     SearchSpaceTooLarge rather than build masks of more than
-    _MASK_BIT_LIMIT bits in all."""
+    _MASK_BIT_LIMIT bits in all.
+
+    shared, a one-item list, lets emit spend nodes of the same budget:
+    the walk stores its node count there before each call to emit and
+    goes on from the count emit leaves there."""
     m = len(cand)
     slots = q ** k
     cand = sorted(cand)
@@ -226,7 +247,12 @@ def _walk(q, n, k, cand, emit, max_nodes):
         stack[-1] = (avail, rest ^ bit, j)
 
         if t + 1 == slots:
-            if emit([cand[c] for _, _, c in stack]):
+            if shared is not None:
+                shared[0] = nodes
+            stop = emit([cand[c] for _, _, c in stack])
+            if shared is not None:
+                nodes = shared[0]
+            if stop:
                 complete = False
                 break
             continue
@@ -323,23 +349,145 @@ def _class_size(n, k, q, require_zero):
     return size if require_zero else size * q ** (n - k)
 
 
+@cache
+def _rows(q):
+    """The masks (low, below) that test the q rows of an (n, 2)_q code
+    as bit fields with _fields_hit, its word with information prefix
+    (x, y) at bit x*q + y: below[x] holds the top bit of each row after
+    x."""
+    low, high = _slot_fields(range(0, q * q + 1, q))
+    return low, [high & (-1 << (x + 1) * q) for x in range(q)]
+
+
+def _differ_masks(words, n, q):
+    """Bit j of entry i says words i and j differ in all n positions:
+    they agree in none, the count of agreement_counters at threshold 1."""
+    full = (1 << len(words)) - 1
+    masks = symbol_masks(words, n, q)
+    return [full & ~agreement_counters(w, full, masks, 1)[1] for w in words]
+
+
+def _transversals(differ, q, y, left):
+    """The transversals through the word with prefix (0, y) of an
+    (n, 2)_q code whose words are in prefix order, from its
+    _differ_masks: the sets of q words, one per row, that differ
+    pairwise in every position, as bitmasks.  Returns (found, steps),
+    steps the words placed; found is None when the next step would pass
+    left, the steps allowed (None for no bound)."""
+    if left is not None and left < 1:
+        return None, 0
+    low, below = _rows(q)
+    row = (1 << q) - 1
+    found = []
+    steps = 1
+    # frames are (words differing everywhere from those chosen, untried
+    # words of row x as in row, words chosen); frame x-1 fills row x
+    stack = [(differ[y], (differ[y] >> q) & row, 1 << y)]
+    while stack:
+        avail, rest, chosen = stack[-1]
+        if rest == 0:
+            stack.pop()
+            continue
+        if left is not None and steps >= left:
+            return None, steps
+        steps += 1
+        x = len(stack)
+        bit = rest & -rest
+        stack[-1] = (avail, rest ^ bit, chosen)
+        word = bit << x * q
+        if x + 1 == q:
+            found.append(chosen | word)
+            continue
+        # prune unless every later row keeps a word
+        child = avail & differ[x * q + bit.bit_length() - 1]
+        if _fields_hit(child, low, below[x]) == below[x]:
+            stack.append((child, (child >> (x + 1) * q) & row, chosen | word))
+    return found, steps
+
+
+def _walk_squares(q, n, emit, max_nodes):
+    """Walk the normal forms of the (n, 2)_q MDS codes, n >= 3, calling
+    emit as _walk does: the reduced Latin squares, found by _walk, each
+    grown one coordinate at a time by every cover of its words by
+    transversals (see the module docstring).  Returns (complete, nodes,
+    built) as _walk does, where nodes counts the square walk's nodes,
+    the words placed in transversals and the transversals placed in
+    covers, all against max_nodes, and built the square walk's masks."""
+    cand = _canonical_candidates(q, 3, 2, list(product(range(q), repeat=3)))
+    if n == 3:
+        return _walk(q, 3, 2, cand, emit, max_nodes)
+    shared = [0]
+    nodes = 0
+
+    def grow(words, length):
+        """Pass to emit every normal form of length n that deleting
+        coordinates leaves as words; True when the walk must stop."""
+        nonlocal nodes
+        differ = _differ_masks(words, length, q)
+        found = []
+        for y in range(q):
+            through, steps = _transversals(
+                differ, q, y, None if max_nodes is None else max_nodes - nodes)
+            nodes += steps
+            if through is None:
+                return True
+            if not through:
+                return False        # no transversal covers word y
+            found.append(through)
+        chosen = []
+
+        def cover(y, used):
+            # the transversal through (0, y, y,..,y) gets label y
+            nonlocal nodes
+            for t in found[y]:
+                if t & used:
+                    continue
+                if max_nodes is not None and nodes >= max_nodes:
+                    return True
+                nodes += 1
+                chosen.append(t)
+                stop = cover(y + 1, used | t) if y + 1 < q else extend(words, length, chosen)
+                chosen.pop()
+                if stop:
+                    return True
+            return False
+
+        return cover(0, 0)
+
+    def extend(words, length, chosen):
+        label = [0] * len(words)
+        for y, t in enumerate(chosen):
+            while t:
+                bit = t & -t
+                label[bit.bit_length() - 1] = y
+                t ^= bit
+        longer = [w + (s,) for w, s in zip(words, label)]
+        if length + 1 == n:
+            return emit(longer)
+        return grow(longer, length + 1)
+
+    def square(words):
+        nonlocal nodes
+        nodes = shared[0]
+        stop = grow(words, 3)
+        shared[0] = nodes
+        return stop
+
+    return _walk(q, 3, 2, cand, square, max_nodes, shared)
+
+
 def _walk_shape(spec, keep):
     """Guard spec's shape and walk its codes, passing each code's word
     list to keep when keep is given.  Collect mode walks every code
     (containing zero when spec.require_zero); count and exists walk the
-    normal forms only and weigh each by its class size.  Returns a
-    SearchResult without codes; a count that reaches the limit is
-    reported as the limit."""
+    normal forms only, (n, 2)_q by _walk_squares, and weigh each by its
+    class size.  An n = k shape takes no walk.  Returns a SearchResult
+    without codes; a count that reaches the limit is reported as the
+    limit."""
     _guard(spec)
     q, n, k = spec.q, spec.n, spec.k
-    universe = list(product(range(q), repeat=n))
-    if spec.mode == "collect":
-        cand = _zero_candidates(q, n, k, universe) if spec.require_zero else universe
-        size = 1
-    else:
-        cand = _canonical_candidates(q, n, k, universe)
-        size = _class_size(n, k, q, spec.require_zero)
-
+    collect = spec.mode == "collect"
+    size = 1 if collect else _class_size(n, k, q, spec.require_zero)
     count = 0
     limit = 1 if spec.mode == "exists" else spec.limit
 
@@ -350,7 +498,21 @@ def _walk_shape(spec, keep):
             keep(words)
         return limit is not None and count >= limit
 
-    complete, nodes, built = _walk(q, n, k, cand, emit, spec.max_nodes)
+    if n == k:
+        # d = 1, so every word is compatible with every other and the
+        # universe is the one code; its class size is 1
+        complete, nodes, built = not emit(list(product(range(q), repeat=n))), 0, 0
+    elif k == 2 and not collect:
+        complete, nodes, built = _walk_squares(q, n, emit, spec.max_nodes)
+    else:
+        universe = list(product(range(q), repeat=n))
+        if not collect:
+            cand = _canonical_candidates(q, n, k, universe)
+        elif spec.require_zero:
+            cand = _zero_candidates(q, n, k, universe)
+        else:
+            cand = universe
+        complete, nodes, built = _walk(q, n, k, cand, emit, spec.max_nodes)
     if limit is not None:
         count = min(count, limit)
     return SearchResult(spec, count, complete=complete, nodes=nodes, masks=built)

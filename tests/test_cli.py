@@ -136,6 +136,12 @@ def test_construct_negative_q_is_refused_by_the_builder(argv, line, capsys):
     assert capsys.readouterr().err == line
 
 
+@pytest.mark.parametrize("k", [-1, 0])
+def test_construct_sum_zero_refuses_k_below_one(k, capsys):
+    assert run(["construct", "sum-zero", "--k", str(k), "--q", "2"]) == 2
+    assert capsys.readouterr().err == f"error: need k >= 1, got k={k}\n"
+
+
 def test_construct_within_word_limit(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
     path = tmp_path / "u.txt"
@@ -398,7 +404,10 @@ def test_check_theorems_that_checks_nothing_passes_nothing(capsys, monkeypatch):
 def test_check_theorems_skips_unsettled_length_bounds(flags, reason, max_words, capsys,
                                                        monkeypatch):
     monkeypatch.setattr(mdskit.search, "MAX_WORDS", max_words)
-    assert run(["check-theorems", "--q", "2", "--max-n", "5", *flags]) == 1
+    # under the node budget the n = k shapes still pass, as they take no
+    # walk; under the word limit every line is a skip, so nothing passed
+    status = 1 if max_words == 1 else 0
+    assert run(["check-theorems", "--q", "2", "--max-n", "5", *flags]) == status
     lines = capsys.readouterr().out.splitlines()
     assert lines[2:4] == [
         f"check[{k - 1}] = skip no (n, {k})_2 MDS code with n > {k + 1}: "

@@ -2,7 +2,7 @@
 
 import re
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 from math import factorial, inf
 
 import pytest
@@ -43,8 +43,10 @@ from mdskit.search import (
     _canonical_candidates,
     _class_size,
     _compatibility,
+    _differ_masks,
     _fields_hit,
     _slot_fields,
+    _transversals,
     _walk,
     _walk_shape,
     _zero_candidates,
@@ -126,7 +128,7 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("n,k,q,select", [
-    (6, 2, 4, _canonical_candidates),   # the exists_mds(6,2,4) walk: 1786 words
+    (6, 2, 4, _canonical_candidates),   # the _walk reference for (6,2)_4: 1786 words
     (4, 3, 4, _zero_candidates),        # the require_zero count of (4,3)_4
 ])
 def test_compatibility_masks_match_pairwise(n, k, q, select):
@@ -239,6 +241,14 @@ def test_collect_emits_codes_in_increasing_order(n, k, q):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def walk_normal_forms(n, k, q, mode):
+    """_walk over the sorted normal-form candidates of (n, k)_q, as
+    count and exists walked them before (n, 2)_q took the square route:
+    exists stops at the first code."""
+    cand = sorted(_canonical_candidates(q, n, k, list(product(range(q), repeat=n))))
+    return _walk(q, n, k, cand, lambda words: mode == "exists", None), len(cand)
+
+
 @pytest.mark.parametrize("n,k,q,mode,nodes", [
     (4, 3, 4, "count", 17910),
     (3, 2, 5, "count", 904),
@@ -248,8 +258,8 @@ def test_collect_emits_codes_in_increasing_order(n, k, q):
 def test_walk_node_counts(n, k, q, mode, nodes):
     # counts of the earlier walk, which tested only the next 64 slots;
     # these shapes have at most 64 slots, so both rules prune alike
-    result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode=mode))
-    assert result.nodes == nodes
+    (_, walked, _), _ = walk_normal_forms(n, k, q, mode)
+    assert walked == nodes
 
 
 @pytest.mark.parametrize("n,k,q,mode,nodes,masks,candidates", [
@@ -261,10 +271,152 @@ def test_walk_node_counts(n, k, q, mode, nodes):
 def test_walk_builds_masks_lazily(n, k, q, mode, nodes, masks, candidates):
     # a mask is built the first time its candidate is chosen below the
     # last slot, so at most once per node and per candidate
-    result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode=mode))
-    universe = list(product(range(q), repeat=n))
-    assert len(_canonical_candidates(q, n, k, universe)) == candidates
+    (_, walked, built), listed = walk_normal_forms(n, k, q, mode)
+    assert listed == candidates
+    assert (walked, built) == (nodes, masks)
+
+
+@pytest.mark.parametrize("n,q,mode,nodes,masks", [
+    (3, 5, "count", 904, 57),       # the square walk itself
+    (4, 4, "count", 98, 25),
+    (6, 4, "exists", 140, 25),
+    (5, 5, "exists", 672, 55),
+    (7, 5, "exists", 4564, 57),     # past the length bound of (n, 2)_5
+])
+def test_square_route_node_counts(n, q, mode, nodes, masks):
+    # nodes counts the square walk's nodes, the words placed in
+    # transversals and the transversals placed in covers; masks counts
+    # the square walk's masks only
+    result = enumerate_mds(SearchSpec(n, 2, q, require_zero=True, mode=mode))
     assert (result.nodes, result.masks) == (nodes, masks)
+
+
+# every admissible (n, 2)_q with q <= 5, up to one past the length bound
+SQUARE_SHAPES = [(n, q) for q in range(2, 6) for n in range(3, q + 3)]
+
+
+@pytest.mark.parametrize("n,q", SQUARE_SHAPES)
+def test_square_route_matches_the_walk(n, q):
+    universe = list(product(range(q), repeat=n))
+    cand = _canonical_candidates(q, n, 2, universe)
+    expected = []
+    complete, _, _ = _walk(q, n, 2, cand, lambda words: expected.append(frozenset(words)),
+                           None)
+    assert complete
+    forms = []
+    result = _walk_shape(SearchSpec(n, 2, q, require_zero=True), forms.append)
+    assert result.complete
+    assert len(forms) == len(expected)
+    assert {frozenset(words) for words in forms} == set(expected)
+    for require_zero in (True, False):
+        result = enumerate_mds(SearchSpec(n, 2, q, require_zero=require_zero))
+        assert result.count == len(expected) * _class_size(n, 2, q, require_zero)
+    assert exists_mds(n, 2, q) == bool(expected)
+    # a limit of just over one normal form's codes stops both routes alike
+    size = _class_size(n, 2, q, True)
+    codes = len(expected) * size
+    result = enumerate_mds(SearchSpec(n, 2, q, require_zero=True, limit=size + 1))
+    assert (result.count, result.complete) == (min(codes, size + 1), codes < size + 1)
+
+
+@pytest.mark.parametrize("n,q", SQUARE_SHAPES)
+def test_square_route_is_complete_only_within_its_budget(n, q):
+    # either route completes exactly when the budget covers its full run,
+    # and otherwise stops with every node of the budget spent
+    cand = _canonical_candidates(q, n, 2, list(product(range(q), repeat=n)))
+    size = _class_size(n, 2, q, True)
+
+    def walk(budget):
+        found = []
+        complete, nodes, _ = _walk(q, n, 2, cand, found.append, budget)
+        return complete, nodes, len(found) * size
+
+    def route(budget):
+        result = enumerate_mds(SearchSpec(n, 2, q, require_zero=True, max_nodes=budget))
+        return result.complete, result.nodes, result.count
+
+    for run in (walk, route):
+        _, needed, total = run(None)
+        for budget in sorted({1, 2, needed // 2, needed - 1, needed} - {0}):
+            complete, nodes, count = run(budget)
+            assert complete == (budget >= needed), (run.__name__, budget)
+            assert nodes == min(budget, needed)
+            assert count == total if complete else count <= total
+
+
+@pytest.mark.parametrize("q,squares", [(2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
+def test_reduced_latin_square_counts(q, squares):
+    # the (3,2)_q normal forms are the reduced Latin squares, OEIS A000315
+    forms = []
+    result = _walk_shape(SearchSpec(3, 2, q, require_zero=True), forms.append)
+    assert result.complete
+    assert len(forms) == squares
+
+
+@pytest.mark.parametrize("n,q,forms", [
+    (4, 3, 1), (4, 4, 2), (4, 5, 18),
+    (5, 3, 0), (5, 4, 2), (5, 5, 36),
+    (6, 5, 36), (7, 5, 0),
+])
+def test_mols_normal_form_counts(n, q, forms):
+    found = []
+    assert _walk_shape(SearchSpec(n, 2, q, require_zero=True), found.append).complete
+    assert len(found) == forms
+
+
+def transversals_by_permutation(words, q, y):
+    """Oracle for _transversals: the bitmasks of the words (x, s(x), ..)
+    over the permutations s with s(0) = y whose words differ pairwise in
+    every position past the first two."""
+    found = []
+    for s in permutations(range(q)):
+        if s[0] != y:
+            continue
+        chosen = [x * q + s[x] for x in range(q)]
+        if all(len({words[i][p] for i in chosen}) == q for p in range(2, len(words[0]))):
+            found.append(sum(1 << i for i in chosen))
+    return found
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_transversals_match_the_permutation_scan(n, q):
+    forms = []
+    _walk_shape(SearchSpec(n, 2, q, require_zero=True), forms.append)
+    assert forms or n > q + 1
+    for words in forms:
+        differ = _differ_masks(words, n, q)
+        for y in range(q):
+            found, _ = _transversals(differ, q, y, None)
+            assert sorted(found) == sorted(transversals_by_permutation(words, q, y))
+
+
+def test_transversal_tallies_of_order_six():
+    # OEIS A090741: a Latin square of order 6 has at most 32 transversals
+    squares = []
+    _walk_shape(SearchSpec(3, 2, 6, require_zero=True), squares.append)
+    tally = {}
+    for words in squares:
+        differ = _differ_masks(words, 3, 6)
+        count = sum(len(_transversals(differ, 6, y, None)[0]) for y in range(6))
+        tally[count] = tally.get(count, 0) + 1
+    assert tally == {0: 2100, 8: 7020, 24: 108, 32: 180}
+    assert sum(count * squares for count, squares in tally.items()) == 64512
+
+
+@pytest.mark.parametrize("n,q", [(1, 5), (3, 3), (6, 5)])
+def test_n_equals_k_emits_the_universe_without_a_walk(n, q):
+    universe = list(product(range(q), repeat=n))
+    for mode in ("count", "exists", "collect"):
+        forms = []
+        result = _walk_shape(SearchSpec(n, n, q, mode=mode, max_nodes=1), forms.append)
+        assert forms == [universe]
+        assert (result.count, result.nodes, result.masks) == (1, 0, 0)
+        assert result.complete == (mode != "exists")
+    if q ** n <= 27:
+        walked = []
+        _walk(q, n, n, universe, walked.append, None)
+        assert walked == forms
 
 
 def test_mask_builds_stay_within_nodes(monkeypatch):
@@ -301,20 +453,26 @@ def test_walk_memory_follows_the_masks_built(monkeypatch):
 
 
 def test_mask_bit_limit_refuses_the_walk(monkeypatch):
-    # exists (6,2)_4 builds 4 masks of 1786 bits; allow 3 of them
-    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 3 * 1786)
+    # exists (7,3)_4 builds 4 masks of 11992 bits; allow 3 of them
+    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 3 * 11992)
     with pytest.raises(SearchSpaceTooLarge,
-                       match="^masks x bits = 4 x 1786 exceeds the mask bit limit 5358$"):
-        exists_mds(6, 2, 4)
+                       match="^masks x bits = 4 x 11992 exceeds the mask bit limit 35976$"):
+        exists_mds(7, 3, 4)
 
 
 def test_mask_bit_limit_gives_a_skip_line(monkeypatch):
     monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 10)
-    lines = list(check_theorems(2, 4))
-    assert lines[0] == ("skip", "no (n, 2)_2 MDS code with n > 3: "
-                                "masks x bits = 2 x 6 exceeds the mask bit limit 10")
-    assert ("skip", "(n=4, k=4)_2: masks x bits = 1 x 16 exceeds the mask bit limit 10") \
+    lines = list(check_theorems(2, 5))
+    # the (4,2)_2 bound stops in the square walk, the (5,3)_2 bound in _walk
+    assert lines[:2] == [
+        ("skip", "no (n, 2)_2 MDS code with n > 3: "
+                 "masks x bits = 3 x 5 exceeds the mask bit limit 10"),
+        ("skip", "no (n, 3)_2 MDS code with n > 4: "
+                 "masks x bits = 1 x 17 exceeds the mask bit limit 10")]
+    assert ("skip", "(n=4, k=3)_2: masks x bits = 1 x 12 exceeds the mask bit limit 10") \
         in lines
+    # n = k shapes take no walk, so no mask bound stops them
+    assert ("pass", "spectrum (n=4, k=4)_2 codes=1") in lines
 
 
 @pytest.mark.parametrize("q,latin", [(2, 2), (3, 12), (4, 576), (5, 161280)])
@@ -418,8 +576,12 @@ def test_guards():
         enumerate_mds(SearchSpec(13, 2, 2))
     with pytest.raises(SearchSpaceTooLarge, match="universe limit"):
         enumerate_mds(SearchSpec(12, 2, 5))
-    with pytest.raises(SearchSpaceTooLarge, match="mask bit limit"):
-        enumerate_mds(SearchSpec(9, 9, 3))
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^masks x bits = 13654 x 19661 exceeds the mask bit limit "):
+        enumerate_mds(SearchSpec(9, 8, 3))
+    # an n = k shape has one code, every word, found without a walk
+    result = enumerate_mds(SearchSpec(9, 9, 3))
+    assert (result.count, result.complete, result.nodes, result.masks) == (1, True, 0, 0)
 
 
 def test_word_limit_refuses_no_settleable_shape():
@@ -430,12 +592,13 @@ def test_word_limit_refuses_no_settleable_shape():
         while q ** n <= _UNIVERSE_LIMIT:
             refused += [(n, k, q) for k in range(1, n + 1) if q ** k > MAX_WORDS]
             n += 1
+    # each is n = k, whose one code is all q^k > MAX_WORDS words, a Code
+    # no search or construction builds, or (18,17)_2, whose code a walk
+    # finds only after q^k - 1 masks of at least q^k bits
     assert refused
     for n, k, q in refused:
         assert n == k or (n, k, q) == (18, 17, 2)
-        # such a shape has a code, found only after q^k - 1 masks of
-        # at least q^k bits
-        assert (q ** k - 1) * q ** k > _MASK_BIT_LIMIT
+    assert (2 ** 17 - 1) * 2 ** 17 > _MASK_BIT_LIMIT
 
 
 def test_verify_bounds_binary_and_ternary():
