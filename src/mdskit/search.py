@@ -45,12 +45,16 @@ length-(n-1) normal form by q disjoint transversals is one extension in
 normal form: each transversal holds one word (0, y, y,..,y), and the
 normal form gives its words the new symbol y.  So every normal form of
 length n is reached exactly once, from the normal form its deletion
-leaves, by one cover.  Transversals are found by a walk over rows with
-one "differs everywhere" mask per word, and covers by a walk over y.
+leaves, by one cover.  Covers are found label by label, by the walk's
+own search (_dfs): candidate (y, i) gives word i the new symbol y, and
+slot (y, x), in order of y and then x, picks the word of row x labelled
+y.  Two candidates are compatible when they give different words
+different labels, or the same label to two words that differ in every
+position, and the word (0, y) may take only the label y.  So each full
+choice is one cover, found once.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from math import factorial
 
@@ -119,8 +123,11 @@ class SearchSpec:
 @dataclass
 class SearchResult:
     """What a walk found, whether it ran to completion, how many nodes
-    (words placed, and for k = 2 the steps of _walk_squares) it visited
-    and how many compatibility masks it built."""
+    it visited and how many compatibility masks it built.  A node is a
+    word placed; for k = 2 and n > 3 the nodes also count every label
+    given while growing the squares, row-0 words included, and masks
+    counts the square walk's masks only: exists (4,2)_6 visits 826151
+    nodes and builds 111 masks."""
     spec: SearchSpec
     count: int
     codes: tuple = ()
@@ -180,20 +187,11 @@ def _fields_hit(x, low, high):
     return ((x & low) + low | x) & high
 
 
-def _walk(q, n, k, cand, emit, max_nodes, shared=None):
+def _walk(q, n, k, cand, emit, max_nodes, spent=None):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
-    order.  Calls emit once per finished code with its word list and
-    stops early when emit returns True.  Returns (complete, nodes,
-    built): True when the walk ran to completion, the number of words it
-    placed, and the number of compatibility masks it built.  Raises
-    SearchSpaceTooLarge rather than build masks of more than
-    _MASK_BIT_LIMIT bits in all.
-
-    shared, a one-item list, lets emit spend nodes of the same budget:
-    the walk stores its node count there before each call to emit and
-    goes on from the count emit leaves there."""
-    m = len(cand)
+    order, by _dfs with the compatibility masks of _compatibility.
+    Returns (complete, nodes, built) as _dfs does."""
     slots = q ** k
     cand = sorted(cand)
 
@@ -210,34 +208,60 @@ def _walk(q, n, k, cand, emit, max_nodes, shared=None):
     # a slot with no candidate leaves no code to find
     if any(start[t] == start[t + 1] for t in range(slots)):
         return True, 0, 0
+    masks = symbol_masks(cand, n, q)
+    full = (1 << len(cand)) - 1
+    return _dfs(cand, start, lambda j: _compatibility(cand[j], full, masks, k),
+                emit, max_nodes, spent)
+
+
+def _dfs(cand, start, compat, emit, max_nodes, spent=None, avail=None):
+    """Depth-first search for one candidate per slot, slot t holding
+    candidates start[t]..start[t+1]-1 (at least one; start[0] = 0),
+    with every pair chosen compatible: compat(j) returns candidate j's
+    mask, bit i set when candidates i and j may both be chosen.  avail,
+    when given, holds the candidates allowed at all.  Calls emit once
+    per full choice with its candidates in slot order and stops early
+    when emit returns True.  Returns (complete, nodes, built): True when the
+    search ran to completion, the number of candidates it placed, and
+    the number of masks it built.  Raises SearchSpaceTooLarge rather
+    than build masks of more than _MASK_BIT_LIMIT bits in all.
+
+    spent, a one-item list, lets nested searches share the max_nodes
+    budget: the search counts its nodes on from spent[0], stores the
+    count there before each call to emit and at the end, and goes on
+    from the count emit leaves there; nodes is then that shared count."""
+    m = len(cand)
+    slots = len(start) - 1
     # need[t] holds the top bit of each slot after t, and every[t] the
     # candidates of slot t shifted down to bit 0
     low, high = _slot_fields(start)
     every = [(1 << (start[t + 1] - start[t])) - 1 for t in range(slots)]
 
-    # compat[j] is candidate j's mask, built when j is first chosen, and
-    # need[t] when depth t is first tested.  Depth t lies below t chosen
-    # candidates, each with a built mask, so the m-bit ints the walk
-    # holds (masks, need entries, frames) number at most about three per
-    # built mask, and the mask bound bounds the walk's memory too.
-    masks = symbol_masks(cand, n, q)
+    # masks[j] is candidate j's mask, built when j is first chosen below
+    # the last slot, and need[t] when depth t is first tested.  Depth t
+    # lies below t chosen candidates, each with a built mask, so the m-bit
+    # ints the search holds (masks, need entries, frames) number at most
+    # about three per built mask, and the mask bound bounds its memory too.
     full = (1 << m) - 1
-    compat = [None] * m
+    if avail is None:
+        avail = full
+    masks = [None] * m
     need = [None] * slots
     built = 0
 
+    if spent is None:
+        spent = [0]
     complete = True
-    nodes = 0
-    budget = max_nodes
+    nodes = spent[0]
     # frames are (available-candidates mask, untried candidates of the
     # slot as in every, candidate chosen); the frame at depth t fills slot t
-    stack = [(full, every[0], 0)]
+    stack = [(avail, avail & every[0], 0)]
     while stack:
         avail, rest, _ = stack[-1]
         if rest == 0:
             stack.pop()
             continue
-        if budget is not None and nodes >= budget:
+        if max_nodes is not None and nodes >= max_nodes:
             complete = False
             break
         nodes += 1
@@ -247,24 +271,22 @@ def _walk(q, n, k, cand, emit, max_nodes, shared=None):
         stack[-1] = (avail, rest ^ bit, j)
 
         if t + 1 == slots:
-            if shared is not None:
-                shared[0] = nodes
+            spent[0] = nodes
             stop = emit([cand[c] for _, _, c in stack])
-            if shared is not None:
-                nodes = shared[0]
+            nodes = spent[0]
             if stop:
                 complete = False
                 break
             continue
 
-        mask = compat[j]
+        mask = masks[j]
         if mask is None:
             built += 1
             if built * m > _MASK_BIT_LIMIT:
                 raise SearchSpaceTooLarge(
                     f"masks x bits = {built} x {m} exceeds the mask bit limit "
                     f"{_MASK_BIT_LIMIT}")
-            mask = compat[j] = _compatibility(cand[j], full, masks, k)
+            mask = masks[j] = compat(j)
         # prune unless every unfilled slot keeps a candidate
         child = avail & mask
         after = need[t]
@@ -273,6 +295,7 @@ def _walk(q, n, k, cand, emit, max_nodes, shared=None):
         if _fields_hit(child, low, after) == after:
             stack.append((child, (child >> start[t + 1]) & every[t + 1], 0))
 
+    spent[0] = nodes
     return complete, nodes, built
 
 
@@ -349,131 +372,53 @@ def _class_size(n, k, q, require_zero):
     return size if require_zero else size * q ** (n - k)
 
 
-@cache
-def _rows(q):
-    """The masks (low, below) that test the q rows of an (n, 2)_q code
-    as bit fields with _fields_hit, its word with information prefix
-    (x, y) at bit x*q + y: below[x] holds the top bit of each row after
-    x."""
-    low, high = _slot_fields(range(0, q * q + 1, q))
-    return low, [high & (-1 << (x + 1) * q) for x in range(q)]
-
-
-def _differ_masks(words, n, q):
-    """Bit j of entry i says words i and j differ in all n positions:
-    they agree in none, the count of agreement_counters at threshold 1."""
-    full = (1 << len(words)) - 1
-    masks = symbol_masks(words, n, q)
-    return [full & ~agreement_counters(w, full, masks, 1)[1] for w in words]
-
-
-def _transversals(differ, q, y, left):
-    """The transversals through the word with prefix (0, y) of an
-    (n, 2)_q code whose words are in prefix order, from its
-    _differ_masks: the sets of q words, one per row, that differ
-    pairwise in every position, as bitmasks.  Returns (found, steps),
-    steps the words placed; found is None when the next step would pass
-    left, the steps allowed (None for no bound)."""
-    if left is not None and left < 1:
-        return None, 0
-    low, below = _rows(q)
-    row = (1 << q) - 1
-    found = []
-    steps = 1
-    # frames are (words differing everywhere from those chosen, untried
-    # words of row x as in row, words chosen); frame x-1 fills row x
-    stack = [(differ[y], (differ[y] >> q) & row, 1 << y)]
-    while stack:
-        avail, rest, chosen = stack[-1]
-        if rest == 0:
-            stack.pop()
-            continue
-        if left is not None and steps >= left:
-            return None, steps
-        steps += 1
-        x = len(stack)
-        bit = rest & -rest
-        stack[-1] = (avail, rest ^ bit, chosen)
-        word = bit << x * q
-        if x + 1 == q:
-            found.append(chosen | word)
-            continue
-        # prune unless every later row keeps a word
-        child = avail & differ[x * q + bit.bit_length() - 1]
-        if _fields_hit(child, low, below[x]) == below[x]:
-            stack.append((child, (child >> (x + 1) * q) & row, chosen | word))
-    return found, steps
-
-
 def _walk_squares(q, n, emit, max_nodes):
     """Walk the normal forms of the (n, 2)_q MDS codes, n >= 3, calling
     emit as _walk does: the reduced Latin squares, found by _walk, each
     grown one coordinate at a time by every cover of its words by
-    transversals (see the module docstring).  Returns (complete, nodes,
-    built) as _walk does, where nodes counts the square walk's nodes,
-    the words placed in transversals and the transversals placed in
-    covers, all against max_nodes, and built the square walk's masks."""
+    transversals, found by _dfs (see the module docstring).  Returns
+    (complete, nodes, built) as _walk does, where nodes counts the nodes
+    of every search against max_nodes, and built the square walk's
+    masks."""
     cand = _canonical_candidates(q, 3, 2, list(product(range(q), repeat=3)))
     if n == 3:
         return _walk(q, 3, 2, cand, emit, max_nodes)
-    shared = [0]
-    nodes = 0
+    # candidate (y, i), at bit y*q^2 + i, gives word i the new symbol y;
+    # slot (y, x) picks the word of row x labelled y
+    side = q * q
+    labels = [(y, i) for y in range(q) for i in range(side)]
+    slots = list(range(0, q * side + 1, q))
+    full = (1 << q * side) - 1
+    block = (1 << side) - 1
+    # bit i of every label, and the row-0 words each label may not take:
+    # the normal form gives word (0, y) the label y
+    spread = full // block
+    pin = full ^ sum((((1 << q) - 1) ^ 1 << y) << y * side for y in range(q))
+    spent = [0]
 
-    def grow(words, length):
+    def grow(words):
         """Pass to emit every normal form of length n that deleting
         coordinates leaves as words; True when the walk must stop."""
-        nonlocal nodes
-        differ = _differ_masks(words, length, q)
-        found = []
-        for y in range(q):
-            through, steps = _transversals(
-                differ, q, y, None if max_nodes is None else max_nodes - nodes)
-            nodes += steps
-            if through is None:
-                return True
-            if not through:
-                return False        # no transversal covers word y
-            found.append(through)
-        chosen = []
+        length = len(words[0])
+        masks = symbol_masks(words, length, q)
 
-        def cover(y, used):
-            # the transversal through (0, y, y,..,y) gets label y
-            nonlocal nodes
-            for t in found[y]:
-                if t & used:
-                    continue
-                if max_nodes is not None and nodes >= max_nodes:
-                    return True
-                nodes += 1
-                chosen.append(t)
-                stop = cover(y + 1, used | t) if y + 1 < q else extend(words, length, chosen)
-                chosen.pop()
-                if stop:
-                    return True
-            return False
+        def compat(j):
+            # same label: the words differing everywhere from word i;
+            # other labels: every word but i
+            y, i = divmod(j, side)
+            differ = _compatibility(words[i], block, masks, 1)
+            return full & ~(spread << i | block << y * side) | differ << y * side
 
-        return cover(0, 0)
+        def extend(chosen):
+            label = [0] * side
+            for y, i in chosen:
+                label[i] = y
+            longer = [w + (s,) for w, s in zip(words, label)]
+            return emit(longer) if length + 1 == n else grow(longer)
 
-    def extend(words, length, chosen):
-        label = [0] * len(words)
-        for y, t in enumerate(chosen):
-            while t:
-                bit = t & -t
-                label[bit.bit_length() - 1] = y
-                t ^= bit
-        longer = [w + (s,) for w, s in zip(words, label)]
-        if length + 1 == n:
-            return emit(longer)
-        return grow(longer, length + 1)
+        return not _dfs(labels, slots, compat, extend, max_nodes, spent, pin)[0]
 
-    def square(words):
-        nonlocal nodes
-        nodes = shared[0]
-        stop = grow(words, 3)
-        shared[0] = nodes
-        return stop
-
-    return _walk(q, 3, 2, cand, square, max_nodes, shared)
+    return _walk(q, 3, 2, cand, grow, max_nodes, spent)
 
 
 def _walk_shape(spec, keep):

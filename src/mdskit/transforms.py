@@ -30,7 +30,7 @@ from .codes import Code, is_mds, require_mds
 from .errors import (
     BadMove,
     BadPositions,
-    NotMds,
+    InvalidParameters,
     TheoremViolation,
     TooManyPositions,
 )
@@ -148,9 +148,9 @@ def residual(code, spec):
     for p in spec.positions:
         if not 0 <= p < code.n:
             raise BadPositions(f"position {p} outside 0..{code.n - 1}")
-    for p, v in zip(spec.positions, spec.values):
+    for v in spec.values:
         if not 0 <= v < code.q:
-            raise BadPositions(f"value {v} at position {p} outside 0..{code.q - 1}")
+            raise BadPositions(f"values must lie in 0..{code.q - 1}, got {v}")
     fixed = dict(zip(spec.positions, spec.values))
     kept = []
     for w in code.words:
@@ -184,7 +184,7 @@ def classify_binary(code):
     """Decide which of the three binary MDS shapes this code is equivalent
     to, returning the class and the normalizing moves."""
     if code.q != 2:
-        raise NotMds(f"classification applies to q=2 only, got q={code.q}")
+        raise InvalidParameters(f"classification applies to q=2 only, got q={code.q}")
     require_mds(code)
     normalized, moves = normalize_to_zero(code)
     n, k = code.n, code.k

@@ -271,6 +271,15 @@ def test_residual_pipeline(tmp_path, capsys):
                 "--values", "0,0,0,0"]) == 2
 
 
+def test_residual_value_outside_the_alphabet_names_no_position(tmp_path, capsys):
+    path = tmp_path / "ext.txt"
+    write_code(extended_rs_code(Field(4), 3), path)
+    assert run(["residual", str(path), "--positions", "1", "--values", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: values must lie in 0..3, got 9\n"
+
+
 def test_residual_to_one_word_code(tmp_path, capsys):
     src = tmp_path / "ext.txt"
     write_code(extended_rs_code(Field(4), 3), src)
@@ -302,9 +311,11 @@ def test_classify_binary_golden(tmp_path, capsys):
 
 
 def test_classify_binary_rejects_nonbinary(tmp_path, capsys):
+    # an MDS code over q != 2 is a usage error, not a failed MDS check
     path = tmp_path / "c.txt"
     write_code(extended_rs_code(Field(3), 2), path)
-    assert run(["classify-binary", str(path)]) == 1
+    assert run(["classify-binary", str(path)]) == 2
+    assert capsys.readouterr().err == "error: classification applies to q=2 only, got q=3\n"
 
 
 def test_search_count_golden(capsys):

@@ -28,6 +28,7 @@ from mdskit import (
     hamming_distance,
     is_mds,
     length_bound,
+    require_mds,
     sum_zero_code,
     verify_bounds,
     verify_distribution,
@@ -43,10 +44,8 @@ from mdskit.search import (
     _canonical_candidates,
     _class_size,
     _compatibility,
-    _differ_masks,
     _fields_hit,
     _slot_fields,
-    _transversals,
     _walk,
     _walk_shape,
     _zero_candidates,
@@ -278,15 +277,14 @@ def test_walk_builds_masks_lazily(n, k, q, mode, nodes, masks, candidates):
 
 @pytest.mark.parametrize("n,q,mode,nodes,masks", [
     (3, 5, "count", 904, 57),       # the square walk itself
-    (4, 4, "count", 98, 25),
-    (6, 4, "exists", 140, 25),
-    (5, 5, "exists", 672, 55),
-    (7, 5, "exists", 4564, 57),     # past the length bound of (n, 2)_5
+    (4, 4, "count", 95, 25),
+    (6, 4, "exists", 129, 25),
+    (5, 5, "exists", 564, 55),
+    (7, 5, "exists", 4078, 57),     # past the length bound of (n, 2)_5
 ])
 def test_square_route_node_counts(n, q, mode, nodes, masks):
-    # nodes counts the square walk's nodes, the words placed in
-    # transversals and the transversals placed in covers; masks counts
-    # the square walk's masks only
+    # nodes counts the square walk's nodes and the words labelled in each
+    # grow, row-0 words included; masks counts the square walk's masks only
     result = enumerate_mds(SearchSpec(n, 2, q, require_zero=True, mode=mode))
     assert (result.nodes, result.masks) == (nodes, masks)
 
@@ -364,17 +362,23 @@ def test_mols_normal_form_counts(n, q, forms):
     assert len(found) == forms
 
 
-def transversals_by_permutation(words, q, y):
-    """Oracle for _transversals: the bitmasks of the words (x, s(x), ..)
-    over the permutations s with s(0) = y whose words differ pairwise in
-    every position past the first two."""
-    found = []
+def transversals_by_permutation(words, q):
+    """Oracle for the transversals: the word sets (x, s(x), ..) over the
+    permutations s whose words differ pairwise in every position past
+    the first two."""
+    found = set()
     for s in permutations(range(q)):
-        if s[0] != y:
-            continue
-        chosen = [x * q + s[x] for x in range(q)]
-        if all(len({words[i][p] for i in chosen}) == q for p in range(2, len(words[0]))):
-            found.append(sum(1 << i for i in chosen))
+        chosen = [words[x * q + s[x]] for x in range(q)]
+        if all(len({w[p] for w in chosen}) == q for p in range(2, len(words[0]))):
+            found.add(frozenset(chosen))
+    return found
+
+
+def transversals(words, n, q):
+    """The transversals of an (n, 2)_q code as the (n, 1)_q codes within
+    its words: q words, one per first symbol, at distance n pairwise."""
+    found = []
+    assert _walk(q, n, 1, words, lambda chosen: found.append(frozenset(chosen)), None)[0]
     return found
 
 
@@ -385,10 +389,9 @@ def test_transversals_match_the_permutation_scan(n, q):
     _walk_shape(SearchSpec(n, 2, q, require_zero=True), forms.append)
     assert forms or n > q + 1
     for words in forms:
-        differ = _differ_masks(words, n, q)
-        for y in range(q):
-            found, _ = _transversals(differ, q, y, None)
-            assert sorted(found) == sorted(transversals_by_permutation(words, q, y))
+        found = transversals(words, n, q)
+        assert len(found) == len(set(found))
+        assert set(found) == transversals_by_permutation(words, q)
 
 
 def test_transversal_tallies_of_order_six():
@@ -397,11 +400,22 @@ def test_transversal_tallies_of_order_six():
     _walk_shape(SearchSpec(3, 2, 6, require_zero=True), squares.append)
     tally = {}
     for words in squares:
-        differ = _differ_masks(words, 3, 6)
-        count = sum(len(_transversals(differ, 6, y, None)[0]) for y in range(6))
+        count = len(transversals(words, 3, 6))
         tally[count] = tally.get(count, 0) + 1
     assert tally == {0: 2100, 8: 7020, 24: 108, 32: 180}
     assert sum(count * squares for count, squares in tally.items()) == 64512
+
+
+@pytest.mark.parametrize("n,q", [(4, 7), (4, 8), (6, 8)])
+def test_square_route_finds_codes_past_five_symbols(n, q):
+    # the route is checked against _walk only up to q = 5; here its first
+    # code must still be an MDS code in normal form
+    found = []
+    result = _walk_shape(SearchSpec(n, 2, q, require_zero=True, mode="exists"), found.append)
+    assert result.count == 1 and len(found) == 1
+    words = found[0]
+    require_mds(Code(q, words))
+    assert _canonical_candidates(q, n, 2, words) == words
 
 
 @pytest.mark.parametrize("n,q", [(1, 5), (3, 3), (6, 5)])
@@ -428,7 +442,8 @@ def test_mask_builds_stay_within_nodes(monkeypatch):
         return build(w, full, masks, k)
 
     monkeypatch.setattr(mdskit.search, "_compatibility", counted)
-    result = enumerate_mds(SearchSpec(6, 2, 4, require_zero=True, mode="exists"))
+    # k = 3, so every mask built is _walk's own
+    result = enumerate_mds(SearchSpec(7, 3, 4, require_zero=True, mode="exists"))
     assert result.count == 0 and result.complete
     assert len(built) == len(set(built)) == result.masks
     assert 0 < len(built) <= result.nodes

@@ -12,6 +12,7 @@ from mdskit import (
     BinaryKind,
     Code,
     Field,
+    InvalidParameters,
     NotMds,
     PP,
     ResidualSpec,
@@ -314,8 +315,8 @@ def test_classify_binary_shifted_code():
 
 
 def test_classify_binary_rejects():
-    with pytest.raises(NotMds):
-        classify_binary(extended_rs_code(Field(3), 2))  # q != 2
+    with pytest.raises(InvalidParameters):
+        classify_binary(extended_rs_code(Field(3), 2))  # MDS, but q != 2
     not_mds = Code(2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
     with pytest.raises(NotMds):
         classify_binary(not_mds)
