@@ -275,18 +275,26 @@ def test_walk_builds_masks_lazily(n, k, q, mode, nodes, masks, candidates):
     assert (walked, built) == (nodes, masks)
 
 
-@pytest.mark.parametrize("n,q,mode,nodes,masks", [
+# nodes of the square route, which labels one word per node while it grows
+# each normal form; the route it replaced spent more, one node per word put
+# in a transversal and one per transversal put in a cover
+SQUARE_ROUTE_NODES = {(3, 5, "count"): 904, (4, 4, "count"): 95, (6, 4, "exists"): 129,
+                      (5, 5, "exists"): 564, (7, 5, "exists"): 4078}
+
+
+@pytest.mark.parametrize("n,q,mode,transversal_nodes,masks", [
     (3, 5, "count", 904, 57),       # the square walk itself
-    (4, 4, "count", 95, 25),
-    (6, 4, "exists", 129, 25),
-    (5, 5, "exists", 564, 55),
-    (7, 5, "exists", 4078, 57),     # past the length bound of (n, 2)_5
+    (4, 4, "count", 98, 25),
+    (6, 4, "exists", 140, 25),
+    (5, 5, "exists", 672, 55),
+    (7, 5, "exists", 4564, 57),     # past the length bound of (n, 2)_5
 ])
-def test_square_route_node_counts(n, q, mode, nodes, masks):
+def test_square_route_node_counts(n, q, mode, transversal_nodes, masks):
     # nodes counts the square walk's nodes and the words labelled in each
     # grow, row-0 words included; masks counts the square walk's masks only
     result = enumerate_mds(SearchSpec(n, 2, q, require_zero=True, mode=mode))
-    assert (result.nodes, result.masks) == (nodes, masks)
+    assert (result.nodes, result.masks) == (SQUARE_ROUTE_NODES[n, q, mode], masks)
+    assert result.nodes <= transversal_nodes
 
 
 # every admissible (n, 2)_q with q <= 5, up to one past the length bound
