@@ -11,6 +11,7 @@ input errors.
 import argparse
 import os
 import sys
+import warnings
 
 from .codes import format_code, information_set_check, is_mds, read_code, require_mds, write_code
 from .constructions import (
@@ -29,6 +30,7 @@ from .errors import (
     CodeFileError,
     MdskitError,
     NotMds,
+    OutOfStatedRegime,
     TheoremViolation,
     ZeroWordAbsent,
 )
@@ -36,6 +38,7 @@ from .galois import Field
 from .search import (
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
+    _MODES,
     SearchSpec,
     check_theorems,
     check_word_limit,
@@ -43,12 +46,11 @@ from .search import (
 )
 from .spectra import (
     PartitionSpec,
-    closed_form_distribution,
     distance_distribution_from,
     partition_weight_enumerator_bruteforce,
     partition_weight_enumerator_formula,
     weight_distribution_bruteforce,
-    weight_spectrum,
+    weight_distribution_formula,
 )
 from .transforms import ResidualSpec, classify_binary, format_move, normalize_to_zero, residual
 
@@ -111,50 +113,36 @@ def _emit_code(code, out):
 
 # ---------------------------------------------------------------- commands
 
+def _q_k(args):
+    return args.q, args.k
+
+
+# construct's families: the flags each needs, its word count (q, e) for
+# q^e words, refused before anything is built when over the word limit
+# (dx-rs has none), and its builder; rs evaluates at every field element
+# 0..q-1 unless given --points.  The lambdas look builders up as module
+# globals at call time.
+_FAMILIES = {
+    "repetition": (("n", "q"), lambda a: (a.q, 1), lambda a: repetition_code(a.n, a.q)),
+    "universe": (("k", "q"), _q_k, lambda a: universe_code(a.k, a.q)),
+    "sum-zero": (("k", "q"), _q_k, lambda a: sum_zero_code(a.k, Field(a.q))),
+    "rs": (("k", "q"), _q_k, lambda a: rs_code(
+        Field(a.q), a.k, range(a.q) if a.points is None else a.points)),
+    "ext-rs": (("k", "q"), _q_k, lambda a: extended_rs_code(Field(a.q), a.k)),
+    "dx-rs": (("q",), None, lambda a: doubly_extended_rs(Field(a.q))),
+    "mols": (("p",), lambda a: (a.p, 2), lambda a: mols_to_code(cyclic_mols(a.p))),
+}
+
+
 def _cmd_construct(args):
-    fam = args.family
-    if fam == "repetition":
-        _need(args, "n", "q")
-        check_word_limit(args.q, 1)
-        code = repetition_code(args.n, args.q)
-    elif fam == "universe":
-        _need_words(args)
-        code = universe_code(args.k, args.q)
-    elif fam == "sum-zero":
-        _need_words(args)
-        code = sum_zero_code(args.k, Field(args.q))
-    elif fam == "rs":
-        _need_words(args)
-        fieldobj = Field(args.q)
-        points = args.points if args.points is not None else list(fieldobj.elements)
-        code = rs_code(fieldobj, args.k, points)
-    elif fam == "ext-rs":
-        _need_words(args)
-        code = extended_rs_code(Field(args.q), args.k)
-    elif fam == "dx-rs":
-        _need(args, "q")
-        code = doubly_extended_rs(Field(args.q))
-    elif fam == "mols":
-        _need(args, "p")
-        check_word_limit(args.p, 2)
-        code = mols_to_code(cyclic_mols(args.p))
-    else:
-        raise MdskitError(f"unknown family {fam!r}")
-    _emit_code(code, args.out)
-    return 0
-
-
-def _need(args, *names):
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    flags, words, build = _FAMILIES[args.family]
+    missing = [f"--{name}" for name in flags if getattr(args, name) is None]
     if missing:
         raise MdskitError(f"family {args.family!r} needs {' '.join(missing)}")
-
-
-def _need_words(args):
-    """--k and --q of a family of q^k words, refused before anything is
-    built when q^k exceeds the word limit MAX_WORDS."""
-    _need(args, "k", "q")
-    check_word_limit(args.q, args.k)
+    if words is not None:
+        check_word_limit(*words(args))
+    _emit_code(build(args), args.out)
+    return 0
 
 
 def _cmd_verify(args):
@@ -186,11 +174,11 @@ def _cmd_spectrum(args):
     code = _load(args.file)
     report = _require_mds_with_zero(code)
     brute = weight_distribution_bruteforce(code)
-    closed = closed_form_distribution(code.n, code.k, code.q)
+    closed = weight_distribution_formula(code.n, code.k, code.q)
     _print_shape(code)
     print(f"d = {report.d}")
     print(f"total = {brute.total()}")
-    print(f"W = {_format_set(weight_spectrum(code))}")
+    print(f"W = {_format_set(brute.spectrum())}")
     for w in sorted(brute.spectrum()):
         print(f"E({w}) = {brute[w]}")
     print(f"regime = {'stated' if code.q >= code.k else 'empirical'}")
@@ -227,7 +215,7 @@ def _cmd_distances(args):
     report = require_mds(code)
     center = tuple(args.center) if args.center else min(code.words)
     dist = distance_distribution_from(code, center)
-    closed = closed_form_distribution(code.n, code.k, code.q)
+    closed = weight_distribution_formula(code.n, code.k, code.q)
     _print_shape(code)
     print(f"d = {report.d}")
     print(f"center = {' '.join(str(s) for s in center)}")
@@ -273,11 +261,15 @@ def _cmd_classify(args):
 
 
 def _cmd_search(args):
+    if args.emit_codes and args.mode != "collect":
+        raise MdskitError("--emit-codes needs --mode collect")
     spec = SearchSpec(args.n, args.k, args.q,
                       require_zero=args.require_zero,
                       mode=args.mode,
                       limit=args.limit,
                       max_nodes=args.max_nodes)
+    if args.emit_codes:
+        os.makedirs(args.emit_codes, exist_ok=True)
     result = enumerate_mds(spec)
     _print_shape(args)
     print(f"d = {args.n - args.k + 1}")
@@ -288,8 +280,7 @@ def _cmd_search(args):
     else:
         print(f"count = {result.count}")
     print(f"complete = {_bool(result.complete)}")
-    if args.mode == "collect" and args.emit_codes:
-        os.makedirs(args.emit_codes, exist_ok=True)
+    if args.emit_codes:
         for idx, code in enumerate(result.codes, start=1):
             path = os.path.join(args.emit_codes, f"code-{idx:04d}.txt")
             write_code(code, path)
@@ -329,8 +320,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a code from a named family")
-    p.add_argument("family", choices=["repetition", "universe", "sum-zero",
-                                      "rs", "ext-rs", "dx-rs", "mols"])
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--q", type=int)
@@ -386,7 +376,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--require-zero", action="store_true")
-    p.add_argument("--mode", choices=["count", "exists", "collect"], default="count")
+    p.add_argument("--mode", choices=_MODES, default="count")
     p.add_argument("--limit", type=int)
     p.add_argument("--emit-codes", metavar="DIR",
                    help="in collect mode, write one file per code here")
@@ -413,8 +403,12 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the closed forms warn OutOfStatedRegime when q < k; a report is
+    # its stdout alone, so no command passes that warning on to stderr
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfStatedRegime)
+            return args.func(args)
     except (NotMds, TheoremViolation, ZeroWordAbsent) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,8 +27,6 @@ from .errors import (
     TooFewWords,
 )
 
-Word = tuple
-
 
 def hamming_distance(a, b):
     """Number of coordinates in which a and b differ."""

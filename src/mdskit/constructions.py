@@ -78,14 +78,12 @@ def extended_rs_code(field, k):
     return Code(field.q, words)
 
 
-def doubly_extended_rs(field, k=3):
+def doubly_extended_rs(field):
     """(q+2, 3)_q code over even-order fields: f = c + b*x + e*x^2 evaluated
     at every field element, then b, then e, over all (c, b, e).
 
     Only exists for characteristic 2; distance q.
     """
-    if k != 3:
-        raise DimensionTooLarge("doubly-extended construction is exposed for k=3 only")
     if field.p != 2 or field.q < 4:
         raise OddCharacteristic(f"requires characteristic 2 and q >= 4, got q={field.q}")
     words = []

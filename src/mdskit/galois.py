@@ -12,33 +12,19 @@ import itertools
 
 from .errors import UnsupportedOrder
 
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
-
-# Monic irreducible modulus per non-prime order, low-degree coefficients
-# first; the leading coefficient x^m is implicit.  A prime order uses x,
-# i.e. (0,), which leaves the degree-0 products as they are, mod p.
+# Characteristic p and monic irreducible modulus per supported order
+# q = p^m, low-degree coefficients first; the leading coefficient x^m is
+# implicit, so m is the modulus length.  A prime order uses x, i.e. (0,),
+# which leaves the degree-0 products as they are, mod p.
 #   4: x^2+x+1   8: x^3+x+1     9: x^2+1
 #  16: x^4+x+1  25: x^2+2      27: x^3+2x+1
-_MODULUS = {
-    4: (1, 1),
-    8: (1, 1, 0),
-    9: (1, 0),
-    16: (1, 1, 0, 0),
-    25: (2, 0),
-    27: (1, 2, 0),
+_FIELDS = {
+    2: (2, (0,)), 3: (3, (0,)), 4: (2, (1, 1)), 5: (5, (0,)), 7: (7, (0,)),
+    8: (2, (1, 1, 0)), 9: (3, (1, 0)), 11: (11, (0,)), 13: (13, (0,)),
+    16: (2, (1, 1, 0, 0)), 25: (5, (2, 0)), 27: (3, (1, 2, 0)),
 }
 
-
-def _factor_prime_power(q):
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        if q % p == 0:
-            m = 0
-            x = q
-            while x % p == 0:
-                x //= p
-                m += 1
-            return (p, m) if x == 1 else None
-    return None
+SUPPORTED_ORDERS = tuple(_FIELDS)
 
 
 def _digits(value, p, m):
@@ -73,10 +59,9 @@ class Field:
         if q not in SUPPORTED_ORDERS:
             raise UnsupportedOrder(f"q={q} is not a supported prime power")
         self.q = q
-        self.p, self.m = _factor_prime_power(q)
-
-        p, m = self.p, self.m
-        modulus = _MODULUS.get(q, (0,))
+        p, modulus = _FIELDS[q]
+        m = len(modulus)
+        self.p, self.m = p, m
         polys = [_digits(v, p, m) for v in range(q)]
         self._add = [
             [sum(((ai + bi) % p) * p**i for i, (ai, bi) in enumerate(zip(a, b)))

@@ -74,11 +74,12 @@ from .spectra import (
 from .transforms import classify_binary
 
 # search guards on words per code and on code length, and the sweep's
-# default caps on codes checked and walk nodes per shape.  No search or
-# construction builds a Code of more than MAX_WORDS words.  Every shape
-# with q^k > MAX_WORDS and q^n <= _UNIVERSE_LIMIT is n = k, whose one
-# code would be such a Code, or (18,17)_2, whose code a walk finds only
-# by building q^k - 1 masks of at least q^k bits, past _MASK_BIT_LIMIT.
+# default caps on codes checked and walk nodes per shape.  No search, and
+# no construct command, builds a Code of more than MAX_WORDS words; the
+# builders in constructions do not check it.  Every shape with
+# q^k > MAX_WORDS and q^n <= _UNIVERSE_LIMIT is n = k, whose one code
+# would be such a Code, or (18,17)_2, whose code a walk finds only by
+# building q^k - 1 masks of at least q^k bits, past _MASK_BIT_LIMIT.
 MAX_WORDS = 2 ** 16
 MAX_LENGTH = 12
 SWEEP_LIMIT_PER_SHAPE = 512
@@ -380,9 +381,6 @@ def _walk_squares(q, n, emit, max_nodes):
     (complete, nodes, built) as _walk does, where nodes counts the nodes
     of every search against max_nodes, and built the square walk's
     masks."""
-    cand = _canonical_candidates(q, 3, 2, list(product(range(q), repeat=3)))
-    if n == 3:
-        return _walk(q, 3, 2, cand, emit, max_nodes)
     # candidate (y, i), at bit y*q^2 + i, gives word i the new symbol y;
     # slot (y, x) picks the word of row x labelled y
     side = q * q
@@ -400,6 +398,8 @@ def _walk_squares(q, n, emit, max_nodes):
         """Pass to emit every normal form of length n that deleting
         coordinates leaves as words; True when the walk must stop."""
         length = len(words[0])
+        if length == n:
+            return emit(words)
         masks = symbol_masks(words, length, q)
 
         def compat(j):
@@ -413,11 +413,11 @@ def _walk_squares(q, n, emit, max_nodes):
             label = [0] * side
             for y, i in chosen:
                 label[i] = y
-            longer = [w + (s,) for w, s in zip(words, label)]
-            return emit(longer) if length + 1 == n else grow(longer)
+            return grow([w + (s,) for w, s in zip(words, label)])
 
         return not _dfs(labels, slots, compat, extend, max_nodes, spent, pin)[0]
 
+    cand = _canonical_candidates(q, 3, 2, list(product(range(q), repeat=3)))
     return _walk(q, 3, 2, cand, grow, max_nodes, spent)
 
 

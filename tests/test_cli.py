@@ -12,7 +12,10 @@ from mdskit import (
     Code,
     Field,
     SP,
+    TheoremViolation,
+    WeightDistribution,
     apply_moves,
+    check_theorems,
     doubly_extended_rs,
     extended_rs_code,
     parse_code,
@@ -210,6 +213,17 @@ def test_pwe_golden(tmp_path, capsys):
     assert "partition = 1,2/3,4\n" in out
 
 
+def test_pwe_out_of_regime_writes_nothing_to_stderr(tmp_path):
+    # the closed form warns for q < k; the command's report is stdout alone
+    path = tmp_path / "even.txt"
+    write_code(sum_zero_code(4, Field(2)), path)
+    proc = _run_module("mdskit", "pwe", str(path), "--partition", "1,2/3,4,5",
+                       "--profile", "1,1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("bruteforce = 6\nformula = 6\nmatch = true\n")
+
+
 def test_pwe_bad_partition(tmp_path, capsys):
     path = tmp_path / "c.txt"
     write_code(extended_rs_code(Field(3), 2), path)
@@ -367,6 +381,28 @@ def test_search_collect_emits_files(tmp_path, capsys):
         assert (code.n, code.k, code.q) == (3, 2, 3)
 
 
+def test_search_emit_codes_onto_a_file_prints_no_report(tmp_path, capsys):
+    path = tmp_path / "afile"
+    path.write_text("")
+    assert run(["search", "--n", "3", "--k", "2", "--q", "3", "--require-zero",
+                "--mode", "collect", "--emit-codes", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "count"], ["--mode", "exists"]],
+                         ids=["default", "count", "exists"])
+def test_search_emit_codes_needs_collect_mode(mode, tmp_path, capsys):
+    out_dir = tmp_path / "codes"
+    assert run(["search", "--n", "3", "--k", "2", "--q", "3", *mode,
+                "--emit-codes", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --emit-codes needs --mode collect\n"
+    assert not out_dir.exists()
+
+
 def test_search_guard(capsys, monkeypatch):
     monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
     assert run(["search", "--n", "4", "--k", "2", "--q", "3", "--require-zero"]) == 2
@@ -396,6 +432,36 @@ def test_check_theorems_passes(capsys):
     out = capsys.readouterr().out
     assert "result = pass" in out
     assert "failures = 0" in out
+
+
+def test_check_theorems_reports_each_disagreement(capsys, monkeypatch):
+    agreed = list(check_theorems(2, 4))
+
+    def contradicted(code):
+        raise TheoremViolation("contradicted")
+
+    monkeypatch.setattr(mdskit.search, "predicted_spectrum", lambda n, k, q: set())
+    monkeypatch.setattr(mdskit.search, "closed_form_distribution",
+                        lambda n, k, q: WeightDistribution(n, {}))
+    monkeypatch.setattr(mdskit.search, "classify_binary", contradicted)
+    lines = list(check_theorems(2, 4))
+    # the length bound takes no closed form; every other line disagrees,
+    # and a q < k distribution does so empirically, not as a failure
+    assert lines == [(status if claim.startswith("no ") else
+                      "empirical-disagree" if status == "empirical" else "fail", claim)
+                     for status, claim in agreed]
+    statuses = [status for status, _ in lines]
+    assert statuses.count("fail") == 24
+    assert statuses.count("empirical-disagree") == 3
+    assert [claim.split()[0] for status, claim in lines if status == "fail"] == (
+        ["spectrum", "distribution", "binary-classification"] * 6
+        + ["spectrum", "binary-classification"] * 3)
+
+    assert run(["check-theorems", "--q", "2", "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "q = 2", "max_n = 4",
+        *(f"check[{i}] = {status} {claim}" for i, (status, claim) in enumerate(lines, 1)),
+        "checks = 28", "failures = 24", "result = fail"]
 
 
 def test_check_theorems_that_checks_nothing_passes_nothing(capsys, monkeypatch):

@@ -81,8 +81,6 @@ def test_doubly_extended_rs():
         doubly_extended_rs(Field(5))
     with pytest.raises(OddCharacteristic):
         doubly_extended_rs(Field(2))  # needs q >= 4
-    with pytest.raises(DimensionTooLarge):
-        doubly_extended_rs(Field(4), 4)
 
 
 def test_latin_square_validation():

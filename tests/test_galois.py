@@ -3,6 +3,7 @@
 import pytest
 
 from mdskit import Field, SUPPORTED_ORDERS, UnsupportedOrder
+from mdskit.galois import _FIELDS
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -30,6 +31,16 @@ def test_field_axioms(q):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_field_table_entry(q):
+    # q = p^m for a prime p, with one modulus coefficient per degree below m
+    p, modulus = _FIELDS[q]
+    f = Field(q)
+    assert p >= 2 and all(p % d for d in range(2, p))
+    assert (f.p, f.m) == (p, len(modulus))
+    assert p ** f.m == q
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
