@@ -40,6 +40,7 @@ from .search import (
     SWEEP_MAX_NODES,
     _MODES,
     SearchSpec,
+    _guard,
     check_theorems,
     check_word_limit,
     enumerate_mds,
@@ -120,7 +121,8 @@ def _q_k(args):
 # construct's families: the flags each needs, its word count (q, e) for
 # q^e words, refused before anything is built when over the word limit
 # (dx-rs has none), and its builder; rs evaluates at every field element
-# 0..q-1 unless given --points.  The lambdas look builders up as module
+# 0..q-1 unless given --points.  A family takes no other flag but --out,
+# and --points only for rs.  The lambdas look builders up as module
 # globals at call time.
 _FAMILIES = {
     "repetition": (("n", "q"), lambda a: (a.q, 1), lambda a: repetition_code(a.n, a.q)),
@@ -139,6 +141,11 @@ def _cmd_construct(args):
     missing = [f"--{name}" for name in flags if getattr(args, name) is None]
     if missing:
         raise MdskitError(f"family {args.family!r} needs {' '.join(missing)}")
+    taken = flags + ("points",) if args.family == "rs" else flags
+    extra = [f"--{name}" for name in ("n", "k", "q", "p", "points")
+             if name not in taken and getattr(args, name) is not None]
+    if extra:
+        raise MdskitError(f"family {args.family!r} takes no {' '.join(extra)}")
     if words is not None:
         check_word_limit(*words(args))
     _emit_code(build(args), args.out)
@@ -269,6 +276,8 @@ def _cmd_search(args):
                       limit=args.limit,
                       max_nodes=args.max_nodes)
     if args.emit_codes:
+        # a shape the guards refuse leaves no directory behind
+        _guard(spec)
         os.makedirs(args.emit_codes, exist_ok=True)
     result = enumerate_mds(spec)
     _print_shape(args)

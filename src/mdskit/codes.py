@@ -173,16 +173,20 @@ def min_distance(code):
 
 def length_bound(k, q):
     """An upper bound on the length n of any (n, k)_q MDS code with
-    k >= 2: k+1 when q <= k, else q+k-1.  Codes with k <= 1 exist at
-    every length, so their bound is infinite.  It is known to be tight
-    when q <= k (a parity-check code, e.g. sum_zero_code), for k = 2
-    when q is a prime power (extended_rs_code) and for k = 3 when q is a
-    power of 2 (doubly_extended_rs, e.g. (6, 3)_4).  It is not tight in
-    general: no (4, 2)_6 code exists (Euler's 36 officers), and for odd
-    q with 3 <= k < q no code is longer than q+k-2 (Bush, 1952)."""
+    k >= 2: k+1 when q <= k, q+k-2 for odd q with 3 <= k < q (Bush,
+    "Orthogonal arrays of index unity", 1952, nonlinear codes included),
+    else q+k-1.  Codes with k <= 1 exist at every length, so their bound
+    is infinite.  It is known to be tight when q <= k (a parity-check
+    code, e.g. sum_zero_code), for k = 2 when q is a prime power
+    (extended_rs_code), for k = 3 when q is a power of 2
+    (doubly_extended_rs, e.g. (6, 3)_4) and for k = 3 when q is an odd
+    prime power (extended_rs_code, e.g. (6, 3)_5).  It is not tight in
+    general: no (4, 2)_6 code exists (Euler's 36 officers)."""
     if k < 2:
         return math.inf
-    return k + 1 if q <= k else q + k - 1
+    if q <= k:
+        return k + 1
+    return q + k - 2 if q % 2 and k >= 3 else q + k - 1
 
 
 def is_mds(code):

@@ -56,7 +56,7 @@ choice is one cover, found once.
 
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
+from math import factorial, inf
 
 from .codes import Code, agreement_counters, length_bound, require_mds, symbol_masks
 from .errors import (
@@ -188,6 +188,18 @@ def _fields_hit(x, low, high):
     return ((x & low) + low | x) & high
 
 
+def _layout(start):
+    """The slot layout _dfs walks, (start, low, high, every, need), for
+    slot t holding candidates start[t]..start[t+1]-1 (at least one;
+    start[0] = 0): low and high as in _slot_fields, every[t] the
+    candidates of slot t shifted down to bit 0, and need[t] the top bit
+    of each slot after t, filled in by _dfs when depth t is first
+    tested.  Searches over the same slots may share one layout."""
+    low, high = _slot_fields(start)
+    every = [(1 << (end - begin)) - 1 for begin, end in zip(start, start[1:])]
+    return start, low, high, every, [None] * (len(start) - 1)
+
+
 def _walk(q, n, k, cand, emit, max_nodes, spent=None):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
@@ -211,69 +223,73 @@ def _walk(q, n, k, cand, emit, max_nodes, spent=None):
         return True, 0, 0
     masks = symbol_masks(cand, n, q)
     full = (1 << len(cand)) - 1
-    return _dfs(cand, start, lambda j: _compatibility(cand[j], full, masks, k),
+    return _dfs(cand, _layout(start), lambda j: _compatibility(cand[j], full, masks, k),
                 emit, max_nodes, spent)
 
 
-def _dfs(cand, start, compat, emit, max_nodes, spent=None, avail=None):
-    """Depth-first search for one candidate per slot, slot t holding
-    candidates start[t]..start[t+1]-1 (at least one; start[0] = 0),
-    with every pair chosen compatible: compat(j) returns candidate j's
-    mask, bit i set when candidates i and j may both be chosen.  avail,
-    when given, holds the candidates allowed at all.  Calls emit once
-    per full choice with its candidates in slot order and stops early
-    when emit returns True.  Returns (complete, nodes, built): True when the
-    search ran to completion, the number of candidates it placed, and
-    the number of masks it built.  Raises SearchSpaceTooLarge rather
-    than build masks of more than _MASK_BIT_LIMIT bits in all.
+def _dfs(cand, layout, compat, emit, max_nodes, spent=None, avail=None):
+    """Depth-first search for one candidate per slot of layout (see
+    _layout), with every pair chosen compatible: compat(j) returns
+    candidate j's mask, bit i set when candidates i and j may both be
+    chosen.  avail, when given, holds the candidates allowed at all.
+    Calls emit once per full choice with its candidates in slot order
+    and stops early when emit returns True.  Returns (complete, nodes,
+    built): True when the search ran to completion, the number of
+    candidates it placed, and the number of masks it built.  Raises
+    SearchSpaceTooLarge rather than build masks of more than
+    _MASK_BIT_LIMIT bits in all.
 
     spent, a one-item list, lets nested searches share the max_nodes
     budget: the search counts its nodes on from spent[0], stores the
     count there before each call to emit and at the end, and goes on
-    from the count emit leaves there; nodes is then that shared count."""
-    m = len(cand)
-    slots = len(start) - 1
-    # need[t] holds the top bit of each slot after t, and every[t] the
-    # candidates of slot t shifted down to bit 0
-    low, high = _slot_fields(start)
-    every = [(1 << (start[t + 1] - start[t])) - 1 for t in range(slots)]
+    from the count emit leaves there; nodes is then that shared count.
 
-    # masks[j] is candidate j's mask, built when j is first chosen below
-    # the last slot, and need[t] when depth t is first tested.  Depth t
-    # lies below t chosen candidates, each with a built mask, so the m-bit
-    # ints the search holds (masks, need entries, frames) number at most
-    # about three per built mask, and the mask bound bounds its memory too.
+    Memory: masks[j], candidate j's mask, is built when j is first
+    chosen below the last slot, and the layout's need[t] when depth t is
+    first tested.  Depth t is reached only below t chosen candidates,
+    each with a built mask, and avails[t] is set only there.  So the
+    m-bit ints the search holds (masks, need and avails entries) number
+    at most about three per built mask, and the mask bound bounds its
+    memory too.  A need filled in for every slot up front would hold one
+    m-bit int per slot, whatever the masks built."""
+    start, low, high, every, need = layout
+    m = len(cand)
+    last = len(start) - 2
     full = (1 << m) - 1
-    if avail is None:
-        avail = full
+    budget = inf if max_nodes is None else max_nodes
+
+    # depth t fills slot t: avails[t] holds the candidates still allowed
+    # there, rests[t] the untried ones of slot t as in every, and
+    # chosen[t] the one placed; entries past depth t are stale
     masks = [None] * m
-    need = [None] * slots
     built = 0
+    avails = [0] * (last + 1)
+    rests = [0] * (last + 1)
+    chosen = [0] * (last + 1)
+    avails[0] = full if avail is None else avail
+    rests[0] = avails[0] & every[0]
 
     if spent is None:
         spent = [0]
     complete = True
     nodes = spent[0]
-    # frames are (available-candidates mask, untried candidates of the
-    # slot as in every, candidate chosen); the frame at depth t fills slot t
-    stack = [(avail, avail & every[0], 0)]
-    while stack:
-        avail, rest, _ = stack[-1]
-        if rest == 0:
-            stack.pop()
+    t = 0
+    while t >= 0:
+        rest = rests[t]
+        if not rest:
+            t -= 1
             continue
-        if max_nodes is not None and nodes >= max_nodes:
+        if nodes >= budget:
             complete = False
             break
         nodes += 1
-        t = len(stack) - 1
         bit = rest & -rest
-        j = start[t] + bit.bit_length() - 1
-        stack[-1] = (avail, rest ^ bit, j)
+        rests[t] = rest ^ bit
+        j = chosen[t] = start[t] + bit.bit_length() - 1
 
-        if t + 1 == slots:
+        if t == last:
             spent[0] = nodes
-            stop = emit([cand[c] for _, _, c in stack])
+            stop = emit([cand[c] for c in chosen])
             nodes = spent[0]
             if stop:
                 complete = False
@@ -289,12 +305,14 @@ def _dfs(cand, start, compat, emit, max_nodes, spent=None, avail=None):
                     f"{_MASK_BIT_LIMIT}")
             mask = masks[j] = compat(j)
         # prune unless every unfilled slot keeps a candidate
-        child = avail & mask
+        child = avails[t] & mask
         after = need[t]
         if after is None:
             after = need[t] = high & (-1 << start[t + 1])
         if _fields_hit(child, low, after) == after:
-            stack.append((child, (child >> start[t + 1]) & every[t + 1], 0))
+            t += 1
+            avails[t] = child
+            rests[t] = (child >> start[t]) & every[t]
 
     spent[0] = nodes
     return complete, nodes, built
@@ -385,7 +403,7 @@ def _walk_squares(q, n, emit, max_nodes):
     # slot (y, x) picks the word of row x labelled y
     side = q * q
     labels = [(y, i) for y in range(q) for i in range(side)]
-    slots = list(range(0, q * side + 1, q))
+    layout = _layout(list(range(0, q * side + 1, q)))
     full = (1 << q * side) - 1
     block = (1 << side) - 1
     # bit i of every label, and the row-0 words each label may not take:
@@ -394,31 +412,47 @@ def _walk_squares(q, n, emit, max_nodes):
     pin = full ^ sum((((1 << q) - 1) ^ 1 << y) << y * side for y in range(q))
     spent = [0]
 
-    def grow(words):
+    def column(symbols):
+        """column[s] has bit i set when the i-th symbol is s."""
+        out = [0] * q
+        for i, s in enumerate(symbols):
+            out[s] |= 1 << i
+        return out
+
+    # word x*q + y of a reduced square is (x, y, L[x][y]), so the first two
+    # columns of the symbol masks are the same for every square
+    shared = [column(i // q for i in range(side)), column(i % q for i in range(side))]
+
+    def grow(words, masks):
         """Pass to emit every normal form of length n that deleting
-        coordinates leaves as words; True when the walk must stop."""
+        coordinates leaves as words; True when the walk must stop.
+        masks holds the symbol masks of words, bits as in
+        codes.symbol_masks, for every position but perhaps the last."""
         length = len(words[0])
         if length == n:
             return emit(words)
-        masks = symbol_masks(words, length, q)
+        if len(masks) < length:
+            masks = masks + [column(w[-1] for w in words)]
 
         def compat(j):
             # same label: the words differing everywhere from word i;
             # other labels: every word but i
             y, i = divmod(j, side)
-            differ = _compatibility(words[i], block, masks, 1)
-            return full & ~(spread << i | block << y * side) | differ << y * side
+            near = 0
+            for col, s in zip(masks, words[i]):
+                near |= col[s]
+            return full & ~(spread << i | block << y * side) | (block & ~near) << y * side
 
         def extend(chosen):
             label = [0] * side
             for y, i in chosen:
                 label[i] = y
-            return grow([w + (s,) for w, s in zip(words, label)])
+            return grow([w + (s,) for w, s in zip(words, label)], masks)
 
-        return not _dfs(labels, slots, compat, extend, max_nodes, spent, pin)[0]
+        return not _dfs(labels, layout, compat, extend, max_nodes, spent, pin)[0]
 
     cand = _canonical_candidates(q, 3, 2, list(product(range(q), repeat=3)))
-    return _walk(q, 3, 2, cand, grow, max_nodes, spent)
+    return _walk(q, 3, 2, cand, lambda words: grow(words, shared), max_nodes, spent)
 
 
 def _walk_shape(spec, keep):

@@ -67,6 +67,23 @@ def test_construct_missing_flags(capsys):
     assert "needs --k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,extra", [
+    (["ext-rs", "--q", "4", "--k", "2", "--points", "0,1", "--n", "9", "--p", "3"],
+     "--n --p --points"),
+    (["dx-rs", "--q", "4", "--k", "3"], "--k"),
+    (["mols", "--p", "5", "--q", "5"], "--q"),
+    (["repetition", "--n", "4", "--q", "3", "--k", "1"], "--k"),
+    (["universe", "--k", "2", "--q", "3", "--points", "0,1"], "--points"),
+], ids=["ext-rs", "dx-rs", "mols", "repetition", "universe"])
+def test_construct_refuses_flags_its_family_does_not_take(argv, extra, tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    assert run(["construct", *argv, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: family {argv[0]!r} takes no {extra}\n"
+    assert not path.exists()
+
+
 def test_construct_unsupported_order(capsys):
     assert run(["construct", "ext-rs", "--q", "6", "--k", "2"]) == 2
 
@@ -400,6 +417,16 @@ def test_search_emit_codes_needs_collect_mode(mode, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --emit-codes needs --mode collect\n"
+    assert not out_dir.exists()
+
+
+def test_search_emit_codes_refused_shape_makes_no_directory(tmp_path, capsys):
+    out_dir = tmp_path / "codes"
+    assert run(["search", "--n", "13", "--k", "2", "--q", "2", "--mode", "collect",
+                "--emit-codes", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n = 13 exceeds the length limit 12\n"
     assert not out_dir.exists()
 
 

@@ -175,7 +175,7 @@ def test_length_bound():
     assert length_bound(2, 2) == 3       # q <= k: k+1
     assert length_bound(3, 3) == 4
     assert length_bound(2, 3) == 4       # q > k: q+k-1
-    assert length_bound(3, 5) == 7
+    assert length_bound(3, 5) == 6       # odd q, 3 <= k < q: q+k-2 (Bush)
 
 
 def test_is_mds_raises_beyond_length_bound(monkeypatch):

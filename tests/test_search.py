@@ -2,7 +2,7 @@
 
 import re
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, inf
 
 import pytest
@@ -44,7 +44,9 @@ from mdskit.search import (
     _canonical_candidates,
     _class_size,
     _compatibility,
+    _dfs,
     _fields_hit,
+    _layout,
     _slot_fields,
     _walk,
     _walk_shape,
@@ -221,6 +223,47 @@ def test_fields_hit_matches_per_slot_loop(widths, data):
         if chosen[t] and x & field:
             expected |= top
     assert _fields_hit(x, low, subset) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=5), st.data())
+def test_dfs_matches_a_brute_force_filter(widths, data):
+    # a random slot layout, a random symmetric compatibility relation and
+    # at times a set of allowed candidates: _dfs emits exactly the choices
+    # of one allowed candidate per slot that are pairwise compatible, in
+    # lexicographic slot order, and a node budget stops it where it says
+    start = [0]
+    for width in widths:
+        start.append(start[-1] + width)
+    m = start[-1]
+    pairs = list(combinations(range(m), 2))
+    linked = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    masks = [0] * m
+    for (i, j), on in zip(pairs, linked):
+        if on:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    avail = data.draw(st.none() | st.integers(0, (1 << m) - 1))
+    allowed = (1 << m) - 1 if avail is None else avail
+    slots = [range(a, b) for a, b in zip(start, start[1:])]
+    expected = [list(c) for c in product(*slots)
+                if all(allowed >> j & 1 for j in c)
+                and all(masks[i] >> j & 1 for i, j in combinations(c, 2))]
+
+    def search(max_nodes):
+        emitted = []
+        result = _dfs(list(range(m)), _layout(start), masks.__getitem__, emitted.append,
+                      max_nodes, avail=avail)
+        return result, emitted
+
+    (complete, nodes, built), emitted = search(None)
+    assert complete
+    assert emitted == expected
+    assert built <= min(nodes, m)
+    budget = data.draw(st.integers(1, nodes + 1))
+    (complete, spent, _), emitted = search(budget)
+    assert (complete, spent) == (nodes <= budget, min(nodes, budget))
+    assert emitted == expected[:len(emitted)]
 
 
 def test_walk_with_an_empty_slot_finds_nothing():
@@ -457,6 +500,23 @@ def test_mask_builds_stay_within_nodes(monkeypatch):
     assert 0 < len(built) <= result.nodes
 
 
+def test_square_route_builds_one_bit_sliced_view(monkeypatch):
+    # the walk over the 89 length-3 candidates takes one view; the square
+    # route ORs mask columns it builds from each square's words itself.
+    # search imports symbol_masks by name, so the name is patched there
+    calls = []
+    build = mdskit.search.symbol_masks
+
+    def counted(words, n, q):
+        calls.append((len(words), n))
+        return build(words, n, q)
+
+    monkeypatch.setattr(mdskit.search, "symbol_masks", counted)
+    result = enumerate_mds(SearchSpec(4, 2, 5, require_zero=True))
+    assert result.count == 248832 and result.complete
+    assert calls == [(89, 3)]
+
+
 def test_walk_memory_follows_the_masks_built(monkeypatch):
     # (6,6)_4 has 4096 candidates, one per slot, all compatible; stopped
     # after 64 masks, the walk holds about three 4096-bit ints per mask,
@@ -634,9 +694,9 @@ def test_verify_bounds_binary_and_ternary():
 
 
 # at (k, q) = (3, 4) the search past the bound walks 11992 normal-form
-# candidates, which only a walk bounded by the masks it builds reaches
-@pytest.mark.parametrize("q", [2, 3, 4])
-@pytest.mark.parametrize("k", [2, 3])
+# candidates, which only a walk bounded by the masks it builds reaches;
+# at (3, 5) it settles Bush's bound q+k-2 for odd q
+@pytest.mark.parametrize("k,q", [(k, q) for k in (2, 3) for q in (2, 3, 4)] + [(3, 5)])
 def test_length_bound_is_tight(k, q):
     bound = length_bound(k, q)
     assert exists_mds(bound, k, q)

@@ -136,7 +136,8 @@ def test_predicted_spectrum_cases():
     assert predicted_spectrum(4, 2, 3) == {3}          # n = q+1, k=2
     assert predicted_spectrum(6, 2, 5) == {5}
     assert predicted_spectrum(6, 3, 4) == {4, 6}       # n = q+k-1, k,q > 2
-    assert predicted_spectrum(7, 3, 5) == {5, 7}       # same shape, q+1 = 6 absent
+    with pytest.raises(InadmissibleParameters):        # same shape at odd q: n > q+k-2
+        predicted_spectrum(7, 3, 5)
     assert predicted_spectrum(6, 3, 5) == {4, 5, 6}    # n < q+k-1
     assert predicted_spectrum(11, 4, 8) == {8, 10, 11}
     assert predicted_spectrum(10, 4, 8) == {7, 8, 9, 10}
