@@ -10,12 +10,15 @@ Code file format (text, UTF-8, LF):
     line 1:   MDSKIT v1
     line 2:   q=<int> n=<int>
     lines 3+: one codeword per line, n space-separated symbols.
-The parser rejects duplicate words, wrong arity, out-of-range symbols, and
-word counts that are not a power of q.
+The parser rejects numbers that are not ASCII integers, duplicate words,
+wrong arity, out-of-range symbols, and word counts that are not a power
+of q.
 """
 
 import math
+import re
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     BadPositions,
@@ -151,15 +154,32 @@ def agreement_counters(word, within, masks, t):
     return c
 
 
+def _distinct_on(columns, pos):
+    """True iff no two words agree at every position of the nonempty pos;
+    columns[p] holds the words' symbols at position p, in one word order."""
+    return len(set(zip(*map(columns.__getitem__, pos)))) == len(columns[0])
+
+
 def min_distance(code):
-    """Minimum pairwise distance, by bit-sliced agreement counting over
-    all words at once.  Distance below best means agreement in at least
-    n-best+1 positions, so each word lowers best while some later word
-    agrees with it that often."""
+    """Minimum pairwise distance.  When C(n, k) <= n*k the code is first
+    tested on every k-subset of positions: if each projects its q^k
+    words onto distinct k-tuples, no two words agree in k positions, so
+    d is the Singleton bound n-k+1 (MacWilliams and Sloane, ch. 11).
+    That costs C(n, k) set builds against the scan's n*k big-int steps
+    per word, so it is the cheaper test on high-rate shapes (n = k+1,
+    k = 1, the universe) and the dearer one on long low-rate codes.
+    Otherwise, or when some k-subset fails, the exact d comes from
+    bit-sliced agreement counting over all words at once: distance below
+    best means agreement in at least n-best+1 positions, so each word
+    lowers best while some later word agrees with it that often."""
     if len(code.words) < 2:
         raise TooFewWords("minimum distance needs at least two words")
+    n, k = code.n, code.k
+    if math.comb(n, k) <= n * k:
+        columns = list(zip(*code.words))
+        if all(_distinct_on(columns, pos) for pos in combinations(range(n), k)):
+            return n - k + 1
     words, masks = bit_view(code)
-    n = code.n
     best = n
     later = (1 << len(words)) - 1
     for w in words:
@@ -219,13 +239,17 @@ def information_set_check(code, positions):
         raise BadPositions(f"need exactly k={code.k} distinct positions")
     if any(not (0 <= p < code.n) for p in pos):
         raise BadPositions(f"positions must lie in 0..{code.n - 1}")
-    seen = {tuple(w[p] for p in pos) for w in code.words}
-    return len(seen) == len(code.words)
+    # zip of no columns is empty, but the one word of a k = 0 code is distinct
+    return code.k == 0 or _distinct_on(list(zip(*code.words)), pos)
 
 
 # ---------------------------------------------------------------- file I/O
 
 _MAGIC = "MDSKIT v1"
+# integers in a code file are ASCII -?[0-9]+, not all that int() takes;
+# tokens are split where str.split() splits them
+_PARAM_LINE = re.compile(r"\s*q=(-?[0-9]+)\s+n=(-?[0-9]+)\s*")
+_WORD_LINE = re.compile(r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*")
 
 
 def format_code(code):
@@ -246,15 +270,10 @@ def parse_code(text):
         raise CodeFileError(f"missing '{_MAGIC}' header")
     if len(lines) < 2:
         raise CodeFileError("missing parameter line 'q=<int> n=<int>'")
-    fields = lines[1].split()
-    if (len(fields) != 2 or not fields[0].startswith("q=")
-            or not fields[1].startswith("n=")):
+    params = _PARAM_LINE.fullmatch(lines[1])
+    if not params:
         raise CodeFileError(f"bad parameter line: {lines[1]!r}")
-    try:
-        q = int(fields[0][2:])
-        n = int(fields[1][2:])
-    except ValueError:
-        raise CodeFileError(f"bad parameter line: {lines[1]!r}") from None
+    q, n = map(int, params.groups())
     if q < 2 or n < 1:
         raise CodeFileError(f"need q >= 2 and n >= 1, got q={q} n={n}")
 
@@ -262,10 +281,9 @@ def parse_code(text):
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        try:
-            word = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise CodeFileError(f"line {lineno}: non-integer symbol") from None
+        if not _WORD_LINE.fullmatch(line):
+            raise CodeFileError(f"line {lineno}: non-integer symbol")
+        word = tuple(map(int, line.split()))
         if len(word) != n:
             raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(word)}")
         if any(s < 0 or s >= q for s in word):
@@ -280,5 +298,9 @@ def parse_code(text):
 
 
 def read_code(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise CodeFileError(f"not valid UTF-8: {path}") from None
+    return parse_code(text)

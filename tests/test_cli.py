@@ -570,6 +570,15 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert run(["verify", str(bad)]) == 2
 
 
+def test_verify_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"MDSKIT v1\nq=2 n=3\n0 0 0\n1 1 \xff\n")
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not valid UTF-8: {path}\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["no-such-command"])

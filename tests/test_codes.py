@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from itertools import product
 from pathlib import Path
 
@@ -18,8 +19,11 @@ from mdskit import (
     InvalidCode,
     LengthMismatch,
     NotMds,
+    PP,
+    SP,
     TheoremViolation,
     TooFewWords,
+    apply_moves,
     extended_rs_code,
     format_code,
     hamming_distance,
@@ -29,7 +33,10 @@ from mdskit import (
     min_distance,
     parse_code,
     read_code,
+    repetition_code,
     require_mds,
+    rs_code,
+    sum_zero_code,
     weight,
     write_code,
 )
@@ -107,14 +114,20 @@ def test_min_distance_and_is_mds():
 @st.composite
 def small_codes(draw):
     """Codes with q <= 5, n <= 6 and q^k <= 125 words: random word sets
-    (mostly d <= 2, often d = 1) and the images of random generator
+    (mostly d <= 2, often d = 1), the images of random generator
     matrices mod q, which reach every distance up to the Singleton
-    bound."""
+    bound, and MDS codes relabeled per position, as built or with one
+    word swapped for a non-codeword.  min_distance certifies the
+    relabeled MDS codes of shapes with C(n, k) <= n*k by their
+    k-subsets, and the swapped ones fall through to its scan."""
     q = draw(st.sampled_from([2, 3, 4, 5]))
     n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "linear", "mds", "mds-swapped"]))
+    if kind.startswith("mds"):
+        return draw(relabeled_mds_codes(q, n, swap=kind == "mds-swapped"))
     # k = n only for n = 1: a full universe is a d = 1 code, already common
     k = draw(st.integers(1, max(1, n - 1)).filter(lambda k: q ** k <= 125))
-    if draw(st.booleans()):
+    if kind == "random":
         picks = draw(st.sets(st.integers(0, q ** n - 1), min_size=q ** k, max_size=q ** k))
         words = [tuple(x // q ** p % q for p in range(n)) for x in picks]
     else:
@@ -130,6 +143,34 @@ def small_codes(draw):
     return Code(q, words)
 
 
+@st.composite
+def relabeled_mds_codes(draw, q, n, swap):
+    """An (n, k)_q MDS code from a construction over GF(q), each
+    position relabeled by a drawn permutation; with swap, one word is
+    replaced by a word outside the code when k < n."""
+    field = Field(q)
+    ks = [k for k in range(1, max(1, n - 1) + 1)
+          if q ** k <= 125 and (k == 1 or k == n - 1 or n <= q + 1)]
+    k = draw(st.sampled_from(ks))
+    if k == 1:
+        code = repetition_code(n, q)
+    elif k == n - 1:
+        code = sum_zero_code(k, field)
+    elif n <= q:
+        code = rs_code(field, k, range(n))
+    else:
+        code = extended_rs_code(field, k)
+    perms = [draw(st.permutations(range(q))) for _ in range(n)]
+    words = {tuple(perm[s] for perm, s in zip(perms, w)) for w in code.words}
+    if swap and k < n:
+        words.remove(draw(st.sampled_from(sorted(words))))
+        outside = draw(st.integers(0, q ** n - 1).map(
+            lambda x: tuple(x // q ** p % q for p in range(n))).filter(
+            lambda w: w not in words))
+        words.add(outside)
+    return Code(q, words)
+
+
 @settings(deadline=None, max_examples=150)
 @given(small_codes())
 def test_min_distance_matches_pairwise_oracle(code):
@@ -142,6 +183,25 @@ def test_min_distance_oracle_cases():
     assert min_distance(Code(3, [(0,) * 5, (1,) * 5, (2,) * 5])) == 5
     assert min_distance(Code(5, [(s,) for s in range(5)])) == 1
     assert min_distance(Code(2, EVEN4)) == pairwise_min_distance(Code(2, EVEN4)) == 2
+
+
+def test_min_distance_builds_a_bit_view_only_to_scan(symbol_masks_calls):
+    # (6,5)_3: C(6,5) = 6 <= 30, so its six 5-subsets certify d = 2
+    code = sum_zero_code(5, Field(3))
+    assert min_distance(code) == 2
+    assert symbol_masks_calls == []
+    # one word swapped: a 5-subset repeats a tuple, so the scan finds d = 1
+    words = set(code.words)
+    words.remove((0, 0, 0, 0, 0, 0))
+    words.add((0, 0, 0, 0, 0, 1))
+    assert min_distance(Code(3, words)) == 1
+    assert len(symbol_masks_calls) == 1
+    # a moved ext-RS (10,3)_9: C(10,3) = 120 > 30, so the scan, on one view
+    rng = random.Random(9)
+    moves = [SP(p, rng.sample(range(9), 9)) for p in range(10)] + [PP(0, 9)]
+    moved = apply_moves(extended_rs_code(Field(9), 3), moves)
+    assert min_distance(moved) == 8
+    assert len(symbol_masks_calls) == 2
 
 
 @pytest.mark.parametrize("q", [16, 27])
@@ -245,10 +305,19 @@ def test_parse_skips_blank_lines():
     ("MDSKIT v1\n", "parameter"),
     ("MDSKIT v1\nq=x n=1\n0\n", "parameter"),
     ("MDSKIT v1\nn=1 q=2\n0\n", "parameter"),
+    ("MDSKIT v1\nq=1_1 n=1\n0\n", "parameter"),
+    ("MDSKIT v1\nq=+2 n=1\n0\n1\n", "parameter"),
+    ("MDSKIT v1\nq=-2 n=1\n0\n", "q >= 2"),
     ("MDSKIT v1\nq=1 n=1\n0\n", "q >= 2"),
     ("MDSKIT v1\nq=2 n=2\n0 0\nha ha\n", "non-integer"),
     ("MDSKIT v1\nq=2 n=2\n0 0 1\n1 1\n", "expected 2 symbols"),
     ("MDSKIT v1\nq=2 n=2\n0 2\n1 1\n", "symbol outside"),
+    ("MDSKIT v1\nq=2 n=2\n0 0\n-1 1\n", "line 4: symbol outside"),
+    # only ASCII -?[0-9]+ tokens: int() would also take 1_0, +1 and U+0661
+    ("MDSKIT v1\nq=11 n=1\n" + "".join(f"{s}\n" for s in range(10)) + "1_0\n",
+     "line 13: non-integer symbol"),
+    ("MDSKIT v1\nq=2 n=2\n0 0\n+1 1\n", "line 4: non-integer symbol"),
+    ("MDSKIT v1\nq=2 n=2\n0 0\n\u0661 1\n", "line 4: non-integer symbol"),
     ("MDSKIT v1\nq=2 n=2\n0 0\n0 0\n", "duplicate"),
     ("MDSKIT v1\nq=2 n=2\n0 0\n0 1\n1 0\n", "power of q"),
 ])

@@ -641,6 +641,14 @@ def test_exists():
     assert not exists_mds(5, 3, 2)
 
 
+def test_no_7_4_5_code_within_bushs_bound():
+    # Bush's bound q+k-2 allows n = 7 for (k, q) = (4, 5), yet the walk
+    # settles that no (7, 4)_5 MDS code exists
+    result = enumerate_mds(SearchSpec(7, 4, 5, mode="exists"))
+    assert length_bound(4, 5) == 7
+    assert (result.count, result.complete, result.nodes) == (0, True, 37355)
+
+
 def test_exists_unresolved_budget_raises():
     with pytest.raises(SearchSpaceTooLarge):
         exists_mds(4, 2, 3, max_nodes=1)
