@@ -9,6 +9,7 @@ input errors.
 """
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -322,7 +323,10 @@ def _cmd_check_theorems(args):
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built on the first call and shared after it:
+    parse_args leaves a parser as it was."""
     parser = argparse.ArgumentParser(
         prog="mdskit",
         description="Construct, verify, and dissect MDS codes over small alphabets.")

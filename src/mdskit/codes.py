@@ -6,13 +6,15 @@ enters through the construction helpers.  Codewords are plain tuples of
 ints and codes are value-immutable, so every transform returns a new Code
 and equivalence chains stay auditable.
 
-Code file format (text, UTF-8, LF):
+Code file format (text, UTF-8):
     line 1:   MDSKIT v1
     line 2:   q=<int> n=<int>
     lines 3+: one codeword per line, n space-separated symbols.
-The parser rejects numbers that are not ASCII integers, duplicate words,
-wrong arity, out-of-range symbols, and word counts that are not a power
-of q.
+Lines break at LF alone; a CR directly before an LF is tolerated, and any
+other line break (a lone CR, VT, FF, \x1c-\x1e, NEL, U+2028, U+2029) is
+refused.  The parser also rejects numbers that are not ASCII integers,
+duplicate words, wrong arity, out-of-range symbols, and word counts that
+are not a power of q.
 """
 
 import math
@@ -119,13 +121,22 @@ class MdsReport:
 
 def symbol_masks(words, n, q):
     """Bit-sliced view of a word list: masks[p][s] has bit j set when
-    words[j][p] == s, so bit positions follow the order of words."""
-    masks = [[0] * q for _ in range(n)]
-    for j, w in enumerate(words):
-        bit = 1 << j
-        for p, s in enumerate(w):
-            masks[p][s] |= bit
-    return masks
+    words[j][p] == s, so bit positions follow the order of words.  For
+    q <= 256 each mask is one pass over position p's column as bytes,
+    taken last word first so that word j lands on bit j: a translate
+    writes b"1" where the symbol is s and b"0" elsewhere, and int(., 2)
+    reads the bits.  A larger symbol does not fit in a byte, so larger
+    alphabets (and an empty list) set the bits one word at a time."""
+    if q > 256 or not words:
+        masks = [[0] * q for _ in range(n)]
+        for j, w in enumerate(words):
+            bit = 1 << j
+            for p, s in enumerate(w):
+                masks[p][s] |= bit
+        return masks
+    tables = [b"0" * s + b"1" + b"0" * (255 - s) for s in range(q)]
+    return [[int(column.translate(table), 2) for table in tables]
+            for column in (bytes(column)[::-1] for column in zip(*words))]
 
 
 def bit_view(code):
@@ -250,12 +261,19 @@ _MAGIC = "MDSKIT v1"
 # tokens are split where str.split() splits them
 _PARAM_LINE = re.compile(r"\s*q=(-?[0-9]+)\s+n=(-?[0-9]+)\s*")
 _WORD_LINE = re.compile(r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*")
+# where str.splitlines breaks a line besides LF; once each CR before an
+# LF is dropped, the format has none of them
+_OTHER_BREAK = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 def format_code(code):
     """Render a code in the file format, words in lexicographic order."""
+    # one name per symbol, unless the alphabet outnumbers the symbols
+    # written (a one-word code over a large q)
+    name = (list(map(str, range(code.q))).__getitem__
+            if code.q <= len(code) * code.n else str)
     lines = [_MAGIC, f"q={code.q} n={code.n}"]
-    lines.extend(" ".join(str(s) for s in w) for w in code.sorted_words())
+    lines.extend(" ".join(map(name, w)) for w in code.sorted_words())
     return "\n".join(lines) + "\n"
 
 
@@ -265,6 +283,15 @@ def write_code(code, path):
 
 
 def parse_code(text):
+    """The code a file's text holds; lines break at LF, with one CR
+    before an LF tolerated.  A word line of canonical names ("0" ..
+    str(q-1)) is read by one dict lookup per token; any other line takes
+    the full checks, so "007" and "-0" still read as symbols."""
+    text = text.replace("\r\n", "\n")
+    other = _OTHER_BREAK.search(text)
+    if other:
+        lineno = text.count("\n", 0, other.start()) + 1
+        raise CodeFileError(f"line {lineno}: line break {other.group()!r} other than LF")
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
         raise CodeFileError(f"missing '{_MAGIC}' header")
@@ -277,17 +304,23 @@ def parse_code(text):
     if q < 2 or n < 1:
         raise CodeFileError(f"need q >= 2 and n >= 1, got q={q} n={n}")
 
+    # bounded by the text's length, so a huge q builds no huge dict; a
+    # symbol past the bound takes the full checks
+    symbol = {str(s): s for s in range(min(q, len(text)))}.get
     words = []
     for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
+        tokens = line.split()
+        if not tokens:
             continue
-        if not _WORD_LINE.fullmatch(line):
-            raise CodeFileError(f"line {lineno}: non-integer symbol")
-        word = tuple(map(int, line.split()))
-        if len(word) != n:
-            raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(word)}")
-        if any(s < 0 or s >= q for s in word):
-            raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
+        word = tuple(map(symbol, tokens))
+        if None in word or len(word) != n:
+            if not _WORD_LINE.fullmatch(line):
+                raise CodeFileError(f"line {lineno}: non-integer symbol")
+            word = tuple(map(int, tokens))
+            if len(word) != n:
+                raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(word)}")
+            if any(s < 0 or s >= q for s in word):
+                raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
         words.append(word)
 
     if len(set(words)) != len(words):
@@ -298,8 +331,9 @@ def parse_code(text):
 
 
 def read_code(path):
+    # newline="": parse_code, not the reader, decides where lines break
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         raise CodeFileError(f"not valid UTF-8: {path}") from None

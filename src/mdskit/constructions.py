@@ -49,6 +49,32 @@ def sum_zero_code(k, field):
     return Code(field.q, words)
 
 
+def _evaluations(field, k, points):
+    """Per point a, the bytes f(a) for every polynomial f of degree < k,
+    in the order of field.all_polynomials(k).  That order runs over c0
+    and, for each, over every g of degree < k-1 in the same order, where
+    f = c0 + x*g; so a's column is, for each c0 in turn, g's column
+    times a plus c0, each a translate through a row of the field's
+    tables."""
+    pad = bytes(256 - field.q)
+    plus = [bytes(field.add(c, b) for b in field.elements) + pad for c in field.elements]
+    columns = []
+    for a in points:
+        times_a = bytes(field.mul(a, b) for b in field.elements) + pad
+        column = bytes(field.elements)
+        for _ in range(k - 1):
+            product = column.translate(times_a)
+            column = b"".join(product.translate(row) for row in plus)
+        columns.append(column)
+    return columns
+
+
+def _coefficients(q, k, j):
+    """Coefficient c_j of every polynomial of degree < k, in the order of
+    Field.all_polynomials(k)."""
+    return b"".join(bytes((c,)) * q ** (k - 1 - j) for c in range(q)) * q ** j
+
+
 def rs_code(field, k, points):
     """Evaluation code: (f(a_1), .., f(a_n)) over all q^k polynomials deg < k.
 
@@ -62,9 +88,7 @@ def rs_code(field, k, points):
         raise InvalidParameters(f"points {points} must be field elements")
     if not 1 <= k <= len(points):
         raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got k={k}")
-    words = [tuple(field.poly_eval(coeffs, a) for a in points)
-             for coeffs in field.all_polynomials(k)]
-    return Code(field.q, words)
+    return Code(field.q, list(zip(*_evaluations(field, k, points))))
 
 
 def extended_rs_code(field, k):
@@ -73,9 +97,8 @@ def extended_rs_code(field, k):
     """
     if not 1 <= k <= field.q:
         raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got k={k}")
-    words = [tuple(field.poly_eval(coeffs, a) for a in field.elements) + (coeffs[k - 1],)
-             for coeffs in field.all_polynomials(k)]
-    return Code(field.q, words)
+    return Code(field.q, list(zip(*_evaluations(field, k, field.elements),
+                                  _coefficients(field.q, k, k - 1))))
 
 
 def doubly_extended_rs(field):
@@ -86,13 +109,8 @@ def doubly_extended_rs(field):
     """
     if field.p != 2 or field.q < 4:
         raise OddCharacteristic(f"requires characteristic 2 and q >= 4, got q={field.q}")
-    words = []
-    for c, b, e in itertools.product(field.elements, repeat=3):
-        evals = tuple(field.add(c, field.add(field.mul(b, a),
-                                             field.mul(e, field.mul(a, a))))
-                      for a in field.elements)
-        words.append(evals + (b, e))
-    return Code(field.q, words)
+    return Code(field.q, list(zip(*_evaluations(field, 3, field.elements),
+                                  _coefficients(field.q, 3, 1), _coefficients(field.q, 3, 2))))
 
 
 # ------------------------------------------------------- Latin squares

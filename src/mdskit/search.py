@@ -434,14 +434,20 @@ def _walk_squares(q, n, emit, max_nodes):
         if len(masks) < length:
             masks = masks + [column(w[-1] for w in words)]
 
+        # far[i]: the words differing everywhere from word i, built the
+        # first time some label asks for it
+        far = [None] * side
+
         def compat(j):
-            # same label: the words differing everywhere from word i;
-            # other labels: every word but i
+            # same label: the words in far[i]; other labels: every word but i
             y, i = divmod(j, side)
-            near = 0
-            for col, s in zip(masks, words[i]):
-                near |= col[s]
-            return full & ~(spread << i | block << y * side) | (block & ~near) << y * side
+            apart = far[i]
+            if apart is None:
+                near = 0
+                for col, s in zip(masks, words[i]):
+                    near |= col[s]
+                apart = far[i] = block & ~near
+            return full & ~(spread << i | block << y * side) | apart << y * side
 
         def extend(chosen):
             label = [0] * side

@@ -25,6 +25,8 @@ which, and raises if a purported counterexample shows up.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 
 from .codes import Code, is_mds, require_mds
 from .errors import (
@@ -151,12 +153,17 @@ def residual(code, spec):
     for v in spec.values:
         if not 0 <= v < code.q:
             raise BadPositions(f"values must lie in 0..{code.q - 1}, got {v}")
-    fixed = dict(zip(spec.positions, spec.values))
-    kept = []
-    for w in code.words:
-        if all(w[p] == v for p, v in fixed.items()):
-            kept.append(tuple(s for p, s in enumerate(w) if p not in fixed))
-    out = Code(code.q, kept)
+    words = code.words
+    if t:
+        # itemgetter of one position returns the bare symbol, not a 1-tuple
+        values = spec.values if t > 1 else spec.values[0]
+        words = compress(words, map(values.__eq__, map(itemgetter(*spec.positions), words)))
+    kept = [p for p in range(code.n) if p not in spec.positions]
+    if len(kept) > 1:
+        words = list(map(itemgetter(*kept), words))
+    else:
+        words = [tuple(w[p] for p in kept) for w in words]
+    out = Code(code.q, words)
     if out.k > 0:
         # every residual of an MDS code is MDS; a failure here is a bug
         sub = is_mds(out)

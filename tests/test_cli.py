@@ -607,3 +607,27 @@ def test_package_runs_as_a_module():
     proc = _run_module("mdskit", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: mdskit ")
+
+
+def test_run_builds_its_parser_once(capsys):
+    mdskit.cli.build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert run(["construct", "mols", "--p", "3"]) == 0
+        for argv, status in ((["construct", "--help"], 0), (["construct", "nope"], 2)):
+            with pytest.raises(SystemExit) as stop:
+                run(argv)
+            assert stop.value.code == status
+        outputs.append(capsys.readouterr())
+    # a run that parsed, printed help or refused its arguments leaves the
+    # shared parser as it was
+    assert outputs[0] == outputs[1]
+    assert mdskit.cli.build_parser.cache_info().misses == 1
+
+
+def test_euler_search_stats(capsys):
+    # every (4,2)_6 normal form, on the square route: the counts pin the walk
+    assert run(["search", "--n", "4", "--k", "2", "--q", "6", "--mode", "exists",
+                "--stats"]) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "exists = false", "complete = true", "nodes = 826151", "masks = 111"]

@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 from itertools import product
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from mdskit import (
     weight,
     write_code,
 )
+from mdskit.codes import symbol_masks
 
 EVEN4 = [(a, b, c, (a + b + c) % 2) for a in range(2) for b in range(2) for c in range(2)]
 
@@ -204,6 +206,31 @@ def test_min_distance_builds_a_bit_view_only_to_scan(symbol_masks_calls):
     assert len(symbol_masks_calls) == 2
 
 
+def per_bit_symbol_masks(words, n, q):
+    """Oracle for symbol_masks: one bit set per word and position."""
+    masks = [[0] * q for _ in range(n)]
+    for j, w in enumerate(words):
+        for p, s in enumerate(w):
+            masks[p][s] |= 1 << j
+    return masks
+
+
+@st.composite
+def word_lists(draw):
+    """Words of one length over 0..q-1, repeats allowed, with q on both
+    sides of 256, the largest alphabet whose symbols fit in a byte."""
+    q = draw(st.one_of(st.integers(2, 300), st.sampled_from([255, 256, 257])))
+    n = draw(st.integers(1, 5))
+    words = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=40))
+    return words, n, q
+
+
+@settings(deadline=None, max_examples=200)
+@given(word_lists())
+def test_symbol_masks_match_per_bit_oracle(case):
+    assert symbol_masks(*case) == per_bit_symbol_masks(*case)
+
+
 @pytest.mark.parametrize("q", [16, 27])
 def test_is_mds_on_long_extended_rs(q):
     # (17,3)_16 has 4096 words and (28,3)_27 has 19683: far past a pairwise scan
@@ -297,6 +324,98 @@ def test_parse_inverts_format(code):
 def test_parse_skips_blank_lines():
     text = "MDSKIT v1\nq=2 n=1\n\n0\n\n1\n"
     assert len(parse_code(text)) == 2
+
+
+def checked_words(lines, n, q):
+    """Oracle for parse_code's word lines: the regex, int() and range
+    checks on every line, as parse_code ran them before it looked up
+    canonical names."""
+    words = []
+    for lineno, line in enumerate(lines, start=3):
+        if not line.strip():
+            continue
+        if not re.fullmatch(r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*", line):
+            raise CodeFileError(f"line {lineno}: non-integer symbol")
+        word = tuple(map(int, line.split()))
+        if len(word) != n:
+            raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(word)}")
+        if any(s < 0 or s >= q for s in word):
+            raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
+        words.append(word)
+    return words
+
+
+# ways to write symbol s of an alphabet of q: the first three name s,
+# the others are refused
+SPELLINGS = {
+    "canonical": lambda s, q: str(s),
+    "zero-padded": lambda s, q: "00" + str(s),
+    "minus-zero": lambda s, q: "-0" if s == 0 else str(s),
+    "plus": lambda s, q: "+" + str(s),
+    "underscore": lambda s, q: f"{s}_0",
+    "past-q": lambda s, q: str(s + q),
+    "negative": lambda s, q: f"-{s + 1}",
+}
+
+
+@st.composite
+def spelled_code_files(draw):
+    """A valid code written with drawn spellings, LF or CRLF line ends,
+    blank lines and lines one symbol short (of two or more), as (code,
+    text, word lines)."""
+    code = draw(valid_codes())
+    kinds = draw(st.lists(st.sampled_from(sorted(SPELLINGS)), min_size=1, max_size=3))
+    lines = []
+    for w in code.sorted_words():
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        tokens = [SPELLINGS[draw(st.sampled_from(kinds))](s, code.q) for s in w]
+        if len(tokens) > 1 and draw(st.integers(0, 19)) == 0:
+            tokens.pop()
+        lines.append(" ".join(tokens))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines) + 2, max_size=len(lines) + 2))
+    head = ["MDSKIT v1", f"q={code.q} n={code.n}"]
+    return code, "".join(map(str.__add__, head + lines, ends)), lines
+
+
+@settings(deadline=None, max_examples=200)
+@given(spelled_code_files())
+def test_parse_matches_regex_per_line_oracle(case):
+    code, text, lines = case
+    try:
+        expected = Code(code.q, checked_words(lines, code.n, code.q))
+    except CodeFileError as err:
+        expected = str(err)
+    try:
+        got = parse_code(text)
+    except CodeFileError as err:
+        got = str(err)
+    assert got == expected
+
+
+def test_parse_takes_crlf_line_ends(tmp_path):
+    code = extended_rs_code(Field(3), 2)
+    text = format_code(code).replace("\n", "\r\n")
+    assert parse_code(text) == code
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.encode())
+    assert read_code(path) == code
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029", "\r"])
+def test_parse_breaks_lines_at_lf_only(brk, tmp_path):
+    # str.splitlines breaks at each of these; the format breaks at LF alone
+    for text, lineno in [(f"MDSKIT v1{brk}q=2 n=1{brk}0{brk}1{brk}", 1),
+                         (f"MDSKIT v1\nq=2 n=1\n0{brk}1\n", 3),
+                         (f"MDSKIT v1\nq=2 n=1\n0\n1\n{brk}", 5)]:
+        with pytest.raises(CodeFileError, match=f"^line {lineno}: line break .* other than LF$"):
+            parse_code(text)
+        path = tmp_path / "c.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(CodeFileError, match=f"^line {lineno}: line break"):
+            read_code(path)
 
 
 @pytest.mark.parametrize("text,fragment", [

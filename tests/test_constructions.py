@@ -1,6 +1,6 @@
 """Construction families: parameters, the MDS property, and MOLS."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -30,6 +30,7 @@ from mdskit import (
     sum_zero_code,
     universe_code,
 )
+from mdskit.galois import SUPPORTED_ORDERS
 
 
 def _check(code, n, k, q):
@@ -70,6 +71,24 @@ def test_rs_code():
 def test_extended_rs(q, k):
     code = extended_rs_code(Field(q), k)
     _check(code, q + 1, k, q)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_evaluation_builders_match_poly_eval(q):
+    # the builders evaluate column by column; Field.poly_eval, one
+    # polynomial and point at a time, is the oracle
+    field = Field(q)
+    for k in range(1, min(q, 3 if q ** 3 <= 4096 else 2) + 1):
+        polys = list(field.all_polynomials(k))
+        assert extended_rs_code(field, k).words == {
+            tuple(field.poly_eval(c, a) for a in field.elements) + (c[k - 1],) for c in polys}
+        points = list(reversed(field.elements))[:max(k, q - 1)]
+        assert rs_code(field, k, points).words == {
+            tuple(field.poly_eval(c, a) for a in points) for c in polys}
+    if field.p == 2 and q >= 4:
+        assert doubly_extended_rs(field).words == {
+            tuple(field.poly_eval((c, b, e), a) for a in field.elements) + (b, e)
+            for c, b, e in product(field.elements, repeat=3)}
 
 
 def test_doubly_extended_rs():

@@ -275,6 +275,37 @@ def test_every_residual_is_mds(data):
     assert is_mds(out).is_mds
 
 
+def filtered_residual(code, positions, values):
+    """Oracle for residual: the word-by-word filter, one list
+    comprehension over the words."""
+    fixed = dict(zip(positions, values))
+    return Code(code.q, [tuple(s for p, s in enumerate(w) if p not in fixed)
+                         for w in code.words if all(w[p] == v for p, v in fixed.items())])
+
+
+# relabeled, so that word order says nothing; (4,3)_3 and (2,1)_2 reach
+# n - t = 1 at t = k, and (3,1)_4 keeps n - t = 2 at t = k = 1
+RESIDUAL_CODES = [
+    apply_moves(code, [SP(p, tuple(reversed(range(code.q)))) for p in range(0, code.n, 2)]
+                + [PP(0, code.n - 1)])
+    for code in (sum_zero_code(3, Field(3)), sum_zero_code(1, Field(2)),
+                 repetition_code(3, 4), extended_rs_code(Field(5), 2),
+                 rs_code(Field(7), 3, range(1, 6)), doubly_extended_rs(Field(4)))
+]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_residual_matches_filter_oracle(data):
+    code = data.draw(st.sampled_from(RESIDUAL_CODES))
+    t = data.draw(st.integers(0, code.k))
+    positions = data.draw(st.permutations(range(code.n)))[:t]
+    word = data.draw(st.sampled_from(code.sorted_words()))
+    values = [word[p] for p in positions]
+    assert (residual(code, ResidualSpec(positions, values))
+            == filtered_residual(code, positions, values))
+
+
 def test_residual_to_dimension_zero():
     code = extended_rs_code(Field(3), 2)
     out = residual(code, ResidualSpec((0, 1), (0, 0)))
