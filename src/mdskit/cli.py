@@ -221,7 +221,7 @@ def _cmd_pwe(args):
 def _cmd_distances(args):
     code = _load(args.file)
     report = require_mds(code)
-    center = tuple(args.center) if args.center else min(code.words)
+    center = tuple(args.center) if args.center is not None else min(code.words)
     dist = distance_distribution_from(code, center)
     closed = weight_distribution_formula(code.n, code.k, code.q)
     _print_shape(code)
@@ -246,7 +246,7 @@ def _cmd_residual(args):
 
 def _cmd_normalize(args):
     code = _load(args.file)
-    word = tuple(args.word) if args.word else None
+    word = tuple(args.word) if args.word is not None else None
     normalized, moves = normalize_to_zero(code, word)
     write_code(normalized, args.out)
     _print_shape(code)

@@ -80,7 +80,8 @@ class Code:
         self.k = k
         self.words = wordset
         self._d = None              # minimum distance, set by is_mds
-        self._view = None           # (word order, symbol masks), set by bit_view
+        self._sorted = None         # the words as a sorted tuple, set by sorted_words
+        self._masks = None          # symbol masks over that order, set by bit_view
 
     @property
     def zero(self):
@@ -90,7 +91,10 @@ class Code:
         return self.zero in self.words
 
     def sorted_words(self):
-        return sorted(self.words)
+        """The words as a tuple in lexicographic order, sorted once."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.words))
+        return self._sorted
 
     def __contains__(self, word):
         return tuple(word) in self.words
@@ -140,13 +144,12 @@ def symbol_masks(words, n, q):
 
 
 def bit_view(code):
-    """The code's words in sorted order and their symbol masks, built on
-    first use and kept on the code: its words are a frozenset, so the
-    view cannot go stale."""
-    if code._view is None:
-        words = code.sorted_words()
-        code._view = (words, symbol_masks(words, code.n, code.q))
-    return code._view
+    """The code's sorted_words() and their symbol masks, which are built
+    on first use and kept: the word set is frozen, so they cannot go stale."""
+    words = code.sorted_words()
+    if code._masks is None:
+        code._masks = symbol_masks(words, code.n, code.q)
+    return words, code._masks
 
 
 def agreement_counters(word, within, masks, t):

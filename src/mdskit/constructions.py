@@ -36,17 +36,15 @@ def universe_code(k, q):
 def sum_zero_code(k, field):
     """(k+1, k)_q code of words whose field-sum is zero; distance 2.
 
-    Over GF(2) this is the even-weight (single-parity-check) code.
+    Over GF(2) this is the even-weight (single-parity-check) code.  The
+    first k coordinates run over the coefficients c0..c_{k-1} of every
+    polynomial f of degree < k, and the last is -f(1), minus their sum.
     """
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got k={k}")
-    words = []
-    for prefix in itertools.product(field.elements, repeat=k):
-        total = 0
-        for s in prefix:
-            total = field.add(total, s)
-        words.append(prefix + (field.neg(total),))
-    return Code(field.q, words)
+    (at_one,) = _evaluations(field, k, (1,))
+    return Code(field.q, list(zip(*(_coefficients(field.q, k, j) for j in range(k)),
+                                  at_one.translate(field.neg_row))))
 
 
 def _evaluations(field, k, points):
@@ -54,17 +52,13 @@ def _evaluations(field, k, points):
     in the order of field.all_polynomials(k).  That order runs over c0
     and, for each, over every g of degree < k-1 in the same order, where
     f = c0 + x*g; so a's column is, for each c0 in turn, g's column
-    times a plus c0, each a translate through a row of the field's
-    tables."""
-    pad = bytes(256 - field.q)
-    plus = [bytes(field.add(c, b) for b in field.elements) + pad for c in field.elements]
+    times a plus c0, each a translate through a row of the field."""
     columns = []
     for a in points:
-        times_a = bytes(field.mul(a, b) for b in field.elements) + pad
         column = bytes(field.elements)
         for _ in range(k - 1):
-            product = column.translate(times_a)
-            column = b"".join(product.translate(row) for row in plus)
+            product = column.translate(field.mul_rows[a])
+            column = b"".join(product.translate(row) for row in field.add_rows)
         columns.append(column)
     return columns
 

@@ -4,10 +4,12 @@ Elements are plain integers 0..q-1, so they double directly as code symbols.
 For prime q the arithmetic is mod q.  For a prime power q = p^m an element
 encodes a polynomial over GF(p): value = c0 + c1*p + ... + c_{m-1}*p^(m-1),
 and multiplication reduces modulo a fixed irreducible polynomial, so the
-encoding is identical across runs.  Full q x q tables are precomputed at
-construction (q <= 27 keeps this trivial).
+encoding is identical across runs.  The full add and mul tables, as rows
+of bytes, are built once per order and process and shared by every
+Field of that order (q <= 27 keeps this trivial).
 """
 
+import functools
 import itertools
 
 from .errors import UnsupportedOrder
@@ -52,67 +54,67 @@ def _poly_mul(a, b, modulus, p):
     return prod[:m]
 
 
+@functools.cache
+def _tables(q):
+    """GF(q)'s add rows, mul rows and neg row, each padded to 256 bytes."""
+    p, modulus = _FIELDS[q]
+    polys = [_digits(v, p, len(modulus)) for v in range(q)]
+
+    def row(values):
+        return bytes(sum(c * p**i for i, c in enumerate(cs)) for cs in values).ljust(256, b"\0")
+
+    add = tuple(row([(x + y) % p for x, y in zip(a, b)] for b in polys) for a in polys)
+    mul = tuple(row(_poly_mul(a, b, modulus, p) for b in polys) for a in polys)
+    return add, mul, bytes(r.index(0) for r in add).ljust(256, b"\0")
+
+
 class Field:
-    """GF(q) with all arithmetic tabulated; immutable after construction."""
+    """GF(q) with all arithmetic tabulated; immutable after construction.
+    Byte b of add_rows[a], mul_rows[a] and neg_row is a + b, a * b and -b;
+    each row is 256 bytes, so bytes.translate(row) applies it to every
+    symbol at once.  Every Field of one order shares these rows."""
 
     def __init__(self, q):
         if q not in SUPPORTED_ORDERS:
             raise UnsupportedOrder(f"q={q} is not a supported prime power")
         self.q = q
-        p, modulus = _FIELDS[q]
-        m = len(modulus)
-        self.p, self.m = p, m
-        polys = [_digits(v, p, m) for v in range(q)]
-        self._add = [
-            [sum(((ai + bi) % p) * p**i for i, (ai, bi) in enumerate(zip(a, b)))
-             for b in polys]
-            for a in polys
-        ]
-        self._mul = [
-            [sum(ci * p**i for i, ci in enumerate(_poly_mul(a, b, modulus, p)))
-             for b in polys]
-            for a in polys
-        ]
-
-        self._neg = [next(b for b in range(q) if self._add[a][b] == 0)
-                     for a in range(q)]
-        self._inv = [None] + [next(b for b in range(1, q) if self._mul[a][b] == 1)
-                              for a in range(1, q)]
+        self.p, self.m = _FIELDS[q][0], len(_FIELDS[q][1])
+        self.add_rows, self.mul_rows, self.neg_row = _tables(q)
 
     @property
     def elements(self):
         return range(self.q)
 
     def add(self, a, b):
-        return self._add[a][b]
+        return self.add_rows[a][b]
 
     def sub(self, a, b):
-        return self._add[a][self._neg[b]]
+        return self.add_rows[a][self.neg_row[b]]
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_rows[a][b]
 
     def neg(self, a):
-        return self._neg[a]
+        return self.neg_row[a]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
+        return self.mul_rows[a].index(1)
 
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
         r = 1
         for _ in range(e):
-            r = self._mul[r][a]
+            r = self.mul_rows[r][a]
         return r
 
     def poly_eval(self, coeffs, x):
         """Evaluate c0 + c1*x + c2*x^2 + ... by Horner's rule."""
         r = 0
         for c in reversed(coeffs):
-            r = self._add[self._mul[r][x]][c]
+            r = self.add_rows[self.mul_rows[r][x]][c]
         return r
 
     def all_polynomials(self, k):

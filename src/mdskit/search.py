@@ -550,22 +550,19 @@ def verify_bounds(q, k_max, max_nodes=None):
     a longer MDS code leaves an MDS code.  A size the guards refuse, or a
     search the node budget cannot settle, gives a skipped report that
     names the reason."""
-    reports = []
-    for k in range(2, k_max + 1):
-        bound = length_bound(k, q)
-        n = bound + 1
-        claim = f"no (n, {k})_{q} MDS code with n > {bound}"
-        try:
-            found = exists_mds(n, k, q, max_nodes=max_nodes)
-        except SearchSpaceTooLarge as exc:
-            reports.append(TheoremReport(claim, False, detail=str(exc), skipped=True))
-            continue
-        detail = f"searched all (n={n}, k={k})_{q} candidates up to relabeling"
-        reports.append(TheoremReport(
-            claim=claim,
-            passed=not found,
-            detail=detail if not found else f"found an (n={n}, k={k})_{q} MDS code"))
-    return reports
+    return [_verify_bound(q, k, max_nodes) for k in range(2, k_max + 1)]
+
+
+def _verify_bound(q, k, max_nodes):
+    n = length_bound(k, q) + 1
+    claim = f"no (n, {k})_{q} MDS code with n > {n - 1}"
+    try:
+        found = exists_mds(n, k, q, max_nodes=max_nodes)
+    except SearchSpaceTooLarge as exc:
+        return TheoremReport(claim, False, detail=str(exc), skipped=True)
+    detail = (f"found an (n={n}, k={k})_{q} MDS code" if found
+              else f"searched all (n={n}, k={k})_{q} candidates up to relabeling")
+    return TheoremReport(claim, not found, detail=detail)
 
 
 def verify_spectrum_theorems(code):
@@ -644,11 +641,10 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
 
 
 def _check_theorems(q, max_n, limit_per_shape, max_nodes):
-    k_max = 1
     for k in range(2, max_n + 1):
-        if length_bound(k, q) + 1 <= max_n:
-            k_max = k
-    for report in verify_bounds(q, k_max, max_nodes=max_nodes):
+        if length_bound(k, q) + 1 > max_n:
+            continue
+        report = _verify_bound(q, k, max_nodes)
         if report.skipped:
             yield ("skip", f"{report.claim}: {report.detail}")
         else:

@@ -37,6 +37,8 @@ from .errors import (
     TooManyPositions,
 )
 
+SYMBOL_LIMIT = 2 ** 16
+
 
 @dataclass(frozen=True)
 class SP:
@@ -102,7 +104,10 @@ def transposition(q, a, b):
 
 def normalize_to_zero(code, word=None):
     """Moves carrying `word` (default: the lexicographically least codeword)
-    to the zero word.  Returns (new_code, moves)."""
+    to the zero word.  Returns (new_code, moves).  Each move lists q
+    symbols, so a one-word code over more than SYMBOL_LIMIT is refused."""
+    if code.k == 0 and code.q > SYMBOL_LIMIT:
+        raise InvalidParameters(f"q={code.q} exceeds the symbol limit {SYMBOL_LIMIT}")
     if word is None:
         word = min(code.words)
     else:

@@ -333,6 +333,31 @@ def test_normalize_reports_moves(tmp_path, capsys):
     assert read_code(dst).contains_zero()
 
 
+def test_normalize_refuses_a_one_word_code_over_a_huge_alphabet(tmp_path, capsys):
+    # its moves would list q symbols per nonzero position
+    src = tmp_path / "one.txt"
+    src.write_text("MDSKIT v1\nq=1000000000000 n=2\n5 7\n", encoding="utf-8")
+    dst = tmp_path / "n.txt"
+    assert run(["normalize", str(src), "--out", str(dst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q=1000000000000 exceeds the symbol limit 65536\n"
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("argv", [["distances", "--center", ""],
+                                  ["normalize", "--word", "", "--out", "n.txt"]])
+def test_an_empty_word_is_not_a_codeword(argv, tmp_path, capsys, monkeypatch):
+    # an empty list is a word of length 0, not a request for the least word
+    monkeypatch.chdir(tmp_path)
+    write_code(extended_rs_code(Field(3), 2), "c.txt")
+    assert run([argv[0], "c.txt", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: () is not a codeword\n"
+    assert not (tmp_path / "n.txt").exists()
+
+
 def test_classify_binary_golden(tmp_path, capsys):
     path = tmp_path / "b.txt"
     write_code(sum_zero_code(3, Field(2)), path)
@@ -533,8 +558,9 @@ def test_check_theorems_sweep_golden(q, max_n, capsys):
 
 
 def test_check_theorems_settles_the_length_bound_past_the_old_candidate_limit(capsys):
-    # exists (7,3)_4 walks 11992 normal-form candidates
-    assert run(["check-theorems", "--q", "4", "--max-n", "6"]) == 0
+    # exists (7,3)_4 walks 11992 normal-form candidates; its witness
+    # length 7 is checked from --max-n 7 on
+    assert run(["check-theorems", "--q", "4", "--max-n", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[3] == "check[2] = pass no (n, 3)_4 MDS code with n > 6"
     assert not any(" = skip " in line for line in lines)

@@ -41,7 +41,7 @@ from mdskit import (
     weight,
     write_code,
 )
-from mdskit.codes import symbol_masks
+from mdskit.codes import bit_view, symbol_masks
 
 EVEN4 = [(a, b, c, (a + b + c) % 2) for a in range(2) for b in range(2) for c in range(2)]
 
@@ -204,6 +204,21 @@ def test_min_distance_builds_a_bit_view_only_to_scan(symbol_masks_calls):
     moved = apply_moves(extended_rs_code(Field(9), 3), moves)
     assert min_distance(moved) == 8
     assert len(symbol_masks_calls) == 2
+
+
+def test_one_word_order_per_code(symbol_masks_calls):
+    # sorted_words sorts once; bit_view, format_code and iteration read
+    # that same tuple, and the masks come from codes.symbol_masks
+    code = extended_rs_code(Field(5), 2)
+    words = code.sorted_words()
+    assert words is code.sorted_words()
+    assert isinstance(words, tuple) and list(words) == sorted(code.words)
+    view = bit_view(code)
+    assert view[0] is words
+    assert symbol_masks_calls == [words]
+    assert bit_view(code)[1] is view[1] and len(symbol_masks_calls) == 1
+    assert list(code) == list(words)
+    assert format_code(code).splitlines()[2:] == [" ".join(map(str, w)) for w in words]
 
 
 def per_bit_symbol_masks(words, n, q):

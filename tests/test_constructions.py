@@ -53,6 +53,21 @@ def test_sum_zero(k, q):
     assert is_mds(code).d == 2
 
 
+@pytest.mark.parametrize("q,k", [(q, k) for q in SUPPORTED_ORDERS
+                                 for k in range(1, 13) if q ** k <= 4096])
+def test_sum_zero_matches_a_per_word_sum(q, k):
+    # the builder reads the last coordinate off -f(1); the oracle sums
+    # each prefix through Field.add and negates it
+    field = Field(q)
+    words = set()
+    for prefix in product(field.elements, repeat=k):
+        total = 0
+        for s in prefix:
+            total = field.add(total, s)
+        words.add(prefix + (field.neg(total),))
+    assert sum_zero_code(k, field).words == words
+
+
 def test_rs_code():
     f = Field(5)
     code = rs_code(f, 2, [0, 1, 2, 3])

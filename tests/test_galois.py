@@ -3,7 +3,7 @@
 import pytest
 
 from mdskit import Field, SUPPORTED_ORDERS, UnsupportedOrder
-from mdskit.galois import _FIELDS
+from mdskit.galois import _FIELDS, _digits, _poly_mul
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -41,6 +41,28 @@ def test_field_table_entry(q):
     assert p >= 2 and all(p % d for d in range(2, p))
     assert (f.p, f.m) == (p, len(modulus))
     assert p ** f.m == q
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_fields_of_one_order_share_rows_that_match_poly_mul(q):
+    f, g = Field(q), Field(q)
+    assert f.add_rows is g.add_rows and f.mul_rows is g.mul_rows and f.neg_row is g.neg_row
+    p, modulus = _FIELDS[q]
+    m = len(modulus)
+
+    def value(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    for a in f.elements:
+        da = _digits(a, p, m)
+        mul = [value(_poly_mul(da, _digits(b, p, m), modulus, p)) for b in f.elements]
+        add = [value((x + y) % p for x, y in zip(da, _digits(b, p, m))) for b in f.elements]
+        assert list(f.mul_rows[a][:q]) == mul
+        assert list(f.add_rows[a][:q]) == add
+        assert f.add_rows[a][f.neg_row[a]] == 0
+        # each row is also a bytes.translate table over every byte
+        assert len(f.add_rows[a]) == len(f.mul_rows[a]) == 256
+    assert len(f.neg_row) == 256
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

@@ -725,6 +725,18 @@ def test_check_theorems_skip_lines(monkeypatch):
     assert ("skip", "(n=4, k=2)_2: no codes exist") in lines
 
 
+def test_check_theorems_checks_only_the_bounds_whose_witness_fits():
+    # Bush's bound, and k+1 for q <= k, make the witness length
+    # length_bound(k, q) + 1 non-monotone in k
+    assert [length_bound(k, 5) + 1 for k in range(2, 7)] == [7, 7, 8, 7, 8]
+    # a small budget: which bounds are checked, not how they settle
+    lines = check_theorems(5, 7, max_nodes=20000)
+    bounds = [next(lines)[1] for _ in range(3)]
+    assert [claim[:len("no (n, 2)")] for claim in bounds] == [
+        "no (n, 2)", "no (n, 3)", "no (n, 5)"]
+    assert next(lines)[1].startswith("spectrum (n=1, k=1)_5 ")
+
+
 @pytest.mark.parametrize("q,kwargs,name", [
     (1, {}, "q"),
     (2, {"limit_per_shape": 0}, "limit_per_shape"),
