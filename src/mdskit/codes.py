@@ -58,20 +58,32 @@ class Code:
     """An (n, k)_q code: a frozen set of q^k distinct words of length n."""
 
     def __init__(self, q, words):
+        self._build(q, (tuple(w) for w in words), checked=False)
+
+    @classmethod
+    def _of(cls, q, words):
+        """The code of words checked where they were made, tuples of ints
+        in 0..q-1 of one length: it skips __init__'s per-symbol loop."""
+        code = cls.__new__(cls)
+        code._build(q, words, checked=True)
+        return code
+
+    def _build(self, q, words, checked):
         if q < 2:
             raise InvalidCode(f"alphabet size q={q} must be at least 2")
-        wordset = frozenset(tuple(w) for w in words)
+        wordset = frozenset(words)
         if not wordset:
             raise InvalidCode("code has no words")
         n = len(next(iter(wordset)))
         if n < 1:
             raise InvalidCode("words must have length at least 1")
-        for w in wordset:
-            if len(w) != n:
-                raise InvalidCode("words have mixed lengths")
-            for s in w:
-                if not (isinstance(s, int) and 0 <= s < q):
-                    raise InvalidCode(f"symbol {s!r} outside 0..{q - 1}")
+        if not checked:
+            for w in wordset:
+                if len(w) != n:
+                    raise InvalidCode("words have mixed lengths")
+                for s in w:
+                    if not (isinstance(s, int) and 0 <= s < q):
+                        raise InvalidCode(f"symbol {s!r} outside 0..{q - 1}")
         k = _dimension_of(q, len(wordset))
         if k is None:
             raise InvalidCode(f"{len(wordset)} words is not a power of q={q}")
@@ -97,7 +109,8 @@ class Code:
         return self._sorted
 
     def __contains__(self, word):
-        return tuple(word) in self.words
+        word = tuple(word)      # a word of floats equal to a codeword is not one
+        return word in self.words and all(isinstance(s, int) for s in word)
 
     def __len__(self):
         return len(self.words)
@@ -330,7 +343,7 @@ def parse_code(text):
         raise CodeFileError("duplicate codewords")
     if _dimension_of(q, len(words)) is None:
         raise CodeFileError(f"{len(words)} words is not a power of q={q}")
-    return Code(q, words)
+    return Code._of(q, words)
 
 
 def read_code(path):

@@ -21,16 +21,25 @@ from .errors import (
 )
 
 
+def _integers(**params):
+    """Refuse a parameter that is not an int: built words are not rechecked."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise InvalidParameters(f"{name}={value!r} is not an integer")
+
+
 def repetition_code(n, q):
     """(n, 1)_q code {(i, .., i)}; minimum distance n."""
-    return Code(q, [(i,) * n for i in range(q)])
+    _integers(n=n, q=q)
+    return Code._of(q, [(i,) * n for i in range(q)])
 
 
 def universe_code(k, q):
     """(k, k)_q code consisting of every word; minimum distance 1."""
+    _integers(k=k, q=q)
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got k={k}")
-    return Code(q, itertools.product(range(q), repeat=k))
+    return Code._of(q, itertools.product(range(q), repeat=k))
 
 
 def sum_zero_code(k, field):
@@ -40,11 +49,12 @@ def sum_zero_code(k, field):
     first k coordinates run over the coefficients c0..c_{k-1} of every
     polynomial f of degree < k, and the last is -f(1), minus their sum.
     """
+    _integers(k=k)
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got k={k}")
     (at_one,) = _evaluations(field, k, (1,))
-    return Code(field.q, list(zip(*(_coefficients(field.q, k, j) for j in range(k)),
-                                  at_one.translate(field.neg_row))))
+    return Code._of(field.q, zip(*(_coefficients(field.q, k, j) for j in range(k)),
+                                 at_one.translate(field.neg_row)))
 
 
 def _evaluations(field, k, points):
@@ -76,23 +86,25 @@ def rs_code(field, k, points):
     polynomials of degree < k agree on at most k-1 points.
     """
     points = tuple(points)
+    _integers(k=k)
     if len(set(points)) != len(points):
         raise DuplicatePoints(f"evaluation points {points} are not distinct")
-    if any(p not in field.elements for p in points):
+    if any(not isinstance(p, int) or p not in field.elements for p in points):
         raise InvalidParameters(f"points {points} must be field elements")
     if not 1 <= k <= len(points):
         raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got k={k}")
-    return Code(field.q, list(zip(*_evaluations(field, k, points))))
+    return Code._of(field.q, zip(*_evaluations(field, k, points)))
 
 
 def extended_rs_code(field, k):
     """Length q+1 evaluation code: f at every field element, then the
     degree-(k-1) coefficient as the extra coordinate.
     """
+    _integers(k=k)
     if not 1 <= k <= field.q:
         raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got k={k}")
-    return Code(field.q, list(zip(*_evaluations(field, k, field.elements),
-                                  _coefficients(field.q, k, k - 1))))
+    return Code._of(field.q, zip(*_evaluations(field, k, field.elements),
+                                 _coefficients(field.q, k, k - 1)))
 
 
 def doubly_extended_rs(field):
@@ -103,8 +115,8 @@ def doubly_extended_rs(field):
     """
     if field.p != 2 or field.q < 4:
         raise OddCharacteristic(f"requires characteristic 2 and q >= 4, got q={field.q}")
-    return Code(field.q, list(zip(*_evaluations(field, 3, field.elements),
-                                  _coefficients(field.q, 3, 1), _coefficients(field.q, 3, 2))))
+    return Code._of(field.q, zip(*_evaluations(field, 3, field.elements),
+                                 _coefficients(field.q, 3, 1), _coefficients(field.q, 3, 2)))
 
 
 # ------------------------------------------------------- Latin squares

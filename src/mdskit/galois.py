@@ -12,7 +12,7 @@ Field of that order (q <= 27 keeps this trivial).
 import functools
 import itertools
 
-from .errors import UnsupportedOrder
+from .errors import InvalidParameters, UnsupportedOrder
 
 # Characteristic p and monic irreducible modulus per supported order
 # q = p^m, low-degree coefficients first; the leading coefficient x^m is
@@ -75,7 +75,7 @@ class Field:
     symbol at once.  Every Field of one order shares these rows."""
 
     def __init__(self, q):
-        if q not in SUPPORTED_ORDERS:
+        if not isinstance(q, int) or q not in SUPPORTED_ORDERS:
             raise UnsupportedOrder(f"q={q} is not a supported prime power")
         self.q = q
         self.p, self.m = _FIELDS[q][0], len(_FIELDS[q][1])
@@ -85,24 +85,31 @@ class Field:
     def elements(self):
         return range(self.q)
 
+    def _element(self, a):
+        """a, checked: the rows are padded past q with zeros."""
+        if not (isinstance(a, int) and 0 <= a < self.q):
+            raise InvalidParameters(f"{a!r} is not an element of GF({self.q})")
+        return a
+
     def add(self, a, b):
-        return self.add_rows[a][b]
+        return self.add_rows[self._element(a)][self._element(b)]
 
     def sub(self, a, b):
-        return self.add_rows[a][self.neg_row[b]]
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        return self.mul_rows[a][b]
+        return self.mul_rows[self._element(a)][self._element(b)]
 
     def neg(self, a):
-        return self.neg_row[a]
+        return self.neg_row[self._element(a)]
 
     def inv(self, a):
-        if a == 0:
+        if self._element(a) == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.mul_rows[a].index(1)
 
     def pow(self, a, e):
+        self._element(a)
         if e < 0:
             return self.pow(self.inv(a), -e)
         r = 1
@@ -112,9 +119,10 @@ class Field:
 
     def poly_eval(self, coeffs, x):
         """Evaluate c0 + c1*x + c2*x^2 + ... by Horner's rule."""
+        self._element(x)
         r = 0
         for c in reversed(coeffs):
-            r = self.add_rows[self.mul_rows[r][x]][c]
+            r = self.add(self.mul(r, x), c)
         return r
 
     def all_polynomials(self, k):

@@ -510,7 +510,7 @@ def enumerate_mds(spec):
     Only collect mode keeps the codes found."""
     words = []
     result = _walk_shape(spec, words.append if spec.mode == "collect" else None)
-    result.codes = tuple(Code(spec.q, w) for w in words)
+    result.codes = tuple(Code._of(spec.q, w) for w in words)
     return result
 
 
@@ -676,7 +676,7 @@ def _check_theorems(q, max_n, limit_per_shape, max_nodes):
             dist_empirical = False
             classify_bad = 0
             for words in forms:
-                code = Code(q, words)
+                code = Code._of(q, words)
                 for rep in verify_spectrum_theorems(code):
                     if not rep.passed:
                         spectrum_bad += 1

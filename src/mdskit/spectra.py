@@ -242,7 +242,7 @@ def partition_weight_enumerator_bruteforce(code, spec, profile):
 def distance_distribution_from(code, center):
     """Counts of codewords at each distance from a chosen codeword."""
     center = tuple(center)
-    if center not in code.words:
+    if center not in code:
         raise WordNotInCode(f"{center} is not a codeword")
     return _distances_from(code, center)
 
@@ -251,6 +251,6 @@ def partition_distance_enumerator(code, center, spec, profile):
     """Count codewords differing from `center` in exactly profile[i]
     positions inside block i, for each block."""
     center = tuple(center)
-    if center not in code.words:
+    if center not in code:
         raise WordNotInCode(f"{center} is not a codeword")
     return _profile_count(code, center, spec, profile)

@@ -10,9 +10,9 @@ distances, hence (n, k, d).  The moves here are the generators:
 
 A list of moves composes into one relabeling: output position p reads
 some input position and relabels its symbol.  apply_moves folds the
-list into that map and builds and validates one Code for the whole list,
-not one per move.  Any code is carried onto one containing the zero word
-by per-position transpositions, which is what normalize_to_zero does.
+list into that map and builds one Code for the whole list, not one per
+move.  Any code is carried onto one containing the zero word by
+per-position transpositions, which is what normalize_to_zero does.
 
 A t-residual code fixes t coordinates of an MDS code to values that some
 codeword attains, keeps the matching words, and deletes the fixed
@@ -74,7 +74,8 @@ def apply_moves(code, moves):
             p = move.position
             if not 0 <= p < code.n:
                 raise BadMove(f"position {p} outside 0..{code.n - 1}")
-            if sorted(move.perm) != list(range(code.q)):
+            if (not all(isinstance(s, int) for s in move.perm)
+                    or sorted(move.perm) != list(range(code.q))):
                 raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
             relabel[p] = tuple(move.perm[s] for s in relabel[p])
         elif isinstance(move, PP):
@@ -87,7 +88,7 @@ def apply_moves(code, moves):
             raise BadMove(f"unknown move {move!r}")
     columns = list(zip(*code.words))
     moved = [map(relabel[p].__getitem__, columns[source[p]]) for p in range(code.n)]
-    return Code(code.q, zip(*moved))
+    return Code._of(code.q, zip(*moved))
 
 
 def apply_move(code, move):
@@ -112,7 +113,7 @@ def normalize_to_zero(code, word=None):
         word = min(code.words)
     else:
         word = tuple(word)
-        if word not in code.words:
+        if word not in code:
             raise BadMove(f"{word} is not a codeword")
     moves = [SP(p, transposition(code.q, s, 0))
              for p, s in enumerate(word) if s != 0]
@@ -165,10 +166,10 @@ def residual(code, spec):
         words = compress(words, map(values.__eq__, map(itemgetter(*spec.positions), words)))
     kept = [p for p in range(code.n) if p not in spec.positions]
     if len(kept) > 1:
-        words = list(map(itemgetter(*kept), words))
+        words = map(itemgetter(*kept), words)
     else:
         words = [tuple(w[p] for p in kept) for w in words]
-    out = Code(code.q, words)
+    out = Code._of(code.q, words)
     if out.k > 0:
         # every residual of an MDS code is MDS; a failure here is a bug
         sub = is_mds(out)

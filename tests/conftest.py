@@ -37,14 +37,22 @@ def symbol_masks_calls(monkeypatch):
 
 @pytest.fixture
 def code_inits(monkeypatch):
-    """The codes built by Code.__init__ during the test, one entry per
-    construction."""
+    """The codes built during the test, one entry per construction,
+    by Code.__init__ or by the trusted constructor Code._of."""
     calls = []
-    init = mdskit.codes.Code.__init__
+    code_cls = mdskit.codes.Code
+    init = code_cls.__init__
+    of = code_cls._of.__func__
 
-    def counted(self, q, words):
+    def counted_init(self, q, words):
         calls.append(self)
         init(self, q, words)
 
-    monkeypatch.setattr(mdskit.codes.Code, "__init__", counted)
+    def counted_of(cls, q, words):
+        code = of(cls, q, words)
+        calls.append(code)
+        return code
+
+    monkeypatch.setattr(code_cls, "__init__", counted_init)
+    monkeypatch.setattr(code_cls, "_of", classmethod(counted_of))
     return calls

@@ -75,6 +75,7 @@ def test_code_basic_properties():
     assert code.contains_zero()
     assert (0, 1, 1, 0) in code
     assert (1, 0, 0, 0) not in code
+    assert (0.0, 1.0, 1.0, 0.0) not in code  # codewords are tuples of ints
     assert code.sorted_words()[0] == (0, 0, 0, 0)
     assert code == Code(2, list(reversed(EVEN4)))
 

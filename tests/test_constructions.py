@@ -78,8 +78,25 @@ def test_rs_code():
         rs_code(f, 2, [0, 1, 1])
     with pytest.raises(InvalidParameters):
         rs_code(f, 2, [0, 7])
+    with pytest.raises(InvalidParameters):
+        rs_code(f, 2, [0, 1.0, 2])
     with pytest.raises(DimensionTooLarge):
         rs_code(f, 4, [0, 1, 2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: repetition_code(3.0, 2),
+    lambda: repetition_code(3, 2.0),
+    lambda: universe_code(2.0, 3),
+    lambda: universe_code(2, 3.0),
+    lambda: sum_zero_code(2.0, Field(5)),
+    lambda: rs_code(Field(5), 2.0, [0, 1, 2]),
+    lambda: extended_rs_code(Field(5), 2.0),
+])
+def test_builders_refuse_non_integer_parameters(build):
+    # the builders' words are not checked again, so a float must not reach them
+    with pytest.raises(InvalidParameters, match="is not an integer"):
+        build()
 
 
 @pytest.mark.parametrize("q,k", [(3, 2), (4, 2), (4, 3), (5, 3), (7, 2)])

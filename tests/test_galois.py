@@ -2,7 +2,7 @@
 
 import pytest
 
-from mdskit import Field, SUPPORTED_ORDERS, UnsupportedOrder
+from mdskit import Field, InvalidParameters, SUPPORTED_ORDERS, UnsupportedOrder
 from mdskit.galois import _FIELDS, _digits, _poly_mul
 
 
@@ -91,8 +91,28 @@ def test_inverse_of_zero_raises():
         Field(5).inv(0)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda f: f.add(1, 9), 9),
+    (lambda f: f.mul(3, 200), 200),
+    (lambda f: f.add(-1, 2), -1),
+    (lambda f: f.sub(1, 4), 4),
+    (lambda f: f.sub(4, 1), 4),
+    (lambda f: f.neg(7), 7),
+    (lambda f: f.inv(4), 4),
+    (lambda f: f.pow(4, 0), 4),
+    (lambda f: f.pow(5, -1), 5),
+    (lambda f: f.poly_eval((), 4), 4),
+    (lambda f: f.poly_eval((1, 9), 2), 9),
+    (lambda f: f.add(1.0, 2), 1.0),
+])
+def test_arithmetic_refuses_non_elements(call, bad):
+    # the rows are padded past q, so an unchecked operand would read a zero
+    with pytest.raises(InvalidParameters, match=f"^{bad!r} is not an element of GF\\(4\\)$"):
+        call(Field(4))
+
+
 def test_unsupported_orders_rejected():
-    for q in (1, 6, 10, 12, 14, 15, 100):
+    for q in (1, 6, 10, 12, 14, 15, 100, 5.0):
         with pytest.raises(UnsupportedOrder):
             Field(q)
 

@@ -214,6 +214,8 @@ def test_distance_distribution():
     # weight-1 words are within d of zero, so they are never codewords here
     with pytest.raises(WordNotInCode):
         distance_distribution_from(code, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(WordNotInCode):
+        distance_distribution_from(code, tuple(map(float, center)))
 
 
 def test_partition_distance_enumerator_matches_formula():
@@ -226,6 +228,8 @@ def test_partition_distance_enumerator_matches_formula():
             assert got == want, (center, profile)
     with pytest.raises(WordNotInCode):
         partition_distance_enumerator(code, (1, 1, 1, 1), spec, (0, 0))
+    with pytest.raises(WordNotInCode):
+        partition_distance_enumerator(code, tuple(map(float, center)), spec, (0, 0))
 
 
 def test_closed_form_distribution_is_silent():

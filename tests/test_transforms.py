@@ -61,6 +61,10 @@ def test_apply_move_validation():
         apply_move(code, SP(5, (0, 1)))
     with pytest.raises(BadMove):
         apply_move(code, SP(0, (1, 1)))
+    # 1.0 sorts like 1 and "1" cannot be sorted with 0; neither indexes a symbol
+    for perm in ((1.0, 0), ("1", 0)):
+        with pytest.raises(BadMove, match="not a permutation"):
+            apply_move(code, SP(0, perm))
     with pytest.raises(BadMove):
         apply_move(code, PP(0, 7))
     with pytest.raises(BadMove):
@@ -93,6 +97,8 @@ def test_normalize_to_zero_chosen_word():
     assert len(moves) == sum(1 for s in word if s != 0)
     with pytest.raises(BadMove):
         normalize_to_zero(code, (1, 1, 1, 1))
+    with pytest.raises(BadMove, match="not a codeword"):
+        normalize_to_zero(code, tuple(map(float, word)))
 
 
 def test_move_serialization():
