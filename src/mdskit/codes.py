@@ -17,10 +17,11 @@ duplicate words, wrong arity, out-of-range symbols, and word counts that
 are not a power of q.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import (
     BadPositions,
@@ -92,6 +93,7 @@ class Code:
         self.k = k
         self.words = wordset
         self._d = None              # minimum distance, set by is_mds
+        self._root = None           # the code this one was moved from, set by apply_moves
         self._sorted = None         # the words as a sorted tuple, set by sorted_words
         self._masks = None          # symbol masks over that order, set by bit_view
 
@@ -187,18 +189,78 @@ def _distinct_on(columns, pos):
     return len(set(zip(*map(columns.__getitem__, pos)))) == len(columns[0])
 
 
+@functools.cache
+def _symbol_group(q):
+    """The abelian group G on the symbols 0..q-1, for q <= 256:
+    digit-wise addition mod p when q = p^m, which is GF(q)'s addition
+    whatever its modulus, and addition mod q otherwise.  Returns its add
+    rows, row a holding a + b at byte b and padded to 256 bytes like
+    Field.add_rows, and its generators p^0 .. p^(m-1)."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    m = 1
+    while p ** m < q:
+        m += 1
+    if p ** m != q:
+        p, m = q, 1
+    places = tuple(p ** j for j in range(m))
+
+    def add(a, b):
+        return sum((a // u + b // u) % p * u for u in places)
+
+    rows = tuple(bytes(add(a, b) for b in range(q)).ljust(256, b"\0") for a in range(q))
+    return rows, places
+
+
+def _coset_distance(code):
+    """d of a code that is a coset c0 + H of a subgroup H of G^n, or
+    None when the test below fails; c0 is the least word.  When the
+    first k positions are an information set, c0's k-prefix is zero
+    and sorted_words() holds the word of k-prefix x at index x read in
+    base q.  For each of those positions i and each generator u of G,
+    the test reads the word g of k-prefix u at i and zero elsewhere,
+    and checks C + (g - c0) within C, column by column through the add
+    rows.  The shifts that map C into itself form a group; these ones
+    project onto all of G^k, so it has at least q^k = |C| elements and
+    C is c0 plus that group.  Translations keep distances, so d is the
+    least distance from c0 (MacWilliams and Sloane, ch. 1)."""
+    q, k = code.q, code.k
+    words = code.sorted_words()
+    c0 = words[0]
+    if q > 256 or any(c0[:k]):
+        return None
+    add, generators = _symbol_group(q)
+    columns = [bytes(column) for column in zip(*words)]
+    for i in range(k):
+        for u in generators:
+            g = words[u * q ** (k - 1 - i)]
+            if g[:k] != (0,) * i + (u,) + (0,) * (k - 1 - i):
+                return None
+            # add[a].index(b) is the shift b - a within the position
+            shifted = [column.translate(add[add[a].index(b)])
+                       for column, a, b in zip(columns, c0, g)]
+            # before Python 3.12, issuperset would first copy an
+            # iterable into a set; this stops at the first word outside
+            if not all(map(code.words.__contains__, zip(*shifted))):
+                return None
+    differs = [column.translate(b"\1" * s + b"\0" + b"\1" * (255 - s))
+               for column, s in zip(columns, c0)]
+    return min(islice(map(sum, zip(*differs)), 1, None))
+
+
 def min_distance(code):
-    """Minimum pairwise distance.  When C(n, k) <= n*k the code is first
-    tested on every k-subset of positions: if each projects its q^k
-    words onto distinct k-tuples, no two words agree in k positions, so
-    d is the Singleton bound n-k+1 (MacWilliams and Sloane, ch. 11).
-    That costs C(n, k) set builds against the scan's n*k big-int steps
-    per word, so it is the cheaper test on high-rate shapes (n = k+1,
-    k = 1, the universe) and the dearer one on long low-rate codes.
-    Otherwise, or when some k-subset fails, the exact d comes from
-    bit-sliced agreement counting over all words at once: distance below
-    best means agreement in at least n-best+1 positions, so each word
-    lowers best while some later word agrees with it that often."""
+    """Minimum pairwise distance, by the first of three exact routes
+    that applies.  When C(n, k) <= n*k the code is first tested on
+    every k-subset of positions: if each projects its q^k words onto
+    distinct k-tuples, no two words agree in k positions, so d is the
+    Singleton bound n-k+1 (MacWilliams and Sloane, ch. 11).  That costs
+    C(n, k) set builds against the scan's n*k big-int steps per word,
+    so it is the cheaper test on high-rate shapes (n = k+1, k = 1, the
+    universe) and the dearer one on long low-rate codes.  Next,
+    _coset_distance tests whether the code is a coset of a group, as
+    every linear code whose first k positions are an information set
+    is; if so, d is the least distance from its least word, found in
+    O(mk*|C|*n) C-level steps for q = p^m.  Every other code takes
+    _scan_distance, the bit-sliced scan over all words at once."""
     if len(code.words) < 2:
         raise TooFewWords("minimum distance needs at least two words")
     n, k = code.n, code.k
@@ -206,8 +268,17 @@ def min_distance(code):
         columns = list(zip(*code.words))
         if all(_distinct_on(columns, pos) for pos in combinations(range(n), k)):
             return n - k + 1
+    d = _coset_distance(code)
+    return _scan_distance(code) if d is None else d
+
+
+def _scan_distance(code):
+    """d by bit-sliced agreement counting over all words at once:
+    distance below best means agreement in at least n-best+1 positions,
+    so each word lowers best while some later word agrees with it that
+    often."""
     words, masks = bit_view(code)
-    best = n
+    n = best = code.n
     later = (1 << len(words)) - 1
     for w in words:
         later &= later - 1          # drop w's own bit, the lowest one left
@@ -238,9 +309,15 @@ def length_bound(k, q):
 
 def is_mds(code):
     """Check d = n - k + 1; the report carries d and the Singleton bound.
-    The code keeps d from its first call, so a code is scanned once."""
+    The code keeps d from its first call, so a code is scanned once.  A
+    code that apply_moves built takes d from the root code it was moved
+    from, since moves keep distances: min_distance runs once, on that
+    root, for the root and all its moved copies."""
     if code._d is None:
-        code._d = min_distance(code)
+        root = code if code._root is None else code._root
+        if root._d is None:
+            root._d = min_distance(root)
+        code._d = root._d
     d = code._d
     bound = code.n - code.k + 1
     report = MdsReport(is_mds=(d == bound), d=d, singleton_bound=bound)
@@ -259,12 +336,17 @@ def require_mds(code):
     return report
 
 
+def is_position(p, n):
+    """True iff p is an int in 0..n-1; a float such as 1.0 is not a position."""
+    return isinstance(p, int) and 0 <= p < n
+
+
 def information_set_check(code, positions):
     """True iff projecting onto the positions hits every k-tuple exactly once."""
     pos = tuple(positions)
     if len(pos) != code.k or len(set(pos)) != len(pos):
         raise BadPositions(f"need exactly k={code.k} distinct positions")
-    if any(not (0 <= p < code.n) for p in pos):
+    if not all(is_position(p, code.n) for p in pos):
         raise BadPositions(f"positions must lie in 0..{code.n - 1}")
     # zip of no columns is empty, but the one word of a k = 0 code is distinct
     return code.k == 0 or _distinct_on(list(zip(*code.words)), pos)

@@ -110,6 +110,8 @@ class Field:
 
     def pow(self, a, e):
         self._element(a)
+        if not isinstance(e, int):
+            raise InvalidParameters(f"exponent {e!r} is not an integer")
         if e < 0:
             return self.pow(self.inv(a), -e)
         r = 1

@@ -11,8 +11,10 @@ distances, hence (n, k, d).  The moves here are the generators:
 A list of moves composes into one relabeling: output position p reads
 some input position and relabels its symbol.  apply_moves folds the
 list into that map and builds one Code for the whole list, not one per
-move.  Any code is carried onto one containing the zero word by
-per-position transpositions, which is what normalize_to_zero does.
+move.  Since moves keep distances, a moved code takes its minimum
+distance from the root code it was moved from (see apply_moves).  Any
+code is carried onto one containing the zero word by per-position
+transpositions, which is what normalize_to_zero does.
 
 A t-residual code fixes t coordinates of an MDS code to values that some
 codeword attains, keeps the matching words, and deletes the fixed
@@ -28,7 +30,7 @@ from enum import Enum
 from itertools import compress
 from operator import itemgetter
 
-from .codes import Code, is_mds, require_mds
+from .codes import Code, is_mds, is_position, require_mds
 from .errors import (
     BadMove,
     BadPositions,
@@ -63,7 +65,10 @@ def apply_moves(code, moves):
     position p, the input position source[p] it reads and the
     relabeling relabel[p] of that symbol; every move is checked as it
     folds, before any word is rewritten, and each word is rewritten
-    once."""
+    once.  The moves keep distances, so the new code holds the root
+    code of the chain (the input, or the code the input was itself
+    moved from), and is_mds on any moved copy reads d from that root,
+    which computes it once."""
     moves = tuple(moves)
     if not moves:
         return code
@@ -72,7 +77,7 @@ def apply_moves(code, moves):
     for move in moves:
         if isinstance(move, SP):
             p = move.position
-            if not 0 <= p < code.n:
+            if not is_position(p, code.n):
                 raise BadMove(f"position {p} outside 0..{code.n - 1}")
             if (not all(isinstance(s, int) for s in move.perm)
                     or sorted(move.perm) != list(range(code.q))):
@@ -80,7 +85,7 @@ def apply_moves(code, moves):
             relabel[p] = tuple(move.perm[s] for s in relabel[p])
         elif isinstance(move, PP):
             i, j = move.i, move.j
-            if not (0 <= i < code.n and 0 <= j < code.n):
+            if not (is_position(i, code.n) and is_position(j, code.n)):
                 raise BadMove(f"positions ({i}, {j}) outside 0..{code.n - 1}")
             source[i], source[j] = source[j], source[i]
             relabel[i], relabel[j] = relabel[j], relabel[i]
@@ -88,7 +93,9 @@ def apply_moves(code, moves):
             raise BadMove(f"unknown move {move!r}")
     columns = list(zip(*code.words))
     moved = [map(relabel[p].__getitem__, columns[source[p]]) for p in range(code.n)]
-    return Code._of(code.q, zip(*moved))
+    out = Code._of(code.q, zip(*moved))
+    out._root = code if code._root is None else code._root
+    return out
 
 
 def apply_move(code, move):
@@ -154,7 +161,7 @@ def residual(code, spec):
     if t > code.k:
         raise TooManyPositions(f"cannot fix {t} positions with k={code.k}")
     for p in spec.positions:
-        if not 0 <= p < code.n:
+        if not is_position(p, code.n):
             raise BadPositions(f"position {p} outside 0..{code.n - 1}")
     for v in spec.values:
         if not 0 <= v < code.q:

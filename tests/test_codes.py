@@ -2,13 +2,14 @@
 
 import ast
 import math
+import operator
 import random
 import re
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mdskit
@@ -41,7 +42,8 @@ from mdskit import (
     weight,
     write_code,
 )
-from mdskit.codes import bit_view, symbol_masks
+from mdskit.codes import _coset_distance, _scan_distance, _symbol_group, bit_view, symbol_masks
+from mdskit.galois import SUPPORTED_ORDERS
 
 EVEN4 = [(a, b, c, (a + b + c) % 2) for a in range(2) for b in range(2) for c in range(2)]
 
@@ -222,6 +224,103 @@ def test_one_word_order_per_code(symbol_masks_calls):
     assert format_code(code).splitlines()[2:] == [" ".join(map(str, w)) for w in words]
 
 
+def _is_affine(perm, field):
+    """True iff perm(x + y) = perm(x) + perm(y) - perm(0) in GF(q)'s
+    addition for all x, y: a relabeling that keeps a group code one."""
+    return all(perm[field.add(x, y)] == field.sub(field.add(perm[x], perm[y]), perm[0])
+               for x in field.elements for y in field.elements)
+
+
+@st.composite
+def group_route_cases(draw):
+    """(kind, code) for the group route's differential test, at most 128
+    words each.  linear: [I | A] over GF(q) at any supported order, its
+    positions permuted, so the first k positions are an information set
+    only sometimes.  relabeled: an RS code with C(n, k) > n*k, each
+    position relabeled, position 0 by a map that is not affine, so not
+    a coset (q >= 5, since for q <= 4 every relabeling is affine).
+    sum-zero: the sum-zero code mod 6 or mod 10 with drawn extra
+    columns [I | A] mod q, a group code of Z_q.  random: a random word
+    set."""
+    kind = draw(st.sampled_from(["linear", "relabeled", "sum-zero", "random"]))
+    if kind == "relabeled":
+        q = draw(st.sampled_from([5, 7, 8, 9]))
+        field = Field(q)
+        code = (extended_rs_code(field, 2) if q == 5
+                else rs_code(field, 2, range(draw(st.integers(6, q)))))
+        perms = [draw(st.permutations(range(q))) for _ in range(code.n)]
+        if _is_affine(perms[0], field):
+            # the affine maps form a group that lacks a transposition
+            perms[0] = [{1: 2, 2: 1}.get(s, s) for s in perms[0]]
+        return kind, Code(q, {tuple(perm[s] for perm, s in zip(perms, w)) for w in code.words})
+    q = draw(st.sampled_from(list(SUPPORTED_ORDERS) if kind == "linear"
+                             else [6, 10] if kind == "sum-zero" else [2, 3, 4, 5, 6]))
+    k = draw(st.integers(1, max(1, math.floor(math.log(128, q) + 1e-9))))
+    n = draw(st.integers(k + 1, max(k + 1, 7)))
+    if kind == "random":
+        picks = draw(st.sets(st.integers(0, q ** n - 1), min_size=q ** k, max_size=q ** k))
+        return kind, Code(q, [tuple(x // q ** p % q for p in range(n)) for x in picks])
+    tail = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=k, max_size=k),
+                         min_size=n - k, max_size=n - k))
+    if kind == "sum-zero":
+        tail[0] = [q - 1] * k
+        words = [x + tuple(sum(a * c for a, c in zip(x, column)) % q for column in tail)
+                 for x in product(range(q), repeat=k)]
+        return kind, Code(q, words)
+    field = Field(q)
+    order = draw(st.permutations(range(n)))
+    words = []
+    for x in product(range(q), repeat=k):
+        word = list(x)
+        for column in tail:
+            s = 0
+            for a, c in zip(x, column):
+                s = field.add(s, field.mul(a, c))
+            word.append(s)
+        words.append(tuple(word[p] for p in order))
+    return kind, Code(q, words)
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=group_route_cases())
+def test_group_route_matches_scan_and_oracle(case, symbol_masks_calls):
+    kind, code = case
+    symbol_masks_calls.clear()
+    expected = pairwise_min_distance(code)
+    group = _coset_distance(code)
+    assert symbol_masks_calls == []
+    assert group in (None, expected)
+    assert _scan_distance(code) == expected
+    if kind == "relabeled":
+        # not a coset: min_distance takes the scan, on one bit-sliced view
+        assert group is None
+        fresh = Code(code.q, code.words)
+        symbol_masks_calls.clear()
+        assert min_distance(fresh) == expected
+        assert len(symbol_masks_calls) == 1
+    elif kind == "linear":
+        assert (group is not None) == information_set_check(code, range(code.k))
+    elif kind == "sum-zero":
+        assert group is not None
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_symbol_group_adds_like_the_field(q):
+    assert _symbol_group(q)[0] == Field(q).add_rows
+
+
+@pytest.mark.parametrize("q, add, generators", [
+    (6, lambda a, b: (a + b) % 6, (1,)),
+    (10, lambda a, b: (a + b) % 10, (1,)),
+    (12, lambda a, b: (a + b) % 12, (1,)),
+    (256, operator.xor, (1, 2, 4, 8, 16, 32, 64, 128)),    # GF(256) adds by XOR
+])
+def test_symbol_group_past_the_supported_orders(q, add, generators):
+    rows = tuple(bytes(add(a, b) for b in range(q)).ljust(256, b"\0") for a in range(q))
+    assert _symbol_group(q) == (rows, generators)
+
+
 def per_bit_symbol_masks(words, n, q):
     """Oracle for symbol_masks: one bit set per word and position."""
     masks = [[0] * q for _ in range(n)]
@@ -252,6 +351,16 @@ def test_is_mds_on_long_extended_rs(q):
     # (17,3)_16 has 4096 words and (28,3)_27 has 19683: far past a pairwise scan
     report = is_mds(extended_rs_code(Field(q), 3))
     assert report.is_mds and report.d == q + 1 - 3 + 1 == report.singleton_bound
+
+
+def test_min_distance_scans_a_relabeled_long_extended_rs(symbol_masks_calls):
+    # (17,3)_16 relabeled per position: not a coset, so the bit-sliced
+    # scan runs over all 4096 words
+    rng = random.Random(16)
+    code = extended_rs_code(Field(16), 3)
+    moved = apply_moves(code, [SP(p, rng.sample(range(16), 16)) for p in range(17)])
+    assert min_distance(moved) == 15
+    assert symbol_masks_calls == [moved.sorted_words()]
 
 
 def test_require_mds():

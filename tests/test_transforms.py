@@ -1,11 +1,14 @@
 """Equivalence moves, residual codes, and the binary classification."""
 
+import gc
+import weakref
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdskit.codes
 from mdskit import (
     BadMove,
     BadPositions,
@@ -25,6 +28,7 @@ from mdskit import (
     doubly_extended_rs,
     extended_rs_code,
     format_move,
+    information_set_check,
     is_mds,
     normalize_to_zero,
     repetition_code,
@@ -69,6 +73,19 @@ def test_apply_move_validation():
         apply_move(code, PP(0, 7))
     with pytest.raises(BadMove):
         apply_move(code, "not a move")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda code: apply_move(code, SP(1.0, (1, 0, 2))), BadMove),
+    (lambda code: apply_move(code, PP(1.0, 0)), BadMove),
+    (lambda code: apply_move(code, PP(0, 1.0)), BadMove),
+    (lambda code: residual(code, ResidualSpec((1.0,), (0,))), BadPositions),
+    (lambda code: information_set_check(code, (0, 1.0)), BadPositions),
+])
+def test_float_positions_are_refused(call, error):
+    # 1.0 compares like 1 but indexes no list or tuple
+    with pytest.raises(error):
+        call(extended_rs_code(Field(3), 2))
 
 
 def test_transposition():
@@ -357,3 +374,41 @@ def test_classify_binary_rejects():
     not_mds = Code(2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
     with pytest.raises(NotMds):
         classify_binary(not_mds)
+
+
+NOT_MDS = Code(3, [(a, b, a, b) for a in range(3) for b in range(3)])  # d = 2 < 3
+
+
+@pytest.mark.parametrize("root, d", [(extended_rs_code(Field(5), 3), 4), (NOT_MDS, 2)])
+def test_moved_codes_take_d_from_their_root(root, d, min_distance_calls):
+    root = Code(root.q, root.words)      # a fresh code, d not yet known
+    moved = apply_moves(root, [SP(p, (2, 0, 1) + tuple(range(3, root.q)))
+                               for p in range(root.n)] + [PP(0, 2)])
+    normalized, _ = normalize_to_zero(moved, max(moved.words))
+    assert is_mds(normalized).d == is_mds(moved).d == is_mds(root).d == d
+    assert is_mds(moved).is_mds == (d == root.n - root.k + 1)
+    assert min_distance_calls == [root]
+    # the public min_distance computes on the code it is given
+    assert mdskit.codes.min_distance(moved) == d
+    assert min_distance_calls == [root, moved]
+
+
+def test_moves_from_a_code_of_known_d_call_no_scan(min_distance_calls):
+    root = extended_rs_code(Field(5), 2)
+    assert is_mds(root).d == 5
+    moved = apply_moves(root, [SP(0, (1, 0, 2, 3, 4))])
+    assert is_mds(moved).d == 5
+    assert min_distance_calls == [root]
+
+
+def test_a_chain_of_moves_holds_only_its_root():
+    root = extended_rs_code(Field(4), 2)
+    first = apply_moves(root, [SP(0, (1, 0, 2, 3))])
+    second = apply_moves(first, [PP(0, 4)])
+    third, _ = normalize_to_zero(second)
+    assert first._root is second._root is third._root is root
+    gone = weakref.ref(first), weakref.ref(second)
+    del first, second
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
+    assert is_mds(third).d == 4 and root._d == 4
