@@ -37,11 +37,10 @@ from .errors import (
 )
 from .galois import Field
 from .search import (
+    MODES,
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
-    _MODES,
     SearchSpec,
-    _guard,
     check_theorems,
     check_word_limit,
     enumerate_mds,
@@ -271,14 +270,13 @@ def _cmd_classify(args):
 def _cmd_search(args):
     if args.emit_codes and args.mode != "collect":
         raise MdskitError("--emit-codes needs --mode collect")
+    # a shape the guards refuse raises here and leaves no directory behind
     spec = SearchSpec(args.n, args.k, args.q,
                       require_zero=args.require_zero,
                       mode=args.mode,
                       limit=args.limit,
                       max_nodes=args.max_nodes)
     if args.emit_codes:
-        # a shape the guards refuse leaves no directory behind
-        _guard(spec)
         os.makedirs(args.emit_codes, exist_ok=True)
     result = enumerate_mds(spec)
     _print_shape(args)
@@ -389,7 +387,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--require-zero", action="store_true")
-    p.add_argument("--mode", choices=_MODES, default="count")
+    p.add_argument("--mode", choices=MODES, default="count")
     p.add_argument("--limit", type=int)
     p.add_argument("--emit-codes", metavar="DIR",
                    help="in collect mode, write one file per code here")

@@ -1,10 +1,11 @@
 """Core code model: words, distances, MDS verification, file I/O.
 
 A code is a set of exactly q^k distinct length-n words over the alphabet
-{0, .., q-1}.  The alphabet carries no algebra here; field structure only
-enters through the construction helpers.  Codewords are plain tuples of
-ints and codes are value-immutable, so every transform returns a new Code
-and equivalence chains stay auditable.
+{0, .., q-1}.  Nothing here assumes an algebra on the alphabet: field
+structure enters through the construction helpers, and min_distance only
+tests whether a code is a coset of a group from galois.symbol_group.
+Codewords are plain tuples of ints and codes are value-immutable, so
+every transform returns a new Code and equivalence chains stay auditable.
 
 Code file format (text, UTF-8):
     line 1:   MDSKIT v1
@@ -17,7 +18,6 @@ duplicate words, wrong arity, out-of-range symbols, and word counts that
 are not a power of q.
 """
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -32,6 +32,7 @@ from .errors import (
     TheoremViolation,
     TooFewWords,
 )
+from .galois import symbol_group
 
 
 def hamming_distance(a, b):
@@ -189,28 +190,6 @@ def _distinct_on(columns, pos):
     return len(set(zip(*map(columns.__getitem__, pos)))) == len(columns[0])
 
 
-@functools.cache
-def _symbol_group(q):
-    """The abelian group G on the symbols 0..q-1, for q <= 256:
-    digit-wise addition mod p when q = p^m, which is GF(q)'s addition
-    whatever its modulus, and addition mod q otherwise.  Returns its add
-    rows, row a holding a + b at byte b and padded to 256 bytes like
-    Field.add_rows, and its generators p^0 .. p^(m-1)."""
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    m = 1
-    while p ** m < q:
-        m += 1
-    if p ** m != q:
-        p, m = q, 1
-    places = tuple(p ** j for j in range(m))
-
-    def add(a, b):
-        return sum((a // u + b // u) % p * u for u in places)
-
-    rows = tuple(bytes(add(a, b) for b in range(q)).ljust(256, b"\0") for a in range(q))
-    return rows, places
-
-
 def _coset_distance(code):
     """d of a code that is a coset c0 + H of a subgroup H of G^n, or
     None when the test below fails; c0 is the least word.  When the
@@ -228,7 +207,7 @@ def _coset_distance(code):
     c0 = words[0]
     if q > 256 or any(c0[:k]):
         return None
-    add, generators = _symbol_group(q)
+    add, generators = symbol_group(q)
     columns = [bytes(column) for column in zip(*words)]
     for i in range(k):
         for u in generators:

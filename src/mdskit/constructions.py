@@ -18,25 +18,19 @@ from .errors import (
     NotPrime,
     OddCharacteristic,
     WrongDimension,
+    check_integers,
 )
-
-
-def _integers(**params):
-    """Refuse a parameter that is not an int: built words are not rechecked."""
-    for name, value in params.items():
-        if not isinstance(value, int):
-            raise InvalidParameters(f"{name}={value!r} is not an integer")
 
 
 def repetition_code(n, q):
     """(n, 1)_q code {(i, .., i)}; minimum distance n."""
-    _integers(n=n, q=q)
+    check_integers(n=n, q=q)
     return Code._of(q, [(i,) * n for i in range(q)])
 
 
 def universe_code(k, q):
     """(k, k)_q code consisting of every word; minimum distance 1."""
-    _integers(k=k, q=q)
+    check_integers(k=k, q=q)
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got k={k}")
     return Code._of(q, itertools.product(range(q), repeat=k))
@@ -49,7 +43,7 @@ def sum_zero_code(k, field):
     first k coordinates run over the coefficients c0..c_{k-1} of every
     polynomial f of degree < k, and the last is -f(1), minus their sum.
     """
-    _integers(k=k)
+    check_integers(k=k)
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got k={k}")
     (at_one,) = _evaluations(field, k, (1,))
@@ -86,7 +80,7 @@ def rs_code(field, k, points):
     polynomials of degree < k agree on at most k-1 points.
     """
     points = tuple(points)
-    _integers(k=k)
+    check_integers(k=k)
     if len(set(points)) != len(points):
         raise DuplicatePoints(f"evaluation points {points} are not distinct")
     if any(not isinstance(p, int) or p not in field.elements for p in points):
@@ -100,7 +94,7 @@ def extended_rs_code(field, k):
     """Length q+1 evaluation code: f at every field element, then the
     degree-(k-1) coefficient as the extra coordinate.
     """
-    _integers(k=k)
+    check_integers(k=k)
     if not 1 <= k <= field.q:
         raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got k={k}")
     return Code._of(field.q, zip(*_evaluations(field, k, field.elements),

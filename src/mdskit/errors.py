@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the int check that
+the builders, the searches and the closed forms share.
 
 Everything raised on purpose derives from MdskitError so callers (and the
 CLI) can distinguish domain errors from genuine bugs.  Inverting zero in a
@@ -113,3 +114,11 @@ class OutOfStatedRegime(UserWarning):
     This is a warning, not an error: the value is still computed so callers
     can record empirically whether it agrees with a brute-force count.
     """
+
+
+def check_integers(**params):
+    """Refuse a parameter that is not an int: a float such as 3.0 passes
+    every range check, then leaks into counts and built words."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise InvalidParameters(f"{name}={value!r} is not an integer")

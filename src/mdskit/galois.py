@@ -6,7 +6,8 @@ encodes a polynomial over GF(p): value = c0 + c1*p + ... + c_{m-1}*p^(m-1),
 and multiplication reduces modulo a fixed irreducible polynomial, so the
 encoding is identical across runs.  The full add and mul tables, as rows
 of bytes, are built once per order and process and shared by every
-Field of that order (q <= 27 keeps this trivial).
+Field of that order (q <= 27 keeps this trivial).  The add rows are
+symbol_group's, the group on the symbols of any q <= 256.
 """
 
 import functools
@@ -29,14 +30,6 @@ _FIELDS = {
 SUPPORTED_ORDERS = tuple(_FIELDS)
 
 
-def _digits(value, p, m):
-    out = []
-    for _ in range(m):
-        out.append(value % p)
-        value //= p
-    return out
-
-
 def _poly_mul(a, b, modulus, p):
     """Multiply two coefficient lists and reduce mod the monic modulus."""
     m = len(modulus)
@@ -55,15 +48,35 @@ def _poly_mul(a, b, modulus, p):
 
 
 @functools.cache
+def symbol_group(q):
+    """The abelian group on the symbols 0..q-1, for 2 <= q <= 256:
+    digit-wise addition mod p when q = p^m, which is GF(q)'s addition
+    whatever its modulus, and addition mod q otherwise.  Returns its add
+    rows, row a holding a + b at byte b and padded to 256 bytes, and its
+    generators p^0 .. p^(m-1).  At a supported order the rows are
+    Field(q).add_rows, the same objects."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    places = tuple(p ** j for j in range(q.bit_length()) if p ** j < q)
+    if places[-1] * p != q:
+        p, places = q, (1,)
+
+    def add(a, b):
+        return sum((a // u + b // u) % p * u for u in places)
+
+    rows = tuple(bytes(add(a, b) for b in range(q)).ljust(256, b"\0") for a in range(q))
+    return rows, places
+
+
+@functools.cache
 def _tables(q):
     """GF(q)'s add rows, mul rows and neg row, each padded to 256 bytes."""
     p, modulus = _FIELDS[q]
-    polys = [_digits(v, p, len(modulus)) for v in range(q)]
+    add, places = symbol_group(q)
+    polys = [[v // u % p for u in places] for v in range(q)]
 
     def row(values):
-        return bytes(sum(c * p**i for i, c in enumerate(cs)) for cs in values).ljust(256, b"\0")
+        return bytes(sum(c * u for c, u in zip(cs, places)) for cs in values).ljust(256, b"\0")
 
-    add = tuple(row([(x + y) % p for x, y in zip(a, b)] for b in polys) for a in polys)
     mul = tuple(row(_poly_mul(a, b, modulus, p) for b in polys) for a in polys)
     return add, mul, bytes(r.index(0) for r in add).ljust(256, b"\0")
 

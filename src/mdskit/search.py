@@ -64,6 +64,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TheoremViolation,
     ZeroWordAbsent,
+    check_integers,
 )
 from .spectra import (
     closed_form_distribution,
@@ -90,16 +91,18 @@ _UNIVERSE_LIMIT = 2 ** 18
 # compatibility-mask bits a walk may build: 32 MiB
 _MASK_BIT_LIMIT = 2 ** 28
 
-_MODES = ("count", "exists", "collect")
+MODES = ("count", "exists", "collect")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchSpec:
     """What to search for and how far to let the walk grow.
 
     max_nodes bounds the number of partial extensions tried; a walk that
     exhausts it stops with complete=False rather than running without
     bound, since backtracking cost is exponential in the worst case.
+    A spec is checked when it is built: a shape past the word, length or
+    universe limit raises SearchSpaceTooLarge there, before any walk.
     """
     n: int
     k: int
@@ -110,15 +113,21 @@ class SearchSpec:
     max_nodes: int = None
 
     def __post_init__(self):
+        caps = {"limit": self.limit, "max_nodes": self.max_nodes}
+        check_integers(n=self.n, k=self.k, q=self.q,
+                       **{name: cap for name, cap in caps.items() if cap is not None})
         if self.q < 2 or self.k < 1 or self.n < self.k:
             raise InvalidParameters(
                 f"bad search shape (n={self.n}, k={self.k}, q={self.q})")
-        if self.mode not in _MODES:
-            raise InvalidParameters(f"mode must be one of {_MODES}")
-        if self.limit is not None and self.limit < 1:
-            raise InvalidParameters("limit must be positive")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise InvalidParameters("max_nodes must be positive")
+        if self.mode not in MODES:
+            raise InvalidParameters(f"mode must be one of {MODES}")
+        for name, cap in caps.items():
+            if cap is not None and cap < 1:
+                raise InvalidParameters(f"{name} must be positive")
+        check_word_limit(self.q, self.k)
+        if self.n > MAX_LENGTH:
+            raise SearchSpaceTooLarge(f"n = {self.n} exceeds the length limit {MAX_LENGTH}")
+        _check_power(self.q, self.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
 @dataclass
@@ -153,13 +162,6 @@ def _check_power(q, e, limit, symbol, name):
 def check_word_limit(q, k):
     """Refuse a code of q^k words when that exceeds MAX_WORDS."""
     _check_power(q, k, MAX_WORDS, "q^k", "word limit")
-
-
-def _guard(spec):
-    check_word_limit(spec.q, spec.k)
-    if spec.n > MAX_LENGTH:
-        raise SearchSpaceTooLarge(f"n = {spec.n} exceeds the length limit {MAX_LENGTH}")
-    _check_power(spec.q, spec.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
 
 
 def _compatibility(w, full, masks, k):
@@ -318,7 +320,7 @@ def _dfs(cand, layout, compat, emit, max_nodes, spent=None, avail=None):
     return complete, nodes, built
 
 
-def _zero_candidates(q, n, k, universe):
+def _zero_candidates(k, universe):
     """Candidates of the codes containing the zero word: any other word
     with an all-zero information prefix has weight at most n-k < d, so
     the zero slot is pinned to the zero word.  A word has weight at
@@ -326,7 +328,7 @@ def _zero_candidates(q, n, k, universe):
     return [w for w in universe if w.count(0) < k or not any(w)]
 
 
-def _canonical_candidates(q, n, k, universe):
+def _canonical_candidates(n, k, universe):
     """Candidates of the codes in a normal form, one per relabeling
     class.  Relabeling symbols within each position preserves all
     distances, and composing such relabelings carries any (n, k)_q MDS
@@ -347,7 +349,7 @@ def _canonical_candidates(q, n, k, universe):
     the candidates returned.
     """
     out = []
-    for w in _zero_candidates(q, n, k, universe):
+    for w in _zero_candidates(k, universe):
         if not any(w[:k - 1]):
             y = w[k - 1]
             if any(w[p] != y for p in range(k, n)):
@@ -457,19 +459,18 @@ def _walk_squares(q, n, emit, max_nodes):
 
         return not _dfs(labels, layout, compat, extend, max_nodes, spent, pin)[0]
 
-    cand = _canonical_candidates(q, 3, 2, list(product(range(q), repeat=3)))
+    cand = _canonical_candidates(3, 2, list(product(range(q), repeat=3)))
     return _walk(q, 3, 2, cand, lambda words: grow(words, shared), max_nodes, spent)
 
 
 def _walk_shape(spec, keep):
-    """Guard spec's shape and walk its codes, passing each code's word
-    list to keep when keep is given.  Collect mode walks every code
+    """Walk the codes of spec's shape, passing each code's word list to
+    keep when keep is given.  Collect mode walks every code
     (containing zero when spec.require_zero); count and exists walk the
     normal forms only, (n, 2)_q by _walk_squares, and weigh each by its
     class size.  An n = k shape takes no walk.  Returns a SearchResult
     without codes; a count that reaches the limit is reported as the
     limit."""
-    _guard(spec)
     q, n, k = spec.q, spec.n, spec.k
     collect = spec.mode == "collect"
     size = 1 if collect else _class_size(n, k, q, spec.require_zero)
@@ -492,9 +493,9 @@ def _walk_shape(spec, keep):
     else:
         universe = list(product(range(q), repeat=n))
         if not collect:
-            cand = _canonical_candidates(q, n, k, universe)
+            cand = _canonical_candidates(n, k, universe)
         elif spec.require_zero:
-            cand = _zero_candidates(q, n, k, universe)
+            cand = _zero_candidates(k, universe)
         else:
             cand = universe
         complete, nodes, built = _walk(q, n, k, cand, emit, spec.max_nodes)
@@ -629,14 +630,16 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     walk stops; a walk cut short is tagged sample.  Returns an iterator
     of the (status, claim) lines, each yielded as it is settled; bad
     arguments raise here, before any line."""
+    caps = {"limit_per_shape": limit_per_shape, "max_nodes": max_nodes}
+    check_integers(q=q, max_n=max_n,
+                   **{name: cap for name, cap in caps.items() if cap is not None})
     if q < 2:
         raise InvalidParameters(f"q must be at least 2, got {q}")
     if max_n < 1:
         raise InvalidParameters(f"max_n must be positive, got {max_n}")
-    if limit_per_shape is not None and limit_per_shape < 1:
-        raise InvalidParameters(f"limit_per_shape must be positive, got {limit_per_shape}")
-    if max_nodes is not None and max_nodes < 1:
-        raise InvalidParameters(f"max_nodes must be positive, got {max_nodes}")
+    for name, cap in caps.items():
+        if cap is not None and cap < 1:
+            raise InvalidParameters(f"{name} must be positive, got {cap}")
     return _check_theorems(q, max_n, limit_per_shape, max_nodes)
 
 
@@ -655,10 +658,10 @@ def _check_theorems(q, max_n, limit_per_shape, max_nodes):
             if n > length_bound(k, q):
                 break
             shape = f"(n={n}, k={k})_{q}"
-            spec = SearchSpec(n, k, q, require_zero=True, limit=limit_per_shape,
-                              max_nodes=max_nodes)
             forms = []
             try:
+                spec = SearchSpec(n, k, q, require_zero=True, limit=limit_per_shape,
+                                  max_nodes=max_nodes)
                 result = _walk_shape(spec, forms.append)
             except SearchSpaceTooLarge as exc:
                 yield ("skip", f"{shape}: {exc}")

@@ -34,6 +34,7 @@ from .errors import (
     ProfileOutOfRange,
     WordNotInCode,
     ZeroWordAbsent,
+    check_integers,
 )
 
 
@@ -99,6 +100,7 @@ def _alternating_sum(w, d, q):
 
 
 def _check_mds_params(n, k, q):
+    check_integers(n=n, k=k, q=q)
     if q < 2 or n < 1 or not 0 <= k <= n:
         raise InvalidParameters(f"bad MDS parameters (n={n}, k={k}, q={q})")
     if q < k:
@@ -143,6 +145,7 @@ def predicted_spectrum(n, k, q):
       n = q+k-1, k = 2 -> {n-1}
       n = q+k-1, k,q>2 -> {n-k+1, .., n} minus {n-k+2}  (= q+1 missing)
     """
+    check_integers(n=n, k=k, q=q)
     if k < 1 or n < k or q < 2:
         raise InadmissibleParameters(f"(n={n}, k={k}, q={q}) is not a code shape")
     if n > length_bound(k, q):

@@ -20,6 +20,7 @@ from mdskit import (
     extended_rs_code,
     parse_code,
     read_code,
+    repetition_code,
     sum_zero_code,
     write_code,
 )
@@ -364,6 +365,12 @@ def test_classify_binary_golden(tmp_path, capsys):
     assert run(["classify-binary", str(path)]) == 0
     assert capsys.readouterr().out == (
         "q = 2\nn = 4\nk = 3\nkind = parity-check\nmoves = 0\n")
+    # a relabeled repetition code: each move back to it on its own line
+    write_code(apply_moves(repetition_code(3, 2), [SP(0, (1, 0))]), path)
+    assert run(["classify-binary", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "q = 2\nn = 3\nk = 1\nkind = repetition\nmoves = 2\n"
+        "move = SP 2 1 0\nmove = SP 3 1 0\n")
 
 
 def test_classify_binary_rejects_nonbinary(tmp_path, capsys):
@@ -605,13 +612,17 @@ def test_verify_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     assert captured.err == f"error: not valid UTF-8: {path}\n"
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         run(["no-such-command"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         run(["search", "--n", "3"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "c.txt", "--information-set", "1,x"])
+    assert err.value.code == 2
+    assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
 
 
 def _run_module(*argv):

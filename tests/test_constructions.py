@@ -82,6 +82,8 @@ def test_rs_code():
         rs_code(f, 2, [0, 1.0, 2])
     with pytest.raises(DimensionTooLarge):
         rs_code(f, 4, [0, 1, 2])
+    with pytest.raises(DimensionTooLarge):
+        extended_rs_code(f, 6)          # k > q
 
 
 @pytest.mark.parametrize("build", [
@@ -152,6 +154,8 @@ def test_orthogonality():
     MolsSet(3, [a, b])
     with pytest.raises(NotOrthogonal):
         MolsSet(3, [a, a])
+    with pytest.raises(NotOrthogonal, match="square of order 3 in an order-4 set"):
+        MolsSet(4, [a, b])
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -1,5 +1,6 @@
 """Exhaustive walks: frozen counts, guards, budgets, and theorem checks."""
 
+import dataclasses
 import re
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -15,6 +16,7 @@ from mdskit import (
     Field,
     InvalidParameters,
     NotMds,
+    PartitionSpec,
     SearchSpaceTooLarge,
     SearchSpec,
     TheoremViolation,
@@ -28,11 +30,14 @@ from mdskit import (
     hamming_distance,
     is_mds,
     length_bound,
+    partition_weight_enumerator_formula,
+    predicted_spectrum,
     require_mds,
     sum_zero_code,
     verify_bounds,
     verify_distribution,
     verify_spectrum_theorems,
+    weight_distribution_formula,
 )
 from mdskit.codes import symbol_masks, weight
 from mdskit.search import (
@@ -61,7 +66,7 @@ SLOW_FULL_WALKS = {(3, 2, 5), (4, 3, 4)}
 def full_walk_count(n, k, q, require_zero):
     """Oracle for count mode: walk every code of the shape, one by one."""
     universe = list(product(range(q), repeat=n))
-    cand = _zero_candidates(q, n, k, universe) if require_zero else universe
+    cand = _zero_candidates(k, universe) if require_zero else universe
     found = []
     complete, _, _ = _walk(q, n, k, cand, lambda words: found.append(1), None)
     assert complete
@@ -133,7 +138,10 @@ def test_spec_validation():
     (4, 3, 4, _zero_candidates),        # the require_zero count of (4,3)_4
 ])
 def test_compatibility_masks_match_pairwise(n, k, q, select):
-    cand = sorted(select(q, n, k, list(product(range(q), repeat=n))))
+    universe = list(product(range(q), repeat=n))
+    # the normal form also reads n; the zero filter needs only k
+    cand = sorted(select(n, k, universe) if select is _canonical_candidates
+                  else select(k, universe))
     masks = symbol_masks(cand, n, q)
     full = (1 << len(cand)) - 1
     compat = [_compatibility(w, full, masks, k) for w in cand]
@@ -148,7 +156,7 @@ def test_zero_candidates_match_the_weight_filter():
             universe = list(product(range(q), repeat=n))
             for k in range(1, n + 1):
                 expected = [w for w in universe if weight(w) >= n - k + 1 or not any(w)]
-                assert _zero_candidates(q, n, k, universe) == expected, (n, k, q)
+                assert _zero_candidates(k, universe) == expected, (n, k, q)
                 shapes += 1
     assert shapes == 84
 
@@ -191,7 +199,7 @@ def test_walk_emits_exactly_the_reference_codes():
     assert len(shapes) == 40
     for n, k, q in shapes:
         universe = list(product(range(q), repeat=n))
-        for cand in (universe, _zero_candidates(q, n, k, universe)):
+        for cand in (universe, _zero_candidates(k, universe)):
             emitted = []
             complete, _, _ = _walk(q, n, k, cand,
                                    lambda words: emitted.append(frozenset(words)), None)
@@ -287,7 +295,7 @@ def walk_normal_forms(n, k, q, mode):
     """_walk over the sorted normal-form candidates of (n, k)_q, as
     count and exists walked them before (n, 2)_q took the square route:
     exists stops at the first code."""
-    cand = sorted(_canonical_candidates(q, n, k, list(product(range(q), repeat=n))))
+    cand = sorted(_canonical_candidates(n, k, list(product(range(q), repeat=n))))
     return _walk(q, n, k, cand, lambda words: mode == "exists", None), len(cand)
 
 
@@ -347,7 +355,7 @@ SQUARE_SHAPES = [(n, q) for q in range(2, 6) for n in range(3, q + 3)]
 @pytest.mark.parametrize("n,q", SQUARE_SHAPES)
 def test_square_route_matches_the_walk(n, q):
     universe = list(product(range(q), repeat=n))
-    cand = _canonical_candidates(q, n, 2, universe)
+    cand = _canonical_candidates(n, 2, universe)
     expected = []
     complete, _, _ = _walk(q, n, 2, cand, lambda words: expected.append(frozenset(words)),
                            None)
@@ -372,7 +380,7 @@ def test_square_route_matches_the_walk(n, q):
 def test_square_route_is_complete_only_within_its_budget(n, q):
     # either route completes exactly when the budget covers its full run,
     # and otherwise stops with every node of the budget spent
-    cand = _canonical_candidates(q, n, 2, list(product(range(q), repeat=n)))
+    cand = _canonical_candidates(n, 2, list(product(range(q), repeat=n)))
     size = _class_size(n, 2, q, True)
 
     def walk(budget):
@@ -466,7 +474,7 @@ def test_square_route_finds_codes_past_five_symbols(n, q):
     assert result.count == 1 and len(found) == 1
     words = found[0]
     require_mds(Code(q, words))
-    assert _canonical_candidates(q, n, 2, words) == words
+    assert _canonical_candidates(n, 2, words) == words
 
 
 @pytest.mark.parametrize("n,q", [(1, 5), (3, 3), (6, 5)])
@@ -522,7 +530,7 @@ def test_walk_memory_follows_the_masks_built(monkeypatch):
     # after 64 masks, the walk holds about three 4096-bit ints per mask,
     # far below one per slot
     n, k, q = 6, 6, 4
-    cand = _canonical_candidates(q, n, k, list(product(range(q), repeat=n)))
+    cand = _canonical_candidates(n, k, list(product(range(q), repeat=n)))
     monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 64 * len(cand))
     tracemalloc.start()
     try:
@@ -661,12 +669,16 @@ def test_budget_stops_walk_honestly():
 
 
 def test_guards():
+    # the word, length and universe limits refuse a spec when it is built,
+    # and a built spec is frozen, so no field can change once checked
     with pytest.raises(SearchSpaceTooLarge, match="word limit"):
-        enumerate_mds(SearchSpec(12, 12, 3))
+        SearchSpec(12, 12, 3)
     with pytest.raises(SearchSpaceTooLarge, match="^n = 13 exceeds the length limit 12$"):
-        enumerate_mds(SearchSpec(13, 2, 2))
+        SearchSpec(13, 2, 2)
     with pytest.raises(SearchSpaceTooLarge, match="universe limit"):
-        enumerate_mds(SearchSpec(12, 2, 5))
+        SearchSpec(12, 2, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SearchSpec(12, 2, 2).n = 13
     with pytest.raises(SearchSpaceTooLarge,
                        match="^masks x bits = 13654 x 19661 exceeds the mask bit limit "):
         enumerate_mds(SearchSpec(9, 8, 3))
@@ -750,6 +762,29 @@ def test_check_theorems_refuses_bad_arguments_when_called(q, kwargs, name):
         check_theorems(q, **kwargs)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_mds(SearchSpec(3.0, 2, 3)),
+    lambda: SearchSpec(3, 2.0, 3),
+    lambda: SearchSpec(3, 2, 3.0),
+    lambda: SearchSpec(4, 3, 2, limit=1.5),
+    lambda: SearchSpec(4, 3, 2, max_nodes=2.0),
+    lambda: check_theorems(2.0, 3),
+    lambda: check_theorems(2, 3.0),
+    lambda: check_theorems(2, 3, limit_per_shape=1.5),
+    lambda: check_theorems(2, 3, max_nodes=2.0),
+    lambda: predicted_spectrum(3.0, 2, 3),
+    lambda: weight_distribution_formula(3.0, 2, 3),
+    lambda: weight_distribution_formula(3, 2, 3.0),
+    lambda: partition_weight_enumerator_formula(
+        4, 2.0, 3, PartitionSpec(4, [[0, 1], [2, 3]]), (1, 1)),
+])
+def test_search_and_closed_forms_refuse_non_integer_parameters(call):
+    # a float passes every range check: unchecked, SearchSpec(3.0, 2, 3)
+    # would count 12.0 codes, and limit=1.5 would report a count of 1.5
+    with pytest.raises(InvalidParameters, match="is not an integer"):
+        call()
+
+
 def test_verify_spectrum_theorems():
     code = doubly_extended_rs(Field(4))
     reports = verify_spectrum_theorems(code)
@@ -768,6 +803,8 @@ def test_verify_spectrum_rejects():
     code = extended_rs_code(Field(3), 2)
     with pytest.raises(ZeroWordAbsent):
         verify_spectrum_theorems(apply_move(code, SP(0, (1, 2, 0))))
+    with pytest.raises(ZeroWordAbsent):
+        verify_distribution(apply_move(code, SP(0, (1, 2, 0))))
     not_mds = Code(2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
     with pytest.raises(NotMds):
         verify_spectrum_theorems(not_mds)
@@ -801,7 +838,7 @@ def test_check_theorems_scans_each_normal_form_once(q, max_n, scans, min_distanc
     forms = {}
     for code in min_distance_calls:
         universe = list(product(range(q), repeat=code.n))
-        assert code.words <= set(_canonical_candidates(q, code.n, code.k, universe))
+        assert code.words <= set(_canonical_candidates(code.n, code.k, universe))
         forms.setdefault((code.n, code.k), set()).add(code.words)
     # one scan per distinct normal form, weighed by its class size
     assert sum(len(shape_forms) for shape_forms in forms.values()) == scans

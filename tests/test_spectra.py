@@ -27,6 +27,7 @@ from mdskit import (
     extended_rs_code,
     hamming_distance,
     is_mds,
+    length_bound,
     partition_distance_enumerator,
     partition_weight_enumerator_bruteforce,
     partition_weight_enumerator_formula,
@@ -154,6 +155,20 @@ def test_predicted_spectrum_rejects_inadmissible():
         predicted_spectrum(3, 0, 4)
 
 
+def test_predicted_spectrum_is_the_closed_form_support():
+    # every MDS code containing zero has the closed-form distribution, so
+    # its nonzero weights are an oracle for the main theorem and its
+    # remaining case n = q+k-1, on every admissible shape of the grid
+    shapes = 0
+    for q in range(2, 33):
+        for k in range(1, 12):
+            for n in range(k, (k + 12 if k == 1 else length_bound(k, q)) + 1):
+                assert (predicted_spectrum(n, k, q)
+                        == closed_form_distribution(n, k, q).spectrum()), (n, k, q)
+                shapes += 1
+    assert shapes == 5398
+
+
 def test_partition_spec_validation():
     PartitionSpec(4, [[0, 1], [2, 3]])
     with pytest.raises(BadPartition):
@@ -204,6 +219,8 @@ def test_pwe_validation():
         partition_weight_enumerator_formula(4, 2, 3, spec, (1,))
     with pytest.raises(BadPartition):
         partition_weight_enumerator_bruteforce(code, PartitionSpec(3, [[0, 1, 2]]), (1,))
+    with pytest.raises(BadPartition):
+        partition_weight_enumerator_formula(5, 2, 3, spec, (1, 1))
 
 
 def test_distance_distribution():
