@@ -199,6 +199,7 @@ class MolsSet:
 
 def cyclic_mols(p):
     """The p-1 squares L_a(i, j) = a*i + j mod p, pairwise orthogonal."""
+    check_integers(p=p)
     if p < 2 or any(p % f == 0 for f in range(2, p)):
         raise NotPrime(f"{p} is not prime")
     squares = [LatinSquare([[(a * i + j) % p for j in range(p)] for i in range(p)])

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the int check that
-the builders, the searches and the closed forms share.
+"""Exception types shared across the package, and the int and cap checks
+that the builders, the searches and the closed forms share.
 
 Everything raised on purpose derives from MdskitError so callers (and the
 CLI) can distinguish domain errors from genuine bugs.  Inverting zero in a
@@ -122,3 +122,12 @@ def check_integers(**params):
     for name, value in params.items():
         if not isinstance(value, int):
             raise InvalidParameters(f"{name}={value!r} is not an integer")
+
+
+def check_caps(**caps):
+    """Refuse a cap that is not a positive int; None means no cap."""
+    for name, cap in caps.items():
+        if cap is not None:
+            check_integers(**{name: cap})
+            if cap < 1:
+                raise InvalidParameters(f"{name} must be positive, got {cap}")

@@ -64,13 +64,13 @@ from .errors import (
     SearchSpaceTooLarge,
     TheoremViolation,
     ZeroWordAbsent,
+    check_caps,
     check_integers,
 )
 from .spectra import (
     closed_form_distribution,
     predicted_spectrum,
     weight_distribution_bruteforce,
-    weight_spectrum,
 )
 from .transforms import classify_binary
 
@@ -113,17 +113,15 @@ class SearchSpec:
     max_nodes: int = None
 
     def __post_init__(self):
-        caps = {"limit": self.limit, "max_nodes": self.max_nodes}
-        check_integers(n=self.n, k=self.k, q=self.q,
-                       **{name: cap for name, cap in caps.items() if cap is not None})
+        check_integers(n=self.n, k=self.k, q=self.q)
+        check_caps(limit=self.limit, max_nodes=self.max_nodes)
         if self.q < 2 or self.k < 1 or self.n < self.k:
             raise InvalidParameters(
                 f"bad search shape (n={self.n}, k={self.k}, q={self.q})")
         if self.mode not in MODES:
             raise InvalidParameters(f"mode must be one of {MODES}")
-        for name, cap in caps.items():
-            if cap is not None and cap < 1:
-                raise InvalidParameters(f"{name} must be positive")
+        if not isinstance(self.require_zero, bool):
+            raise InvalidParameters(f"require_zero={self.require_zero!r} is not a bool")
         check_word_limit(self.q, self.k)
         if self.n > MAX_LENGTH:
             raise SearchSpaceTooLarge(f"n = {self.n} exceeds the length limit {MAX_LENGTH}")
@@ -551,6 +549,7 @@ def verify_bounds(q, k_max, max_nodes=None):
     a longer MDS code leaves an MDS code.  A size the guards refuse, or a
     search the node budget cannot settle, gives a skipped report that
     names the reason."""
+    check_integers(q=q, k_max=k_max)
     return [_verify_bound(q, k, max_nodes) for k in range(2, k_max + 1)]
 
 
@@ -566,41 +565,30 @@ def _verify_bound(q, k, max_nodes):
     return TheoremReport(claim, not found, detail=detail)
 
 
-def verify_spectrum_theorems(code):
-    """Check the attained nonzero weights of an MDS code containing zero
-    against the provable spectrum, plus the full-length-word claims."""
+def _check_code(code):
+    """The reports of verify_spectrum_theorems and verify_distribution,
+    from one MDS check and one weight count."""
     require_mds(code)
     if not code.contains_zero():
-        raise ZeroWordAbsent("spectrum checks are stated for codes containing zero")
+        raise ZeroWordAbsent("the theorem checks are stated for codes containing zero")
     n, k, q = code.n, code.k, code.q
-    actual = weight_spectrum(code)
+    brute = weight_distribution_bruteforce(code)
+    actual = brute.spectrum()
     predicted = predicted_spectrum(n, k, q)
-    reports = [TheoremReport(
+    spectrum = [TheoremReport(
         claim=f"weight spectrum of (n={n}, k={k})_{q} with zero",
         passed=actual == predicted,
         out_of_regime=q < k,
         detail=f"actual {sorted(actual)}, predicted {sorted(predicted)}")]
     if n < q + k - 1:
-        reports.append(TheoremReport(
+        spectrum.append(TheoremReport(
             claim=f"a full-weight word exists (n={n} < q+k-1={q + k - 1})",
             passed=n in actual))
     if n == q + k - 1 and k > 2 and q > 2:
-        reports.append(TheoremReport(
+        spectrum.append(TheoremReport(
             claim=f"a full-weight word exists (n={n} = q+k-1, k>2, q>2)",
             passed=n in actual))
-    return reports
 
-
-def verify_distribution(code):
-    """Compare the brute-force weight distribution of an MDS code
-    containing zero with the closed form.  Outside the stated regime
-    (q < k) the outcome is recorded as empirical agreement, not a
-    theorem check."""
-    require_mds(code)
-    if not code.contains_zero():
-        raise ZeroWordAbsent("the closed form counts weights relative to zero")
-    n, k, q = code.n, code.k, code.q
-    brute = weight_distribution_bruteforce(code)
     closed = closed_form_distribution(n, k, q)
     if brute == closed:
         detail = "brute force matches the closed form"
@@ -609,11 +597,25 @@ def verify_distribution(code):
         bad = [w for w in diffs if brute[w] != closed[w]]
         detail = (f"mismatch at weights {bad}: "
                   f"brute {[brute[w] for w in bad]}, closed {[closed[w] for w in bad]}")
-    return TheoremReport(
+    return spectrum, TheoremReport(
         claim=f"closed-form weight distribution of (n={n}, k={k})_{q}",
         passed=brute == closed,
         out_of_regime=q < k,
         detail=detail)
+
+
+def verify_spectrum_theorems(code):
+    """Check the attained nonzero weights of an MDS code containing zero
+    against the provable spectrum, plus the full-length-word claims."""
+    return _check_code(code)[0]
+
+
+def verify_distribution(code):
+    """Compare the brute-force weight distribution of an MDS code
+    containing zero with the closed form.  Outside the stated regime
+    (q < k) the outcome is recorded as empirical agreement, not a
+    theorem check."""
+    return _check_code(code)[1]
 
 
 def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
@@ -630,16 +632,10 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     walk stops; a walk cut short is tagged sample.  Returns an iterator
     of the (status, claim) lines, each yielded as it is settled; bad
     arguments raise here, before any line."""
-    caps = {"limit_per_shape": limit_per_shape, "max_nodes": max_nodes}
-    check_integers(q=q, max_n=max_n,
-                   **{name: cap for name, cap in caps.items() if cap is not None})
+    check_integers(q=q)
     if q < 2:
         raise InvalidParameters(f"q must be at least 2, got {q}")
-    if max_n < 1:
-        raise InvalidParameters(f"max_n must be positive, got {max_n}")
-    for name, cap in caps.items():
-        if cap is not None and cap < 1:
-            raise InvalidParameters(f"{name} must be positive, got {cap}")
+    check_caps(max_n=max_n, limit_per_shape=limit_per_shape, max_nodes=max_nodes)
     return _check_theorems(q, max_n, limit_per_shape, max_nodes)
 
 
@@ -654,9 +650,7 @@ def _check_theorems(q, max_n, limit_per_shape, max_nodes):
             yield ("pass" if report.passed else "fail", report.claim)
 
     for k in range(1, max_n + 1):
-        for n in range(k, max_n + 1):
-            if n > length_bound(k, q):
-                break
+        for n in range(k, min(max_n, length_bound(k, q)) + 1):
             shape = f"(n={n}, k={k})_{q}"
             forms = []
             try:
@@ -674,30 +668,23 @@ def _check_theorems(q, max_n, limit_per_shape, max_nodes):
                 continue
             tag = f"codes={result.count}" + ("" if result.complete else " sample")
 
-            spectrum_bad = 0
-            dist_bad = 0
-            dist_empirical = False
-            classify_bad = 0
+            # one "some form failed" flag per check, in the order of the lines
+            failed = {"spectrum": False, "distribution": False}
+            if q == 2:
+                failed["binary-classification"] = False
             for words in forms:
                 code = Code._of(q, words)
-                for rep in verify_spectrum_theorems(code):
-                    if not rep.passed:
-                        spectrum_bad += 1
-                rep = verify_distribution(code)
-                dist_empirical = rep.out_of_regime
-                if not rep.passed:
-                    dist_bad += 1
+                spectrum, distribution = _check_code(code)
+                failed["spectrum"] |= not all(rep.passed for rep in spectrum)
+                failed["distribution"] |= not distribution.passed
                 if q == 2:
                     try:
                         classify_binary(code)
                     except TheoremViolation:
-                        classify_bad += 1
-            yield ("fail" if spectrum_bad else "pass", f"spectrum {shape} {tag}")
-            if dist_empirical:
-                yield ("empirical-disagree" if dist_bad else "empirical",
-                       f"distribution {shape} {tag}")
-            else:
-                yield ("fail" if dist_bad else "pass", f"distribution {shape} {tag}")
-            if q == 2:
-                yield ("fail" if classify_bad else "pass",
-                       f"binary-classification {shape} {tag}")
+                        failed["binary-classification"] = True
+            for check, bad in failed.items():
+                if check == "distribution" and q < k:
+                    status = "empirical-disagree" if bad else "empirical"
+                else:
+                    status = "fail" if bad else "pass"
+                yield (status, f"{check} {shape} {tag}")

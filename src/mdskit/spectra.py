@@ -25,7 +25,7 @@ agreement without claiming a theorem.
 import warnings
 from math import comb
 
-from .codes import agreement_counters, bit_view, length_bound
+from .codes import agreement_counters, bit_view, is_position, length_bound
 from .errors import (
     BadPartition,
     InadmissibleParameters,
@@ -175,7 +175,7 @@ class PartitionSpec:
         if any(not b for b in blocks):
             raise BadPartition("empty block")
         covered = [p for b in blocks for p in b]
-        if len(covered) != n or set(covered) != set(range(n)):
+        if not all(is_position(p, n) for p in covered) or sorted(covered) != list(range(n)):
             raise BadPartition(f"blocks do not partition 0..{n - 1}")
         self.n = n
         self.blocks = blocks
@@ -194,7 +194,7 @@ def _check_profile(spec, profile):
         raise ProfileOutOfRange(
             f"profile has {len(profile)} entries for {len(spec.blocks)} blocks")
     for wi, ni in zip(profile, spec.sizes):
-        if not 0 <= wi <= ni:
+        if not (isinstance(wi, int) and 0 <= wi <= ni):
             raise ProfileOutOfRange(f"profile entry {wi} outside 0..{ni}")
     return profile
 

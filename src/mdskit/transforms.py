@@ -164,7 +164,7 @@ def residual(code, spec):
         if not is_position(p, code.n):
             raise BadPositions(f"position {p} outside 0..{code.n - 1}")
     for v in spec.values:
-        if not 0 <= v < code.q:
+        if not is_position(v, code.q):
             raise BadPositions(f"values must lie in 0..{code.q - 1}, got {v}")
     words = code.words
     if t:
@@ -210,17 +210,15 @@ def classify_binary(code):
     n, k = code.n, code.k
     if k == 1:
         kind = BinaryKind.REPETITION
-        expected = {(0,) * n, (1,) * n}
+        if normalized.words != {(0,) * n, (1,) * n}:
+            raise TheoremViolation(f"(n={n}, k={k})_2 does not match {kind.value}")
     elif n == k:
         kind = BinaryKind.UNIVERSE
-        expected = None
     elif n == k + 1:
+        # its 2^k words are the whole even-weight code when all are even
         kind = BinaryKind.PARITY_CHECK
-        expected = {w for w in normalized.words if sum(w) % 2 == 0}
-        if len(expected) != len(normalized.words):
+        if any(sum(w) % 2 for w in normalized.words):
             raise TheoremViolation("normalized words are not all of even weight")
     else:
         raise TheoremViolation(f"binary MDS code with n={n}, k={k}")
-    if expected is not None and normalized.words != frozenset(expected):
-        raise TheoremViolation(f"(n={n}, k={k})_2 does not match {kind.value}")
     return BinaryClass(kind, tuple(moves))

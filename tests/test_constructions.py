@@ -94,6 +94,8 @@ def test_rs_code():
     lambda: sum_zero_code(2.0, Field(5)),
     lambda: rs_code(Field(5), 2.0, [0, 1, 2]),
     lambda: extended_rs_code(Field(5), 2.0),
+    lambda: cyclic_mols(5.0),
+    lambda: cyclic_mols("5"),
 ])
 def test_builders_refuse_non_integer_parameters(build):
     # the builders' words are not checked again, so a float must not reach them

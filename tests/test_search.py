@@ -131,6 +131,8 @@ def test_spec_validation():
         SearchSpec(3, 2, 2, limit=0)
     with pytest.raises(InvalidParameters):
         SearchSpec(3, 2, 2, max_nodes=0)
+    with pytest.raises(InvalidParameters):
+        SearchSpec(3, 2, 3, require_zero="no")  # truthy, but not True
 
 
 @pytest.mark.parametrize("n,k,q,select", [
@@ -284,7 +286,7 @@ def test_walk_with_an_empty_slot_finds_nothing():
 
 @pytest.mark.parametrize("n,k,q", [(3, 2, 4), (4, 3, 3), (6, 5, 3)])
 def test_collect_emits_codes_in_increasing_order(n, k, q):
-    # pins which codes a budgeted sweep line takes as its sample
+    # pins that under --limit, collect keeps the least codes
     result = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode="collect"))
     keys = [tuple(sorted(code.words)) for code in result.codes]
     assert len(keys) > 1
@@ -772,6 +774,7 @@ def test_check_theorems_refuses_bad_arguments_when_called(q, kwargs, name):
     lambda: check_theorems(2, 3.0),
     lambda: check_theorems(2, 3, limit_per_shape=1.5),
     lambda: check_theorems(2, 3, max_nodes=2.0),
+    lambda: verify_bounds(2, 3.0),
     lambda: predicted_spectrum(3.0, 2, 3),
     lambda: weight_distribution_formula(3.0, 2, 3),
     lambda: weight_distribution_formula(3, 2, 3.0),
@@ -847,6 +850,27 @@ def test_check_theorems_scans_each_normal_form_once(q, max_n, scans, min_distanc
     for (n, k), shape_forms in forms.items():
         weighed = len(shape_forms) * _class_size(n, k, q, True)
         assert tags[n, k] == min(weighed, SWEEP_LIMIT_PER_SHAPE)
+
+
+def test_check_theorems_counts_weights_once_per_normal_form(monkeypatch):
+    # the spectrum and distribution checks of a normal form share one count
+    calls = []
+    count = mdskit.spectra._distances_from
+
+    def counted(code, center):
+        calls.append(code)
+        return count(code, center)
+
+    monkeypatch.setattr(mdskit.spectra, "_distances_from", counted)
+    q, max_n = 3, 5
+    list(check_theorems(q, max_n))
+    forms = []
+    for k in range(1, max_n + 1):
+        for n in range(k, min(max_n, length_bound(k, q)) + 1):
+            _walk_shape(SearchSpec(n, k, q, require_zero=True, limit=SWEEP_LIMIT_PER_SHAPE,
+                                   max_nodes=SWEEP_MAX_NODES), forms.append)
+    assert len(forms) > 1
+    assert len(calls) == len({id(code) for code in calls}) == len(forms)
 
 
 def check_outcomes(code):

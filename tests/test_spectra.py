@@ -177,6 +177,8 @@ def test_partition_spec_validation():
         PartitionSpec(4, [[0, 1], [3]])        # missing position
     with pytest.raises(BadPartition):
         PartitionSpec(4, [[0, 1, 2, 3], []])   # empty block
+    with pytest.raises(BadPartition):
+        PartitionSpec(4, [[0, 1], [2, 3.0]])   # 3.0 == 3, but is no position
 
 
 def test_pwe_frozen_values():
@@ -217,6 +219,10 @@ def test_pwe_validation():
         partition_weight_enumerator_bruteforce(code, spec, (3, 0))
     with pytest.raises(ProfileOutOfRange):
         partition_weight_enumerator_formula(4, 2, 3, spec, (1,))
+    with pytest.raises(ProfileOutOfRange):
+        partition_weight_enumerator_bruteforce(code, spec, (1.0, 1))  # a float count
+    with pytest.raises(ProfileOutOfRange):
+        partition_weight_enumerator_formula(4, 2, 3, spec, (1.0, 1))
     with pytest.raises(BadPartition):
         partition_weight_enumerator_bruteforce(code, PartitionSpec(3, [[0, 1, 2]]), (1,))
     with pytest.raises(BadPartition):

@@ -344,6 +344,9 @@ def test_residual_validation():
         residual(code, ResidualSpec((0, 9), (0, 0)))
     with pytest.raises(BadPositions):
         residual(code, ResidualSpec((0,), (5,)))
+    for value in ("1", 1.0):
+        with pytest.raises(BadPositions, match="values must lie in 0..2"):
+            residual(code, ResidualSpec((0,), (value,)))
     with pytest.raises(BadPositions):
         ResidualSpec((0, 0), (1, 1))
     with pytest.raises(BadPositions):
