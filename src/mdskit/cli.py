@@ -119,11 +119,11 @@ def _q_k(args):
 
 
 # construct's families: the flags each needs, its word count (q, e) for
-# q^e words, refused before anything is built when over the word limit
-# (dx-rs has none), and its builder; rs evaluates at every field element
-# 0..q-1 unless given --points.  A family takes no other flag but --out,
-# and --points only for rs.  The lambdas look builders up as module
-# globals at call time.
+# q^e words, refused before anything is built when over the word limit,
+# and its builder; rs evaluates at every field element 0..q-1 unless
+# given --points.  A family takes no other flag but --out, and --points
+# only for rs.  The lambdas look builders up as module globals at call
+# time.
 _FAMILIES = {
     "repetition": (("n", "q"), lambda a: (a.q, 1), lambda a: repetition_code(a.n, a.q)),
     "universe": (("k", "q"), _q_k, lambda a: universe_code(a.k, a.q)),
@@ -131,7 +131,7 @@ _FAMILIES = {
     "rs": (("k", "q"), _q_k, lambda a: rs_code(
         Field(a.q), a.k, range(a.q) if a.points is None else a.points)),
     "ext-rs": (("k", "q"), _q_k, lambda a: extended_rs_code(Field(a.q), a.k)),
-    "dx-rs": (("q",), None, lambda a: doubly_extended_rs(Field(a.q))),
+    "dx-rs": (("q",), lambda a: (a.q, 3), lambda a: doubly_extended_rs(Field(a.q))),
     "mols": (("p",), lambda a: (a.p, 2), lambda a: mols_to_code(cyclic_mols(a.p))),
 }
 
@@ -146,8 +146,7 @@ def _cmd_construct(args):
              if name not in taken and getattr(args, name) is not None]
     if extra:
         raise MdskitError(f"family {args.family!r} takes no {' '.join(extra)}")
-    if words is not None:
-        check_word_limit(*words(args))
+    check_word_limit(*words(args))
     _emit_code(build(args), args.out)
     return 0
 
@@ -220,7 +219,7 @@ def _cmd_pwe(args):
 def _cmd_distances(args):
     code = _load(args.file)
     report = require_mds(code)
-    center = tuple(args.center) if args.center is not None else min(code.words)
+    center = tuple(args.center) if args.center is not None else code.sorted_words()[0]
     dist = distance_distribution_from(code, center)
     closed = weight_distribution_formula(code.n, code.k, code.q)
     _print_shape(code)

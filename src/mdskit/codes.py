@@ -31,6 +31,7 @@ from .errors import (
     NotMds,
     TheoremViolation,
     TooFewWords,
+    check_integers,
 )
 from .galois import symbol_group
 
@@ -84,7 +85,7 @@ class Code:
                 if len(w) != n:
                     raise InvalidCode("words have mixed lengths")
                 for s in w:
-                    if not (isinstance(s, int) and 0 <= s < q):
+                    if not is_position(s, q):
                         raise InvalidCode(f"symbol {s!r} outside 0..{q - 1}")
         k = _dimension_of(q, len(wordset))
         if k is None:
@@ -112,8 +113,8 @@ class Code:
         return self._sorted
 
     def __contains__(self, word):
-        word = tuple(word)      # a word of floats equal to a codeword is not one
-        return word in self.words and all(isinstance(s, int) for s in word)
+        word = tuple(word)      # a word of floats or bools equal to a codeword is not one
+        return word in self.words and all(is_position(s, self.q) for s in word)
 
     def __len__(self):
         return len(self.words)
@@ -279,6 +280,7 @@ def length_bound(k, q):
     (doubly_extended_rs, e.g. (6, 3)_4) and for k = 3 when q is an odd
     prime power (extended_rs_code, e.g. (6, 3)_5).  It is not tight in
     general: no (4, 2)_6 code exists (Euler's 36 officers)."""
+    check_integers(k=k, q=q)
     if k < 2:
         return math.inf
     if q <= k:
@@ -316,8 +318,9 @@ def require_mds(code):
 
 
 def is_position(p, n):
-    """True iff p is an int in 0..n-1; a float such as 1.0 is not a position."""
-    return isinstance(p, int) and 0 <= p < n
+    """True iff p is an int in 0..n-1; neither a float such as 1.0 nor a
+    bool is a position.  The same test checks a symbol, p in 0..q-1."""
+    return type(p) is int and 0 <= p < n
 
 
 def information_set_check(code, positions):

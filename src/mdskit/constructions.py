@@ -8,7 +8,7 @@ n-2 mutually orthogonal Latin squares.
 
 import itertools
 
-from .codes import Code, is_mds, require_mds
+from .codes import Code, is_mds, is_position, require_mds
 from .errors import (
     DimensionTooLarge,
     DuplicatePoints,
@@ -83,7 +83,7 @@ def rs_code(field, k, points):
     check_integers(k=k)
     if len(set(points)) != len(points):
         raise DuplicatePoints(f"evaluation points {points} are not distinct")
-    if any(not isinstance(p, int) or p not in field.elements for p in points):
+    if not all(is_position(p, field.q) for p in points):
         raise InvalidParameters(f"points {points} must be field elements")
     if not 1 <= k <= len(points):
         raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got k={k}")

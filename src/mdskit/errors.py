@@ -118,9 +118,10 @@ class OutOfStatedRegime(UserWarning):
 
 def check_integers(**params):
     """Refuse a parameter that is not an int: a float such as 3.0 passes
-    every range check, then leaks into counts and built words."""
+    every range check, then leaks into counts and built words, and a bool
+    is an int subclass that would come back as a count such as True."""
     for name, value in params.items():
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise InvalidParameters(f"{name}={value!r} is not an integer")
 
 

@@ -88,7 +88,7 @@ class Field:
     symbol at once.  Every Field of one order shares these rows."""
 
     def __init__(self, q):
-        if not isinstance(q, int) or q not in SUPPORTED_ORDERS:
+        if type(q) is not int or q not in SUPPORTED_ORDERS:
             raise UnsupportedOrder(f"q={q} is not a supported prime power")
         self.q = q
         self.p, self.m = _FIELDS[q][0], len(_FIELDS[q][1])
@@ -100,7 +100,7 @@ class Field:
 
     def _element(self, a):
         """a, checked: the rows are padded past q with zeros."""
-        if not (isinstance(a, int) and 0 <= a < self.q):
+        if not (type(a) is int and 0 <= a < self.q):
             raise InvalidParameters(f"{a!r} is not an element of GF({self.q})")
         return a
 
@@ -123,7 +123,7 @@ class Field:
 
     def pow(self, a, e):
         self._element(a)
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise InvalidParameters(f"exponent {e!r} is not an integer")
         if e < 0:
             return self.pow(self.inv(a), -e)

@@ -54,6 +54,7 @@ position, and the word (0, y) may take only the label y.  So each full
 choice is one cover, found once.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from math import factorial, inf
@@ -205,21 +206,16 @@ def _walk(q, n, k, cand, emit, max_nodes, spent=None):
     filling one word per information prefix in lexicographic prefix
     order, by _dfs with the compatibility masks of _compatibility.
     Returns (complete, nodes, built) as _dfs does."""
-    slots = q ** k
     cand = sorted(cand)
 
     # cand is sorted, so words sharing an information prefix (the first k
-    # symbols) are contiguous; slot t holds candidates start[t]..start[t+1]
-    start = [0] * (slots + 1)
-    for w in cand:
-        sid = 0
-        for s in w[:k]:
-            sid = sid * q + s
-        start[sid + 1] += 1
-    for t in range(slots):
-        start[t + 1] += start[t]
+    # symbols) are contiguous, and a k-tuple sorts just before every word
+    # it prefixes: slot t, of the t-th prefix in lexicographic order,
+    # holds candidates start[t]..start[t+1]-1
+    start = [bisect_left(cand, prefix) for prefix in product(range(q), repeat=k)]
+    start.append(len(cand))
     # a slot with no candidate leaves no code to find
-    if any(start[t] == start[t + 1] for t in range(slots)):
+    if any(begin == end for begin, end in zip(start, start[1:])):
         return True, 0, 0
     masks = symbol_masks(cand, n, q)
     full = (1 << len(cand)) - 1
@@ -348,10 +344,8 @@ def _canonical_candidates(n, k, universe):
     """
     out = []
     for w in _zero_candidates(k, universe):
-        if not any(w[:k - 1]):
-            y = w[k - 1]
-            if any(w[p] != y for p in range(k, n)):
-                continue
+        if not any(w[:k - 1]) and w[k:] != (w[k - 1],) * (n - k):
+            continue
         if k >= 2 and n > k and w[0] and not any(w[1:k]) and w[k] != w[0]:
             continue
         out.append(w)
@@ -457,7 +451,7 @@ def _walk_squares(q, n, emit, max_nodes):
 
         return not _dfs(labels, layout, compat, extend, max_nodes, spent, pin)[0]
 
-    cand = _canonical_candidates(3, 2, list(product(range(q), repeat=3)))
+    cand = _canonical_candidates(3, 2, product(range(q), repeat=3))
     return _walk(q, 3, 2, cand, lambda words: grow(words, shared), max_nodes, spent)
 
 
@@ -489,13 +483,11 @@ def _walk_shape(spec, keep):
     elif k == 2 and not collect:
         complete, nodes, built = _walk_squares(q, n, emit, spec.max_nodes)
     else:
-        universe = list(product(range(q), repeat=n))
+        cand = product(range(q), repeat=n)
         if not collect:
-            cand = _canonical_candidates(n, k, universe)
+            cand = _canonical_candidates(n, k, cand)
         elif spec.require_zero:
-            cand = _zero_candidates(k, universe)
-        else:
-            cand = universe
+            cand = _zero_candidates(k, cand)
         complete, nodes, built = _walk(q, n, k, cand, emit, spec.max_nodes)
     if limit is not None:
         count = min(count, limit)

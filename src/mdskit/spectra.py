@@ -171,6 +171,7 @@ class PartitionSpec:
     """Disjoint blocks of coordinate positions covering 0..n-1."""
 
     def __init__(self, n, blocks):
+        check_integers(n=n)
         blocks = tuple(frozenset(b) for b in blocks)
         if any(not b for b in blocks):
             raise BadPartition("empty block")
@@ -194,7 +195,7 @@ def _check_profile(spec, profile):
         raise ProfileOutOfRange(
             f"profile has {len(profile)} entries for {len(spec.blocks)} blocks")
     for wi, ni in zip(profile, spec.sizes):
-        if not (isinstance(wi, int) and 0 <= wi <= ni):
+        if not is_position(wi, ni + 1):
             raise ProfileOutOfRange(f"profile entry {wi} outside 0..{ni}")
     return profile
 

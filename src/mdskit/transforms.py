@@ -79,7 +79,7 @@ def apply_moves(code, moves):
             p = move.position
             if not is_position(p, code.n):
                 raise BadMove(f"position {p} outside 0..{code.n - 1}")
-            if (not all(isinstance(s, int) for s in move.perm)
+            if (not all(is_position(s, code.q) for s in move.perm)
                     or sorted(move.perm) != list(range(code.q))):
                 raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
             relabel[p] = tuple(move.perm[s] for s in relabel[p])
@@ -117,7 +117,7 @@ def normalize_to_zero(code, word=None):
     if code.k == 0 and code.q > SYMBOL_LIMIT:
         raise InvalidParameters(f"q={code.q} exceeds the symbol limit {SYMBOL_LIMIT}")
     if word is None:
-        word = min(code.words)
+        word = code.sorted_words()[0]
     else:
         word = tuple(word)
         if word not in code:

@@ -80,6 +80,7 @@ def test_code_basic_properties():
     assert (0.0, 1.0, 1.0, 0.0) not in code  # codewords are tuples of ints
     assert code.sorted_words()[0] == (0, 0, 0, 0)
     assert code == Code(2, list(reversed(EVEN4)))
+    assert repr(code) == "Code((n=4, k=3)_2, 8 words)"
 
 
 def test_code_rejects_bad_input():
@@ -89,6 +90,8 @@ def test_code_rejects_bad_input():
         Code(2, [(0, 1), (0, 1, 1)])  # ragged
     with pytest.raises(InvalidCode):
         Code(2, [(0, 2)])  # symbol out of range
+    with pytest.raises(InvalidCode, match="outside 0..1"):
+        Code(2, [(True,), (False,)])  # a bool is no symbol
     with pytest.raises(InvalidCode):
         Code(2, [(0, 0), (0, 1), (1, 0)])  # 3 words is not a power of 2
     with pytest.raises(InvalidCode):

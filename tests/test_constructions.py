@@ -80,6 +80,8 @@ def test_rs_code():
         rs_code(f, 2, [0, 7])
     with pytest.raises(InvalidParameters):
         rs_code(f, 2, [0, 1.0, 2])
+    with pytest.raises(InvalidParameters, match="must be field elements"):
+        rs_code(f, 2, [0, True, 2])
     with pytest.raises(DimensionTooLarge):
         rs_code(f, 4, [0, 1, 2])
     with pytest.raises(DimensionTooLarge):
@@ -96,6 +98,7 @@ def test_rs_code():
     lambda: extended_rs_code(Field(5), 2.0),
     lambda: cyclic_mols(5.0),
     lambda: cyclic_mols("5"),
+    lambda: repetition_code(True, 2),
 ])
 def test_builders_refuse_non_integer_parameters(build):
     # the builders' words are not checked again, so a float must not reach them
@@ -139,7 +142,11 @@ def test_doubly_extended_rs():
 
 
 def test_latin_square_validation():
-    LatinSquare([[0, 1], [1, 0]])
+    square = LatinSquare([[0, 1], [1, 0]])
+    assert square[0, 1] == 1 and square[1, 1] == 0
+    same = LatinSquare(([0, 1], (1, 0)))
+    assert square == same and hash(square) == hash(same)
+    assert repr(square) == "LatinSquare(order=2)"
     with pytest.raises(NotLatinSquare):
         LatinSquare([[0, 1], [0, 1]])  # repeated column entries
     with pytest.raises(NotLatinSquare):
@@ -198,6 +205,7 @@ def test_cyclic_mols(p):
     mols = cyclic_mols(p)
     assert len(mols) == p - 1
     assert mols.order == p
+    assert repr(mols) == f"MolsSet(order={p}, squares={p - 1})"
 
 
 def test_cyclic_mols_rejects_composites():

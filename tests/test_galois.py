@@ -48,6 +48,8 @@ def test_field_table_entry(q):
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_fields_of_one_order_share_rows_that_match_poly_mul(q):
     f, g = Field(q), Field(q)
+    assert f == g and hash(f) == hash(g) and f != q
+    assert repr(f) == f"Field(q={q})"
     assert f.add_rows is g.add_rows and f.mul_rows is g.mul_rows and f.neg_row is g.neg_row
     p, modulus = _FIELDS[q]
     m = len(modulus)
@@ -109,7 +111,9 @@ def test_inverse_of_zero_raises():
     (lambda f: f.poly_eval((), 4), 4),
     (lambda f: f.poly_eval((1, 9), 2), 9),
     (lambda f: f.add(1.0, 2), 1.0),
+    (lambda f: f.add(True, 1), True),
     (lambda f: f.pow(2, 1.5), "exponent 1.5 is not an integer"),
+    (lambda f: f.pow(2, True), "exponent True is not an integer"),
 ])
 def test_arithmetic_refuses_non_elements(call, bad):
     # the rows are padded past q, so an unchecked operand would read a

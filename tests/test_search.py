@@ -780,10 +780,16 @@ def test_check_theorems_refuses_bad_arguments_when_called(q, kwargs, name):
     lambda: weight_distribution_formula(3, 2, 3.0),
     lambda: partition_weight_enumerator_formula(
         4, 2.0, 3, PartitionSpec(4, [[0, 1], [2, 3]]), (1, 1)),
+    lambda: SearchSpec(True, 1, 2),
+    lambda: SearchSpec(3, 2, 3, limit=True),
+    lambda: check_theorems(2, True),
+    lambda: predicted_spectrum(True, True, 2),
+    lambda: length_bound(2.0, 3),
 ])
 def test_search_and_closed_forms_refuse_non_integer_parameters(call):
     # a float passes every range check: unchecked, SearchSpec(3.0, 2, 3)
-    # would count 12.0 codes, and limit=1.5 would report a count of 1.5
+    # would count 12.0 codes, and limit=1.5 would report a count of 1.5;
+    # a bool is an int subclass, and limit=True would report a count of True
     with pytest.raises(InvalidParameters, match="is not an integer"):
         call()
 

@@ -51,6 +51,7 @@ def test_weight_distribution_container():
     assert wd.spectrum() == {3}
     assert wd == WeightDistribution(4, {3: 8, 0: 1})
     assert wd != WeightDistribution(5, {3: 8, 0: 1})
+    assert repr(wd) == "WeightDistribution(n=4, {0: 1, 3: 8})"
     with pytest.raises(InvalidParameters):
         WeightDistribution(3, {4: 1})
     with pytest.raises(InvalidParameters):
@@ -170,7 +171,11 @@ def test_predicted_spectrum_is_the_closed_form_support():
 
 
 def test_partition_spec_validation():
-    PartitionSpec(4, [[0, 1], [2, 3]])
+    spec = PartitionSpec(4, [[0, 1], [2, 3]])
+    assert len(spec) == 2
+    assert repr(spec) == "PartitionSpec(n=4, sizes=(2, 2))"
+    with pytest.raises(InvalidParameters, match="n=4.0 is not an integer"):
+        PartitionSpec(4.0, [[0, 1], [2, 3]])
     with pytest.raises(BadPartition):
         PartitionSpec(4, [[0, 1], [1, 2, 3]])  # overlap
     with pytest.raises(BadPartition):

@@ -79,11 +79,14 @@ def test_apply_move_validation():
     (lambda code: apply_move(code, SP(1.0, (1, 0, 2))), BadMove),
     (lambda code: apply_move(code, PP(1.0, 0)), BadMove),
     (lambda code: apply_move(code, PP(0, 1.0)), BadMove),
+    (lambda code: apply_move(code, PP(True, 0)), BadMove),
+    (lambda code: apply_move(code, SP(0, (True, 0, 2))), BadMove),
     (lambda code: residual(code, ResidualSpec((1.0,), (0,))), BadPositions),
     (lambda code: information_set_check(code, (0, 1.0)), BadPositions),
 ])
 def test_float_positions_are_refused(call, error):
-    # 1.0 compares like 1 but indexes no list or tuple
+    # 1.0 compares like 1 but indexes no list or tuple; True indexes like
+    # 1, but a bool is no position and no symbol
     with pytest.raises(error):
         call(extended_rs_code(Field(3), 2))
 
@@ -121,6 +124,8 @@ def test_normalize_to_zero_chosen_word():
 def test_move_serialization():
     assert format_move(SP(2, (1, 0, 2))) == "SP 3 1 0 2"
     assert format_move(PP(0, 4)) == "PP 1 5"
+    with pytest.raises(BadMove, match="unknown move"):
+        format_move("not a move")
 
 
 def test_residual_shapes_and_mds():
@@ -344,7 +349,7 @@ def test_residual_validation():
         residual(code, ResidualSpec((0, 9), (0, 0)))
     with pytest.raises(BadPositions):
         residual(code, ResidualSpec((0,), (5,)))
-    for value in ("1", 1.0):
+    for value in ("1", 1.0, True):
         with pytest.raises(BadPositions, match="values must lie in 0..2"):
             residual(code, ResidualSpec((0,), (value,)))
     with pytest.raises(BadPositions):
