@@ -116,14 +116,14 @@ def doubly_extended_rs(field):
 # ------------------------------------------------------- Latin squares
 
 class LatinSquare:
-    """q x q array whose rows and columns are permutations of 0..q-1."""
+    """q x q array of ints whose rows and columns are permutations of 0..q-1."""
 
     def __init__(self, cells):
         cells = tuple(tuple(row) for row in cells)
         q = len(cells)
         full = set(range(q))
         for row in cells:
-            if len(row) != q or set(row) != full:
+            if len(row) != q or set(row) != full or not all(is_position(s, q) for s in row):
                 raise NotLatinSquare(f"row {row} is not a permutation of 0..{q - 1}")
         for j in range(q):
             if {row[j] for row in cells} != full:
@@ -154,7 +154,7 @@ def are_orthogonal(a, b):
 
 
 class MolsSet:
-    """Pairwise-orthogonal Latin squares of one order; verified eagerly.
+    """Pairwise-orthogonal Latin squares of one order, held as their code.
 
     Two words (i, j, L_1(i,j), .., L_s(i,j)) with distinct (i, j) agree
     in at most one position unless two squares superpose some ordered
@@ -162,39 +162,40 @@ class MolsSet:
     symbol in a row or column of L_t.  So the squares are pairwise
     orthogonal exactly when these q^2 words form an (s+2, 2)_q MDS code,
     and one MDS check of that code, kept as self.code, replaces the
-    pairwise comparison.
+    pairwise comparison.  The code is all the set keeps.
     """
 
     def __init__(self, order, squares):
+        check_integers(order=order)
         squares = tuple(squares)
         for sq in squares:
             if sq.order != order:
                 raise NotOrthogonal(f"square of order {sq.order} in an order-{order} set")
-        code = Code(order, [(i, j) + tuple(sq.cells[i][j] for sq in squares)
-                            for i in range(order) for j in range(order)])
-        if not is_mds(code).is_mds:
+        # every cell is an int in 0..order-1, checked by LatinSquare
+        self.order, self.code = order, Code._of(order, [
+            (i, j) + tuple(sq.cells[i][j] for sq in squares)
+            for i in range(order) for j in range(order)])
+        if not is_mds(self.code).is_mds:
             raise NotOrthogonal("squares are not pairwise orthogonal")
-        self.order = order
-        self.squares = squares
-        self.code = code
 
-    @classmethod
-    def _of_mds_code(cls, code, squares):
-        """The set of squares read from code, an (n, 2)_q code already
-        proved MDS, kept as self.code without a second scan."""
-        mols = cls.__new__(cls)
-        mols.order, mols.squares, mols.code = code.q, tuple(squares), code
-        return mols
+    @property
+    def squares(self):
+        """Square t, built on each call from coordinate t+2 of the sorted
+        words: the first two coordinates of an MDS (n, 2) code are an
+        information set, so word i*q+j has prefix (i, j)."""
+        q = self.order
+        columns = tuple(zip(*self.code.sorted_words()))
+        return tuple(LatinSquare(column[i * q:(i + 1) * q] for i in range(q))
+                     for column in columns[2:])
 
     def __len__(self):
-        return len(self.squares)
+        return self.code.n - 2
 
     def __eq__(self, other):
-        return (isinstance(other, MolsSet) and other.order == self.order
-                and other.squares == self.squares)
+        return isinstance(other, MolsSet) and other.code == self.code
 
     def __repr__(self):
-        return f"MolsSet(order={self.order}, squares={len(self.squares)})"
+        return f"MolsSet(order={self.order}, squares={len(self)})"
 
 
 def cyclic_mols(p):
@@ -202,9 +203,9 @@ def cyclic_mols(p):
     check_integers(p=p)
     if p < 2 or any(p % f == 0 for f in range(2, p)):
         raise NotPrime(f"{p} is not prime")
-    squares = [LatinSquare([[(a * i + j) % p for j in range(p)] for i in range(p)])
-               for a in range(1, p)]
-    return MolsSet(p, squares)
+    # a = 0 gives j, so each word is (i, j, L_1(i, j), .., L_{p-1}(i, j))
+    return code_to_mols(Code._of(p, [(i,) + tuple((a * i + j) % p for a in range(p))
+                                     for i in range(p) for j in range(p)]))
 
 
 def mols_to_code(mols):
@@ -214,18 +215,14 @@ def mols_to_code(mols):
 
 def code_to_mols(code):
     """Inverse bridge: coordinate t+2 of an (n, 2)_q MDS code, indexed by its
-    first two coordinates, is the t-th Latin square.  The code is the
-    set's code word for word, so its one MDS check stands for both.
+    first two coordinates, is the t-th Latin square.  The set holds the
+    code itself, so the code's one MDS check is the set's.
     """
     if code.k != 2:
         raise WrongDimension(f"need k=2, got k={code.k}")
     if code.n < 3:
         raise WrongDimension(f"need n >= 3, got n={code.n}")
     require_mds(code)
-    q = code.q
-    by_prefix = {w[:2]: w for w in code.words}
-    squares = []
-    for t in range(code.n - 2):
-        cells = [[by_prefix[i, j][t + 2] for j in range(q)] for i in range(q)]
-        squares.append(LatinSquare(cells))
-    return MolsSet._of_mds_code(code, squares)
+    mols = MolsSet.__new__(MolsSet)
+    mols.order, mols.code = code.q, code
+    return mols

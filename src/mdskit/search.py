@@ -147,13 +147,15 @@ class SearchResult:
 
 def _check_power(q, e, limit, symbol, name):
     """Refuse q^e above limit, reported as e.g. "q^k" and "word limit".
-    A q below 2 is left to the caller's own check of the alphabet.  An e
-    past the bit length of limit is refused without taking the power,
-    which could be too long to compute or to print."""
+    A q below 2 is left to the caller's own check of the alphabet.  An e,
+    or a q with e >= 1, past the bit length of limit is refused without
+    taking the power, which could be too long to compute or to print."""
     if q < 2:
         return
     if e > limit.bit_length():
         raise SearchSpaceTooLarge(f"{symbol} = {q}^{e} exceeds the {name} {limit}")
+    if e >= 1 and q.bit_length() > limit.bit_length():
+        raise SearchSpaceTooLarge(f"{symbol} exceeds the {name} {limit}: q > {limit}")
     if q ** e > limit:
         raise SearchSpaceTooLarge(f"{symbol} = {q ** e} exceeds the {name} {limit}")
 

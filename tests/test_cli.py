@@ -138,9 +138,15 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
      "error: q^k = 2^20000 exceeds the word limit 65536\n"),
     (["search", "--n", "12", "--k", "1", "--q", "3"],
      "error: q^n = 531441 exceeds the universe limit 262144\n"),
-], ids=["construct-words", "search-words", "search-universe"])
+    (["construct", "rs", "--k", "3", "--q", str(10 ** 2000)],
+     "error: q^k exceeds the word limit 65536: q > 65536\n"),
+    (["search", "--n", "3", "--k", "2", "--q", str(10 ** 300)],
+     "error: q^k exceeds the word limit 65536: q > 65536\n"),
+], ids=["construct-words", "search-words", "search-universe", "construct-huge-q",
+        "search-huge-q"])
 def test_word_limit_huge_k(argv, line, capsys):
-    # 2^20000 has more digits than int-to-str conversion allows
+    # 2^20000 and (10^2000)^3 have more digits than int-to-str conversion
+    # allows, and (10^300)^2 would make a 600-digit error line
     assert run(argv) == 2
     assert capsys.readouterr().err == line
 

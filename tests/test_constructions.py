@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from mdskit import (
+    Code,
     DimensionTooLarge,
     DuplicatePoints,
     Field,
@@ -99,6 +100,8 @@ def test_rs_code():
     lambda: cyclic_mols(5.0),
     lambda: cyclic_mols("5"),
     lambda: repetition_code(True, 2),
+    lambda: MolsSet(5.0, cyclic_mols(5).squares),
+    lambda: MolsSet("5", cyclic_mols(5).squares),
 ])
 def test_builders_refuse_non_integer_parameters(build):
     # the builders' words are not checked again, so a float must not reach them
@@ -153,6 +156,17 @@ def test_latin_square_validation():
         LatinSquare([[0, 0], [1, 1]])  # repeated row entries
     with pytest.raises(NotLatinSquare):
         LatinSquare([[0, 1]])  # not square
+
+
+@pytest.mark.parametrize("cells", [
+    [[0, 1.0], [1.0, 0]],
+    [[0, True], [True, False]],
+], ids=["float", "bool"])
+def test_latin_square_refuses_non_integer_cells(cells):
+    # 1.0 and True equal 1, so they pass a set comparison with range(q);
+    # MolsSet builds its code from the cells without checking them again
+    with pytest.raises(NotLatinSquare):
+        LatinSquare(cells)
 
 
 def test_orthogonality():
@@ -241,3 +255,39 @@ def test_code_to_mols_rejects_wrong_shapes():
     words = [w for w in bad.words if w != (1, 2, 0)] + [(1, 2, 1)]
     with pytest.raises(NotMds):
         code_to_mols(Code(3, words))
+
+
+def _cyclic_words(p):
+    return [(i, j) + tuple((a * i + j) % p for a in range(1, p))
+            for i in range(p) for j in range(p)]
+
+
+def _squares_by_prefix(code):
+    # the oracle: index the words by their first two symbols
+    q = code.q
+    by_prefix = {w[:2]: w for w in code.words}
+    return tuple(LatinSquare([[by_prefix[i, j][t] for j in range(q)] for i in range(q)])
+                 for t in range(2, code.n))
+
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_cyclic_mols_code_matches_the_formula(p):
+    # cyclic_mols builds its words unchecked; Code checks every symbol
+    assert mols_to_code(cyclic_mols(p)) == Code(p, _cyclic_words(p))
+
+
+@pytest.mark.parametrize("build", [lambda p=p: Code(p, _cyclic_words(p)) for p in PRIMES]
+                         + [lambda: extended_rs_code(Field(8), 2),
+                            lambda: extended_rs_code(Field(9), 2)],
+                         ids=[f"cyclic-{p}" for p in PRIMES] + ["ext-rs-8", "ext-rs-9"])
+def test_code_to_mols_matches_squares_read_by_prefix(build):
+    # MolsSet reads its squares off the sorted words, a row of q words
+    # at a time; the oracle looks each cell up by its (row, column) prefix
+    code = build()
+    mols = code_to_mols(code)
+    assert mols_to_code(mols) is code
+    assert mols.squares == _squares_by_prefix(code)
+    assert MolsSet(code.q, mols.squares) == mols
