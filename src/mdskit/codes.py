@@ -20,7 +20,7 @@ are not a power of q.
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, islice
 
 from .errors import (
@@ -133,11 +133,8 @@ class Code:
         return f"Code((n={self.n}, k={self.k})_{self.q}, {len(self.words)} words)"
 
 
-@dataclass(frozen=True)
-class MdsReport:
-    is_mds: bool
-    d: int
-    singleton_bound: int
+class MdsReport(namedtuple("MdsReport", "is_mds d singleton_bound")):
+    __slots__ = ()
 
 
 def symbol_masks(words, n, q):
@@ -338,12 +335,13 @@ def information_set_check(code, positions):
 
 _MAGIC = "MDSKIT v1"
 # integers in a code file are ASCII -?[0-9]+, not all that int() takes;
-# tokens are split where str.split() splits them
-_PARAM_LINE = re.compile(r"\s*q=(-?[0-9]+)\s+n=(-?[0-9]+)\s*")
-_WORD_LINE = re.compile(r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*")
+# tokens are split where str.split() splits them.  The patterns stay
+# strings: re's own cache compiles each on first use, not at import
+_PARAM_LINE = r"\s*q=(-?[0-9]+)\s+n=(-?[0-9]+)\s*"
+_WORD_LINE = r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*"
 # where str.splitlines breaks a line besides LF; once each CR before an
 # LF is dropped, the format has none of them
-_OTHER_BREAK = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_OTHER_BREAK = "[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
 
 
 def format_code(code):
@@ -368,7 +366,7 @@ def parse_code(text):
     str(q-1)) is read by one dict lookup per token; any other line takes
     the full checks, so "007" and "-0" still read as symbols."""
     text = text.replace("\r\n", "\n")
-    other = _OTHER_BREAK.search(text)
+    other = re.search(_OTHER_BREAK, text)
     if other:
         lineno = text.count("\n", 0, other.start()) + 1
         raise CodeFileError(f"line {lineno}: line break {other.group()!r} other than LF")
@@ -377,7 +375,7 @@ def parse_code(text):
         raise CodeFileError(f"missing '{_MAGIC}' header")
     if len(lines) < 2:
         raise CodeFileError("missing parameter line 'q=<int> n=<int>'")
-    params = _PARAM_LINE.fullmatch(lines[1])
+    params = re.fullmatch(_PARAM_LINE, lines[1])
     if not params:
         raise CodeFileError(f"bad parameter line: {lines[1]!r}")
     q, n = map(int, params.groups())
@@ -394,7 +392,7 @@ def parse_code(text):
             continue
         word = tuple(map(symbol, tokens))
         if None in word or len(word) != n:
-            if not _WORD_LINE.fullmatch(line):
+            if not re.fullmatch(_WORD_LINE, line):
                 raise CodeFileError(f"line {lineno}: non-integer symbol")
             word = tuple(map(int, tokens))
             if len(word) != n:

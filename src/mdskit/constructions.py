@@ -203,9 +203,14 @@ def cyclic_mols(p):
     check_integers(p=p)
     if p < 2 or any(p % f == 0 for f in range(2, p)):
         raise NotPrime(f"{p} is not prime")
-    # a = 0 gives j, so each word is (i, j, L_1(i, j), .., L_{p-1}(i, j))
-    return code_to_mols(Code._of(p, [(i,) + tuple((a * i + j) % p for a in range(p))
-                                     for i in range(p) for j in range(p)]))
+    # a = 0 gives j, so each word is (i, j, L_1(i, j), .., L_{p-1}(i, j));
+    # built a column at a time: row i of L_a is range(p) rotated left by
+    # a*i mod p (the rows are listed eagerly, so each column keeps its a)
+    row = tuple(range(p))
+    rotations = [row[s:] + row[:s] for s in row]
+    i_column = itertools.chain.from_iterable((i,) * p for i in row)
+    columns = [itertools.chain.from_iterable([rotations[a * i % p] for i in row]) for a in row]
+    return code_to_mols(Code._of(p, zip(i_column, *columns)))
 
 
 def mols_to_code(mols):

@@ -55,7 +55,7 @@ choice is one cover, found once.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import factorial, inf
 
@@ -95,8 +95,7 @@ _MASK_BIT_LIMIT = 2 ** 28
 MODES = ("count", "exists", "collect")
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(namedtuple("SearchSpec", "n k q require_zero mode limit max_nodes")):
     """What to search for and how far to let the walk grow.
 
     max_nodes bounds the number of partial extensions tried; a walk that
@@ -105,15 +104,12 @@ class SearchSpec:
     A spec is checked when it is built: a shape past the word, length or
     universe limit raises SearchSpaceTooLarge there, before any walk.
     """
-    n: int
-    k: int
-    q: int
-    require_zero: bool = False
-    mode: str = "count"
-    limit: int = None
-    max_nodes: int = None
+    __slots__ = ()
+    # _replace builds through _make: send it through __new__ as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, n, k, q, require_zero=False, mode="count", limit=None, max_nodes=None):
+        self = super().__new__(cls, n, k, q, require_zero, mode, limit, max_nodes)
         check_integers(n=self.n, k=self.k, q=self.q)
         check_caps(limit=self.limit, max_nodes=self.max_nodes)
         if self.q < 2 or self.k < 1 or self.n < self.k:
@@ -127,35 +123,33 @@ class SearchSpec:
         if self.n > MAX_LENGTH:
             raise SearchSpaceTooLarge(f"n = {self.n} exceeds the length limit {MAX_LENGTH}")
         _check_power(self.q, self.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
+        return self
 
 
-@dataclass
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "spec count codes complete nodes masks",
+                              defaults=((), True, 0, 0))):
     """What a walk found, whether it ran to completion, how many nodes
     it visited and how many compatibility masks it built.  A node is a
     word placed; for k = 2 and n > 3 the nodes also count every label
     given while growing the squares, row-0 words included, and masks
     counts the square walk's masks only: exists (4,2)_6 visits 826151
     nodes and builds 111 masks."""
-    spec: SearchSpec
-    count: int
-    codes: tuple = ()
-    complete: bool = True
-    nodes: int = 0
-    masks: int = 0
+    __slots__ = ()
 
 
 def _check_power(q, e, limit, symbol, name):
     """Refuse q^e above limit, reported as e.g. "q^k" and "word limit".
-    A q below 2 is left to the caller's own check of the alphabet.  An e,
-    or a q with e >= 1, past the bit length of limit is refused without
-    taking the power, which could be too long to compute or to print."""
+    A q below 2 is left to the caller's own check of the alphabet.  A q
+    with more digits than limit, when e >= 1, is refused as q > limit,
+    so no message prints a q longer than the limit; an e past the bit
+    length of limit is refused without taking the power, which could be
+    too long to compute or to print."""
     if q < 2:
         return
+    if e >= 1 and q >= 10 ** len(str(limit)):
+        raise SearchSpaceTooLarge(f"{symbol} exceeds the {name} {limit}: q > {limit}")
     if e > limit.bit_length():
         raise SearchSpaceTooLarge(f"{symbol} = {q}^{e} exceeds the {name} {limit}")
-    if e >= 1 and q.bit_length() > limit.bit_length():
-        raise SearchSpaceTooLarge(f"{symbol} exceeds the {name} {limit}: q > {limit}")
     if q ** e > limit:
         raise SearchSpaceTooLarge(f"{symbol} = {q ** e} exceeds the {name} {limit}")
 
@@ -503,8 +497,7 @@ def enumerate_mds(spec):
     Only collect mode keeps the codes found."""
     words = []
     result = _walk_shape(spec, words.append if spec.mode == "collect" else None)
-    result.codes = tuple(Code._of(spec.q, w) for w in words)
-    return result
+    return result._replace(codes=tuple(Code._of(spec.q, w) for w in words))
 
 
 def exists_mds(n, k, q, max_nodes=None):
@@ -525,15 +518,11 @@ def exists_mds(n, k, q, max_nodes=None):
 
 # ------------------------------------------------- theorem checks
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(namedtuple("TheoremReport", "claim passed out_of_regime detail skipped",
+                               defaults=(False, "", False))):
     """One checked claim; a skipped one was not settled, for the reason
     in detail."""
-    claim: str
-    passed: bool
-    out_of_regime: bool = False
-    detail: str = ""
-    skipped: bool = False
+    __slots__ = ()
 
 
 def verify_bounds(q, k_max, max_nodes=None):

@@ -25,7 +25,7 @@ or an even-weight (single parity check) code; classify_binary decides
 which, and raises if a purported counterexample shows up.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import compress
 from operator import itemgetter
@@ -42,21 +42,19 @@ from .errors import (
 SYMBOL_LIMIT = 2 ** 16
 
 
-@dataclass(frozen=True)
-class SP:
+class SP(namedtuple("SP", "position perm")):
     """Relabel symbols at one position: symbol s becomes perm[s]."""
-    position: int
-    perm: tuple
+    __slots__ = ()
+    # _replace builds through _make: send it through __new__ as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
+    def __new__(cls, position, perm):
+        return super().__new__(cls, position, tuple(perm))
 
 
-@dataclass(frozen=True)
-class PP:
+class PP(namedtuple("PP", "i j")):
     """Swap positions i and j."""
-    i: int
-    j: int
+    __slots__ = ()
 
 
 def apply_moves(code, moves):
@@ -138,19 +136,19 @@ def format_move(move):
 
 # ------------------------------------------------- residual codes
 
-@dataclass(frozen=True)
-class ResidualSpec:
+class ResidualSpec(namedtuple("ResidualSpec", "positions values")):
     """Fix positions[i] to values[i], then delete those positions."""
-    positions: tuple
-    values: tuple
+    __slots__ = ()
+    # _replace builds through _make: send it through __new__ as well
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(self.positions))
-        object.__setattr__(self, "values", tuple(self.values))
+    def __new__(cls, positions, values):
+        self = super().__new__(cls, tuple(positions), tuple(values))
         if len(self.positions) != len(self.values):
             raise BadPositions("positions and values differ in length")
         if len(set(self.positions)) != len(self.positions):
             raise BadPositions("repeated position")
+        return self
 
 
 def residual(code, spec):
@@ -194,10 +192,8 @@ class BinaryKind(Enum):
     PARITY_CHECK = "parity-check"
 
 
-@dataclass(frozen=True)
-class BinaryClass:
-    kind: BinaryKind
-    moves: tuple
+class BinaryClass(namedtuple("BinaryClass", "kind moves")):
+    __slots__ = ()
 
 
 def classify_binary(code):

@@ -142,11 +142,14 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
      "error: q^k exceeds the word limit 65536: q > 65536\n"),
     (["search", "--n", "3", "--k", "2", "--q", str(10 ** 300)],
      "error: q^k exceeds the word limit 65536: q > 65536\n"),
+    (["construct", "universe", "--k", "20", "--q", str(10 ** 300)],
+     "error: q^k exceeds the word limit 65536: q > 65536\n"),
 ], ids=["construct-words", "search-words", "search-universe", "construct-huge-q",
-        "search-huge-q"])
+        "search-huge-q", "construct-huge-q-huge-k"])
 def test_word_limit_huge_k(argv, line, capsys):
     # 2^20000 and (10^2000)^3 have more digits than int-to-str conversion
-    # allows, and (10^300)^2 would make a 600-digit error line
+    # allows, (10^300)^2 would make a 600-digit error line, and a q longer
+    # than the limit is not printed even when k is past the limit's bit length
     assert run(argv) == 2
     assert capsys.readouterr().err == line
 
@@ -241,7 +244,7 @@ def test_pwe_out_of_regime_writes_nothing_to_stderr(tmp_path):
     # the closed form warns for q < k; the command's report is stdout alone
     path = tmp_path / "even.txt"
     write_code(sum_zero_code(4, Field(2)), path)
-    proc = _run_module("mdskit", "pwe", str(path), "--partition", "1,2/3,4,5",
+    proc = _run_python("-m", "mdskit", "pwe", str(path), "--partition", "1,2/3,4,5",
                        "--profile", "1,1")
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -631,25 +634,33 @@ def test_usage_errors_exit_2(capsys):
     assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
 
 
-def _run_module(*argv):
+def _run_python(*argv):
     # the child imports mdskit from wherever this process found it
     package_root = str(Path(mdskit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-m", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env)
 
 
 def test_module_entry_point(tmp_path):
-    proc = _run_module("mdskit.cli", "construct", "mols", "--p", "3")
+    proc = _run_python("-m", "mdskit.cli", "construct", "mols", "--p", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("MDSKIT v1\n")
 
 
 def test_package_runs_as_a_module():
-    proc = _run_module("mdskit", "--help")
+    proc = _run_python("-m", "mdskit", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: mdskit ")
+
+
+def test_import_does_not_load_dataclasses():
+    # the value classes are named tuples, so start-up skips the import
+    # chain of dataclasses (inspect, ast, dis, tokenize); -S keeps site
+    # hooks, which may import it themselves, out of the check
+    proc = _run_python("-S", "-c", "import sys, mdskit.cli; print('dataclasses' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_run_builds_its_parser_once(capsys):

@@ -273,9 +273,10 @@ def _squares_by_prefix(code):
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + [17, 19, 23, 29, 31])
 def test_cyclic_mols_code_matches_the_formula(p):
-    # cyclic_mols builds its words unchecked; Code checks every symbol
+    # cyclic_mols builds its words unchecked, column by column from
+    # rotated rows; Code checks every symbol of the per-cell formula
     assert mols_to_code(cyclic_mols(p)) == Code(p, _cyclic_words(p))
 
 

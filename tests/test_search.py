@@ -1,6 +1,5 @@
 """Exhaustive walks: frozen counts, guards, budgets, and theorem checks."""
 
-import dataclasses
 import re
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -12,13 +11,22 @@ from hypothesis import strategies as st
 
 import mdskit
 from mdskit import (
+    PP,
+    SP,
+    BadPositions,
+    BinaryClass,
+    BinaryKind,
     Code,
     Field,
     InvalidParameters,
+    MdsReport,
     NotMds,
     PartitionSpec,
+    ResidualSpec,
+    SearchResult,
     SearchSpaceTooLarge,
     SearchSpec,
+    TheoremReport,
     TheoremViolation,
     ZeroWordAbsent,
     check_theorems,
@@ -679,14 +687,74 @@ def test_guards():
         SearchSpec(13, 2, 2)
     with pytest.raises(SearchSpaceTooLarge, match="universe limit"):
         SearchSpec(12, 2, 5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        SearchSpec(12, 2, 2).n = 13
+    spec = SearchSpec(12, 2, 2)
+    with pytest.raises(AttributeError):
+        spec.n = 13
+    assert spec.n == 12
     with pytest.raises(SearchSpaceTooLarge,
                        match="^masks x bits = 13654 x 19661 exceeds the mask bit limit "):
         enumerate_mds(SearchSpec(9, 8, 3))
     # an n = k shape has one code, every word, found without a walk
     result = enumerate_mds(SearchSpec(9, 9, 3))
     assert (result.count, result.complete, result.nodes, result.masks) == (1, True, 0, 0)
+
+
+def test_value_classes_keep_their_record_contract():
+    # the eight value classes are named tuples: each keeps its repr,
+    # compares and hashes by its fields, refuses a field assignment,
+    # and runs its checks when it is built
+    spec = SearchSpec(3, 2, 3, mode="collect")
+    spec_text = ("SearchSpec(n=3, k=2, q=3, require_zero=False, mode='collect', "
+                 "limit=None, max_nodes=None)")
+    cases = [  # (value, its repr, a value of its class differing in one field)
+        (MdsReport(True, 3, 3), "MdsReport(is_mds=True, d=3, singleton_bound=3)",
+         MdsReport(True, 3, 4)),
+        (spec, spec_text, SearchSpec(3, 2, 3, mode="collect", max_nodes=5)),
+        (SearchResult(spec, 0),
+         f"SearchResult(spec={spec_text}, count=0, codes=(), complete=True, nodes=0, masks=0)",
+         SearchResult(spec, 0, masks=1)),
+        (TheoremReport("claim", True),
+         "TheoremReport(claim='claim', passed=True, out_of_regime=False, detail='', skipped=False)",
+         TheoremReport("claim", True, skipped=True)),
+        (SP(0, [1, 0]), "SP(position=0, perm=(1, 0))", SP(0, (0, 1))),
+        (PP(0, 1), "PP(i=0, j=1)", PP(0, 2)),
+        (ResidualSpec([0], [1]), "ResidualSpec(positions=(0,), values=(1,))",
+         ResidualSpec((0,), (0,))),
+        (BinaryClass(BinaryKind.UNIVERSE, ()),
+         "BinaryClass(kind=<BinaryKind.UNIVERSE: 'universe'>, moves=())",
+         BinaryClass(BinaryKind.UNIVERSE, (PP(0, 1),))),
+    ]
+    for value, text, other in cases:
+        assert repr(value) == text
+        twin = type(value)(*value)
+        assert twin == value and hash(twin) == hash(value)
+        assert other != value and type(other) is type(value)
+        field = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        assert getattr(value, field) == getattr(twin, field) is not None
+    assert SP(position=0, perm=iter([1, 0])).perm == (1, 0)
+    assert ResidualSpec(range(2), [0, 1]) == ResidualSpec((0, 1), (0, 1))
+    with pytest.raises(InvalidParameters, match="bad search shape"):
+        SearchSpec(3, 2, 1)
+    with pytest.raises(SearchSpaceTooLarge, match="length limit"):
+        SearchSpec(n=13, k=2, q=2)
+    with pytest.raises(BadPositions, match="^positions and values differ in length$"):
+        ResidualSpec([0, 1], [0])
+    with pytest.raises(BadPositions, match="^repeated position$"):
+        ResidualSpec([1, 1], [0, 0])
+    # a copy made by _replace runs the same checks
+    with pytest.raises(SearchSpaceTooLarge, match="length limit"):
+        spec._replace(n=13)
+    with pytest.raises(BadPositions, match="^repeated position$"):
+        ResidualSpec([0, 1], [0, 0])._replace(positions=[1, 1])
+    assert SP(0, (1, 0))._replace(perm=[0, 1]).perm == (0, 1)
+    # collect mode returns its codes with the result; count mode keeps none
+    result = enumerate_mds(spec)
+    assert result.spec == spec and result.count == len(result.codes) == 12
+    assert len(set(result.codes)) == 12
+    assert all(len(code) == 9 and is_mds(code).is_mds for code in result.codes)
+    assert enumerate_mds(SearchSpec(3, 2, 3)).codes == ()
 
 
 def test_word_limit_refuses_no_settleable_shape():
