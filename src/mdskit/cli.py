@@ -37,10 +37,12 @@ from .errors import (
 )
 from .galois import Field
 from .search import (
+    MAX_WORD_LENGTH,
     MODES,
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
     SearchSpec,
+    check_length,
     check_theorems,
     check_word_limit,
     enumerate_mds,
@@ -147,6 +149,8 @@ def _cmd_construct(args):
     if extra:
         raise MdskitError(f"family {args.family!r} takes no {' '.join(extra)}")
     check_word_limit(*words(args))
+    if args.n is not None:
+        check_length(args.n, MAX_WORD_LENGTH, "word length limit")
     _emit_code(build(args), args.out)
     return 0
 

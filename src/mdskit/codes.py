@@ -98,6 +98,7 @@ class Code:
         self._root = None           # the code this one was moved from, set by apply_moves
         self._sorted = None         # the words as a sorted tuple, set by sorted_words
         self._masks = None          # symbol masks over that order, set by bit_view
+        self._profiles = None       # (center, blocks) and its profile table, set by spectra
 
     @property
     def zero(self):
@@ -401,11 +402,13 @@ def parse_code(text):
                 raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
         words.append(word)
 
-    if len(set(words)) != len(words):
+    # Code._of takes this frozenset as it is, so no word is hashed twice
+    wordset = frozenset(words)
+    if len(wordset) != len(words):
         raise CodeFileError("duplicate codewords")
     if _dimension_of(q, len(words)) is None:
         raise CodeFileError(f"{len(words)} words is not a power of q={q}")
-    return Code._of(q, words)
+    return Code._of(q, wordset)
 
 
 def read_code(path):

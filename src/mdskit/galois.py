@@ -7,7 +7,9 @@ and multiplication reduces modulo a fixed irreducible polynomial, so the
 encoding is identical across runs.  The full add and mul tables, as rows
 of bytes, are built once per order and process and shared by every
 Field of that order (q <= 27 keeps this trivial).  The add rows are
-symbol_group's, the group on the symbols of any q <= 256.
+symbol_group's, the group on the symbols of any q <= 256; the mul rows
+come from exp and log tables of a primitive element, whose q-1 powers
+are the nonzero elements (Lidl and Niederreiter, Finite Fields, ch. 2).
 """
 
 import functools
@@ -69,15 +71,26 @@ def symbol_group(q):
 
 @functools.cache
 def _tables(q):
-    """GF(q)'s add rows, mul rows and neg row, each padded to 256 bytes."""
+    """GF(q)'s add rows, mul rows and neg row, each padded to 256 bytes.
+    g^i * g^j = g^(i+j mod q-1) for the least primitive element g, so
+    the mul rows take q-1 products for g's powers, not q^2."""
     p, modulus = _FIELDS[q]
     add, places = symbol_group(q)
     polys = [[v // u % p for u in places] for v in range(q)]
 
-    def row(values):
-        return bytes(sum(c * u for c, u in zip(cs, places)) for cs in values).ljust(256, b"\0")
+    def times(a, b):
+        return sum(c * u for c, u in zip(_poly_mul(polys[a], polys[b], modulus, p), places))
 
-    mul = tuple(row(_poly_mul(a, b, modulus, p) for b in polys) for a in polys)
+    for g in range(1, q):
+        exp = [1]
+        while (x := times(exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
+            break
+    log = {x: i for i, x in enumerate(exp)}
+    exp += exp
+    mul = (bytes(256),) + tuple(bytes([0] + [exp[log[a] + log[b]] for b in range(1, q)])
+                                .ljust(256, b"\0") for a in range(1, q))
     return add, mul, bytes(r.index(0) for r in add).ljust(256, b"\0")
 
 

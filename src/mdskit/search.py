@@ -80,12 +80,14 @@ from .transforms import classify_binary
 
 # search guards on words per code and on code length, and the sweep's
 # default caps on codes checked and walk nodes per shape.  No search, and
-# no construct command, builds a Code of more than MAX_WORDS words; the
-# builders in constructions do not check it.  Every shape with
+# no construct command, builds a Code of more than MAX_WORDS words, and
+# no construct command one of words longer than MAX_WORD_LENGTH; the
+# builders in constructions do not check either.  Every shape with
 # q^k > MAX_WORDS and q^n <= _UNIVERSE_LIMIT is n = k, whose one code
 # would be such a Code, or (18,17)_2, whose code a walk finds only by
 # building q^k - 1 masks of at least q^k bits, past _MASK_BIT_LIMIT.
 MAX_WORDS = 2 ** 16
+MAX_WORD_LENGTH = 2 ** 16
 MAX_LENGTH = 12
 SWEEP_LIMIT_PER_SHAPE = 512
 SWEEP_MAX_NODES = 200000
@@ -115,6 +117,8 @@ class SearchSpec(namedtuple("SearchSpec", "n k q require_zero mode limit max_nod
         self = super().__new__(cls, n, k, q, require_zero, mode, limit, max_nodes)
         check_integers(n=self.n, k=self.k, q=self.q)
         check_caps(limit=self.limit, max_nodes=self.max_nodes)
+        # the word limit goes first, so a bad shape's message prints no long k
+        check_word_limit(self.q, self.k)
         if self.q < 2 or self.k < 1 or self.n < self.k:
             raise InvalidParameters(
                 f"bad search shape (n={self.n}, k={self.k}, q={self.q})")
@@ -122,9 +126,7 @@ class SearchSpec(namedtuple("SearchSpec", "n k q require_zero mode limit max_nod
             raise InvalidParameters(f"mode must be one of {MODES}")
         if not isinstance(self.require_zero, bool):
             raise InvalidParameters(f"require_zero={self.require_zero!r} is not a bool")
-        check_word_limit(self.q, self.k)
-        if self.n > MAX_LENGTH:
-            raise SearchSpaceTooLarge(f"n = {self.n} exceeds the length limit {MAX_LENGTH}")
+        check_length(self.n, MAX_LENGTH, "length limit")
         _check_power(self.q, self.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
         return self
 
@@ -164,6 +166,15 @@ def _check_power(q, e, limit, symbol, name):
 def check_word_limit(q, k):
     """Refuse a code of q^k words when that exceeds MAX_WORDS."""
     _check_power(q, k, MAX_WORDS, "q^k", "word limit")
+
+
+def check_length(n, limit, name):
+    """Refuse words of length n above limit, as _check_power refuses a
+    power: an n with more digits than limit is reported as n > limit."""
+    if n >= 10 ** len(str(limit)):
+        raise SearchSpaceTooLarge(f"n exceeds the {name} {limit}: n > {limit}")
+    if n > limit:
+        raise SearchSpaceTooLarge(f"n = {n} exceeds the {name} {limit}")
 
 
 def _compatibility(w, full, masks, k):
@@ -432,11 +443,13 @@ def _walk_squares(q, n, emit, max_nodes):
     # columns of the symbol masks are the same for every square
     shared = [column(i // q for i in range(side)), column(i % q for i in range(side))]
 
-    def grow(words, masks):
+    def grow(words, masks, grow):
         """Pass to emit every normal form of length n that deleting
         coordinates leaves as words; True when the walk must stop.
         masks holds the symbol masks of words, bits as in
-        codes.symbol_masks, for every position but perhaps the last."""
+        codes.symbol_masks, for every position but perhaps the last.
+        grow is passed itself: were it to close over its own name, each
+        walk would leave a reference cycle for the collector."""
         length = len(words[0])
         if length == n:
             return emit(words)
@@ -462,12 +475,12 @@ def _walk_squares(q, n, emit, max_nodes):
             label = [0] * side
             for y, i in chosen:
                 label[i] = y
-            return grow([w + (s,) for w, s in zip(words, label)], masks)
+            return grow([w + (s,) for w, s in zip(words, label)], masks, grow)
 
         return not _dfs(labels, layout, compat, extend, max_nodes, spent, pin)[0]
 
     cand = _canonical_candidates(3, 2, product(range(q), repeat=3))
-    return _walk(q, 3, 2, cand, lambda words: grow(words, shared), max_nodes, spent)
+    return _walk(q, 3, 2, cand, lambda words: grow(words, shared, grow), max_nodes, spent)
 
 
 def _walk_shape(spec, keep):

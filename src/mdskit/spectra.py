@@ -17,7 +17,10 @@ n - w.count(0) word by word, which builds no sort and no masks.  Every
 other count reads the code's bit-sliced view (codes.bit_view), where a
 threshold counter over the center's symbol masks marks the words
 agreeing with the center in at least r positions, for every r at once,
-and bit_count() reads off each count.
+and bit_count() reads off each count.  Profile counts run that counter
+once per block, for one partition and center, into a table of the words
+agreeing in exactly a positions of each block; the code keeps the last
+such table, so each profile is one AND per block and one bit_count().
 
 The stated hypothesis of the closed forms is q >= k; evaluating them with
 q < k emits an OutOfStatedRegime warning so callers can record empirical
@@ -234,14 +237,20 @@ def _profile_count(code, center, spec, profile):
     if spec.n != code.n:
         raise BadPartition(f"partition covers {spec.n} positions, code length is {code.n}")
     profile = _check_profile(spec, profile)
-    words, masks = bit_view(code)
-    hits = (1 << len(words)) - 1
-    for block, wi in zip(spec.blocks, profile):
-        # the words left that agree with center in exactly a block positions
-        a = len(block) - wi
-        c = agreement_counters([center[p] for p in block], hits,
-                               [masks[p] for p in block], a + 1)
-        hits = c[a] & ~c[a + 1]
+    key = (center, spec.blocks)
+    if code._profiles is None or code._profiles[0] != key:
+        # exact[i][a]: the words agreeing with center in exactly a of
+        # block i's positions, one counter run per block
+        words, masks = bit_view(code)
+        exact = []
+        for block in spec.blocks:
+            c = agreement_counters([center[p] for p in block], (1 << len(words)) - 1,
+                                   [masks[p] for p in block], len(block))
+            exact.append([c[a] & ~c[a + 1] for a in range(len(block))] + [c[-1]])
+        code._profiles = key, exact
+    hits = (1 << len(code)) - 1
+    for table, wi, ni in zip(code._profiles[1], profile, spec.sizes):
+        hits &= table[ni - wi]
     return hits.bit_count()
 
 

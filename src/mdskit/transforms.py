@@ -90,7 +90,12 @@ def apply_moves(code, moves):
         else:
             raise BadMove(f"unknown move {move!r}")
     columns = list(zip(*code.words))
-    moved = [map(relabel[p].__getitem__, columns[source[p]]) for p in range(code.n)]
+    # a translate per column, unless a symbol does not fit in a byte
+    if code.q <= 256:
+        moved = [bytes(columns[source[p]]).translate(bytes(relabel[p]).ljust(256, b"\0"))
+                 for p in range(code.n)]
+    else:
+        moved = [map(relabel[p].__getitem__, columns[source[p]]) for p in range(code.n)]
     out = Code._of(code.q, zip(*moved))
     out._root = code if code._root is None else code._root
     return out

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: reports, files, exit codes."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from mdskit import (
     sum_zero_code,
     write_code,
 )
-from mdskit.cli import run
+from mdskit.cli import build_parser, run
 from mdskit.search import MAX_WORDS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
@@ -150,15 +151,28 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
      "error: q^k exceeds the word limit 65536: k > 65536\n"),
     (["construct", "universe", "--k", "100000", "--q", "2"],
      "error: q^k exceeds the word limit 65536: k > 65536\n"),
+    (["construct", "repetition", "--n", str(10 ** 300), "--q", "2"],
+     "error: n exceeds the word length limit 65536: n > 65536\n"),
+    (["construct", "repetition", "--n", "65537", "--q", "2"],
+     "error: n = 65537 exceeds the word length limit 65536\n"),
+    (["search", "--n", str(10 ** 300), "--k", "2", "--q", "3"],
+     "error: n exceeds the length limit 12: n > 12\n"),
+    (["search", "--n", "100", "--k", "2", "--q", "3"],
+     "error: n exceeds the length limit 12: n > 12\n"),
+    (["search", "--n", "4", "--k", str(10 ** 300), "--q", "3"],
+     "error: q^k exceeds the word limit 65536: k > 65536\n"),
 ], ids=["construct-words", "search-words", "search-universe", "construct-huge-q",
         "search-huge-q", "construct-huge-q-huge-k", "construct-huge-k", "search-huge-k",
-        "construct-six-digit-k"])
+        "construct-six-digit-k", "repetition-huge-n", "repetition-long-n",
+        "search-huge-n", "search-three-digit-n", "search-huge-k-above-n"])
 def test_word_limit_huge_k(argv, line, capsys):
     # 2^20000 and (10^2000)^3 have more digits than int-to-str conversion
     # allows, (10^300)^2 would make a 600-digit error line, and a q longer
     # than the limit is not printed even when k is past the limit's bit
     # length; nor is a k with more digits than the limit, while 2^20000,
-    # whose k has as many digits as the limit, is
+    # whose k has as many digits as the limit, is.  An n with more digits
+    # than its limit is not printed either, and a k above n meets the
+    # word limit before the shape check, whose message would print it
     assert run(argv) == 2
     assert capsys.readouterr().err == line
 
@@ -179,6 +193,23 @@ def test_construct_negative_q_is_refused_by_the_builder(argv, line, capsys):
 def test_construct_sum_zero_refuses_k_below_one(k, capsys):
     assert run(["construct", "sum-zero", "--k", str(k), "--q", "2"]) == 2
     assert capsys.readouterr().err == f"error: need k >= 1, got k={k}\n"
+
+
+def test_sweeps_and_square_walks_leave_no_reference_cycles(capsys):
+    # a square walk's grow function reaches itself through its closure
+    # cell; the walk empties that cell, so nothing is left for the
+    # collector.  The parser is built first: argparse's help formatters
+    # hold cycles of their own, once per process
+    build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(["check-theorems", "--q", "4", "--max-n", "4"]) == 0
+        assert gc.collect() == 0
+        assert mdskit.exists_mds(5, 2, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_construct_within_word_limit(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from mdskit import Field, InvalidParameters, SUPPORTED_ORDERS, UnsupportedOrder
+from mdskit import Field, InvalidParameters, SUPPORTED_ORDERS, UnsupportedOrder, galois
 from mdskit.galois import _FIELDS, _poly_mul
 
 
@@ -70,6 +70,23 @@ def test_fields_of_one_order_share_rows_that_match_poly_mul(q):
         # each row is also a bytes.translate table over every byte
         assert len(f.add_rows[a]) == len(f.mul_rows[a]) == 256
     assert len(f.neg_row) == 256
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_mul_rows_take_about_q_polynomial_products(q, monkeypatch):
+    # the rows come from the powers of one primitive element: q-1
+    # products for its powers, a few more for the elements tried before
+    # it, and not one product per pair of elements
+    calls = []
+    poly_mul = galois._poly_mul
+
+    def counted(*args):
+        calls.append(args)
+        return poly_mul(*args)
+
+    monkeypatch.setattr(galois, "_poly_mul", counted)
+    assert galois._tables.__wrapped__(q) == galois._tables(q)
+    assert q - 1 <= len(calls) < 2 * q
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

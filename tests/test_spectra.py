@@ -41,7 +41,8 @@ from mdskit import (
     weight_distribution_formula,
     weight_spectrum,
 )
-from mdskit.codes import weight
+import mdskit.spectra
+from mdskit.codes import agreement_counters, bit_view, weight
 from mdskit.spectra import _distances_from, _profile_count, closed_form_distribution
 
 
@@ -359,6 +360,74 @@ def test_bit_sliced_counts_match_per_word_oracles(data):
                 distance_distribution_from(code, center)
             with pytest.raises(WordNotInCode):
                 partition_distance_enumerator(code, center, spec, profiles[0])
+
+
+def per_profile_count(code, center, spec, profile):
+    """The profile count one counter run per profile: block by block,
+    narrow to the words left that agree with center in exactly
+    |block| - profile[i] of its positions."""
+    words, masks = bit_view(code)
+    hits = (1 << len(words)) - 1
+    for block, wi in zip(spec.blocks, profile):
+        a = len(block) - wi
+        c = agreement_counters([center[p] for p in block], hits,
+                               [masks[p] for p in block], a + 1)
+        hits = c[a] & ~c[a + 1]
+    return hits.bit_count()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_profile_table_matches_the_per_profile_count(data):
+    # two partitions and two centers on one code, their profiles in a
+    # drawn order, so that a call finds its own key cached or another one
+    code = data.draw(word_codes())
+    specs = [data.draw(partitions(code.n)) for _ in range(2)]
+    centers = [data.draw(st.sampled_from(code.sorted_words())),
+               tuple(data.draw(st.lists(st.integers(0, code.q - 1),
+                                        min_size=code.n, max_size=code.n)))]
+    cases = [(center, spec, profile) for spec in specs for center in centers
+             for profile in product(*(range(size + 1) for size in spec.sizes))]
+    data.draw(st.randoms(use_true_random=False)).shuffle(cases)
+    for center, spec, profile in cases:
+        assert (_profile_count(code, center, spec, profile)
+                == per_profile_count(code, center, spec, profile))
+
+
+def test_one_profile_table_per_partition_and_center(monkeypatch):
+    runs = []
+    count = mdskit.spectra.agreement_counters
+
+    def counted(*args):
+        runs.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(mdskit.spectra, "agreement_counters", counted)
+    code = doubly_extended_rs(Field(4))
+    spec = PartitionSpec(6, [[0, 2, 4], [1, 3], [5]])
+    profiles = list(product(range(4), range(3), range(2)))
+    assert sum(partition_weight_enumerator_bruteforce(code, spec, profile)
+               for profile in profiles) == 64
+    assert len(runs) == 3
+    # the zero word again, through the distance enumerator: the same key
+    assert sum(partition_distance_enumerator(code, code.zero, spec, profile)
+               for profile in profiles) == 64
+    assert len(runs) == 3
+    # another center, another partition and back: one slot, rebuilt each time
+    center = sorted(code.words)[17]
+    assert partition_distance_enumerator(code, center, spec, (0, 0, 0)) == 1
+    assert len(runs) == 6
+    halves = PartitionSpec(6, [[0, 1, 2], [3, 4, 5]])
+    assert partition_weight_enumerator_bruteforce(code, halves, (0, 0)) == 1
+    assert len(runs) == 8
+    assert partition_weight_enumerator_bruteforce(code, spec, (0, 0, 0)) == 1
+    assert len(runs) == 11
+    # a partition that shares its first block with spec keys its own table
+    split = PartitionSpec(6, [[0, 2, 4], [1, 3, 5]])
+    for profile in product(range(4), range(4)):
+        assert (partition_weight_enumerator_bruteforce(code, split, profile)
+                == per_profile_count(code, code.zero, split, profile))
+    assert len(runs) == 13
 
 
 def test_one_bit_sliced_view_per_code(symbol_masks_calls):

@@ -272,6 +272,22 @@ def test_composed_moves_match_sequential(data):
     assert _outcome(apply_moves, code, path) == expected
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_moves_relabel_as_per_symbol_maps(data):
+    # apply_moves relabels by translate tables at q <= 256 and by
+    # per-symbol maps above; both match the per-word oracle, up to the
+    # largest symbols a byte holds and past them
+    q = data.draw(st.sampled_from([2, 3, 16, 255, 256, 257, 300]))
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, min(n, 1 if q > 16 else 2)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    code = Code(q, [tuple(i // q ** p % q for p in range(n))
+                    for i in rng.sample(range(q ** n), q ** k)])
+    path = data.draw(st.lists(mixed_moves(n, q), max_size=6))
+    assert apply_moves(code, path) == sequential_moves(code, path)
+
+
 def test_apply_moves_builds_one_code(code_inits):
     code = extended_rs_code(Field(5), 3)
     path = [SP(p, (1, 2, 3, 4, 0)) for p in range(code.n)] + [PP(0, code.n - 1)]
