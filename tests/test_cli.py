@@ -161,10 +161,27 @@ def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
      "error: n exceeds the length limit 12: n > 12\n"),
     (["search", "--n", "4", "--k", str(10 ** 300), "--q", "3"],
      "error: q^k exceeds the word limit 65536: k > 65536\n"),
+    (["search", "--n", "4", "--k", str(10 ** 299), "--q", "1"],
+     "error: bad search shape (n=4, k > 65536, q=1)\n"),
+    (["search", "--n", str(-10 ** 299), "--k", "2", "--q", "3"],
+     "error: bad search shape (n < -65536, k=2, q=3)\n"),
+    (["search", "--n", "4", "--k", str(-10 ** 299), "--q", "3"],
+     "error: bad search shape (n=4, k < -65536, q=3)\n"),
+    (["search", "--n", "4", "--k", "2", "--q", str(-10 ** 299)],
+     "error: bad search shape (n=4, k=2, q < -65536)\n"),
+    (["search", "--n", "4", "--k", str(-10 ** 599), "--q", "3"],
+     "error: bad search shape (n=4, k < -65536, q=3)\n"),
+    (["search", "--n", "2", "--k", "3", "--q", "2"],
+     "error: bad search shape (n=2, k=3, q=2)\n"),
+    (["search", "--n", "4", "--k", "-99999", "--q", "3"],
+     "error: bad search shape (n=4, k=-99999, q=3)\n"),
 ], ids=["construct-words", "search-words", "search-universe", "construct-huge-q",
         "search-huge-q", "construct-huge-q-huge-k", "construct-huge-k", "search-huge-k",
         "construct-six-digit-k", "repetition-huge-n", "repetition-long-n",
-        "search-huge-n", "search-three-digit-n", "search-huge-k-above-n"])
+        "search-huge-n", "search-three-digit-n", "search-huge-k-above-n",
+        "search-huge-k-q-1", "search-negative-huge-n", "search-negative-huge-k",
+        "search-negative-huge-q", "search-negative-longer-k", "search-short-shape",
+        "search-five-digit-k"])
 def test_word_limit_huge_k(argv, line, capsys):
     # 2^20000 and (10^2000)^3 have more digits than int-to-str conversion
     # allows, (10^300)^2 would make a 600-digit error line, and a q longer
@@ -172,7 +189,10 @@ def test_word_limit_huge_k(argv, line, capsys):
     # length; nor is a k with more digits than the limit, while 2^20000,
     # whose k has as many digits as the limit, is.  An n with more digits
     # than its limit is not printed either, and a k above n meets the
-    # word limit before the shape check, whose message would print it
+    # word limit before the shape check.  The shape check prints a number
+    # with more digits than the word limit as a bound, whatever its sign,
+    # and others as they are; a k below -10^308 is refused there, not by
+    # taking q^k as a float
     assert run(argv) == 2
     assert capsys.readouterr().err == line
 
@@ -207,6 +227,15 @@ def test_sweeps_and_square_walks_leave_no_reference_cycles(capsys):
         assert run(["check-theorems", "--q", "4", "--max-n", "4"]) == 0
         assert gc.collect() == 0
         assert mdskit.exists_mds(5, 2, 5)
+        assert gc.collect() == 0
+        # walks cut short by a limit, by a node budget, and by a budget
+        # that raises
+        for spec in (mdskit.SearchSpec(4, 3, 4, limit=100),
+                     mdskit.SearchSpec(5, 2, 5, max_nodes=500)):
+            assert not mdskit.enumerate_mds(spec).complete
+            assert gc.collect() == 0
+        with pytest.raises(mdskit.SearchSpaceTooLarge):
+            mdskit.exists_mds(4, 2, 6, max_nodes=1000)
         assert gc.collect() == 0
     finally:
         gc.enable()

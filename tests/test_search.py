@@ -59,9 +59,7 @@ from mdskit.search import (
     _compatibilities,
     _compatibility,
     _dfs,
-    _fields_hit,
     _layout,
-    _slot_fields,
     _walk,
     _walk_shape,
     _zero_candidates,
@@ -227,48 +225,39 @@ def test_walk_emits_exactly_the_reference_codes():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=12), st.data())
-def test_fields_hit_matches_per_slot_loop(widths, data):
-    # slot layouts with width-1 fields among wider ones; each field of x
-    # is empty often enough that misses are tested as well as hits
-    start = [0]
-    for width in widths:
-        start.append(start[-1] + width)
-    x = 0
-    for t, width in enumerate(widths):
-        bits = data.draw(st.just(0) | st.integers(1, (1 << width) - 1))
-        x |= bits << start[t]
-    chosen = data.draw(st.lists(st.booleans(), min_size=len(widths), max_size=len(widths)))
-    low, high = _slot_fields(start)
-    tops = [1 << (start[t + 1] - 1) for t in range(len(widths))]
-    assert high == sum(tops)
-    subset = sum(top for top, c in zip(tops, chosen) if c)
-    expected = 0
-    for t, top in enumerate(tops):
-        field = (1 << start[t + 1]) - (1 << start[t])
-        if chosen[t] and x & field:
-            expected |= top
-    assert _fields_hit(x, low, subset) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=5), st.data())
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8), st.data())
 def test_dfs_matches_a_brute_force_filter(widths, data):
-    # a random slot layout, a random symmetric compatibility relation and
-    # at times a set of allowed candidates: _dfs emits exactly the choices
-    # of one allowed candidate per slot that are pairwise compatible, in
-    # lexicographic slot order, and a node budget stops it where it says
+    # a random slot layout, with width-1 fields among wider ones, a random
+    # symmetric compatibility relation whose rows often miss a whole slot,
+    # so the prune's add-and-mask test sees empty fields as well as full
+    # ones, and at times a set of allowed candidates: _dfs emits exactly
+    # the choices of one allowed candidate per slot that are pairwise
+    # compatible, in lexicographic slot order.  At most 20 candidates keep
+    # the oracle's product of slots small
+    while sum(widths) > 20:
+        widths.pop()
     start = [0]
     for width in widths:
         start.append(start[-1] + width)
     m = start[-1]
-    pairs = list(combinations(range(m), 2))
-    linked = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+
+    def quarter(size):
+        # a set of about a quarter of size bits
+        return data.draw(st.integers(0, (1 << size) - 1)) & data.draw(
+            st.integers(0, (1 << size) - 1))
+
+    fields = [(1 << end) - (1 << begin) for begin, end in zip(start, start[1:])]
     masks = [0] * m
-    for (i, j), on in zip(pairs, linked):
-        if on:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+    for i in range(m):
+        # i is linked to about 3/4 of the later candidates, and to none of
+        # about a quarter of the fields; links to earlier ones mirror theirs
+        masks[i] = ~quarter(m) & -(2 << i)
+        gaps = quarter(len(fields))
+        for t, field in enumerate(fields):
+            if gaps >> t & 1:
+                masks[i] &= ~field
+        for j in range(i):
+            masks[i] |= (masks[j] >> i & 1) << j
     avail = data.draw(st.none() | st.integers(0, (1 << m) - 1))
     allowed = (1 << m) - 1 if avail is None else avail
     slots = [range(a, b) for a, b in zip(start, start[1:])]
@@ -276,20 +265,45 @@ def test_dfs_matches_a_brute_force_filter(widths, data):
                 if all(allowed >> j & 1 for j in c)
                 and all(masks[i] >> j & 1 for i, j in combinations(c, 2))]
 
-    def search(max_nodes):
-        emitted = []
-        result = _dfs(list(range(m)), _layout(start), masks.__getitem__, emitted.append,
-                      max_nodes, avail=avail)
-        return result, emitted
+    def search(max_nodes, extra=0, stop_at=None):
+        # emit adds extra to the shared count, as the square walk's nested
+        # searches do, and stops the walk at leaf stop_at
+        emitted, counts, spent = [], [], [0]
 
-    (complete, nodes, built), emitted = search(None)
+        def emit(chosen):
+            emitted.append(chosen)
+            counts.append(spent[0])
+            spent[0] += extra
+            return len(emitted) == stop_at
+
+        result = _dfs(list(range(m)), _layout(start), masks.__getitem__, emit, max_nodes,
+                      spent, avail)
+        assert result[1] == spent[0]
+        return result, emitted, counts
+
+    (complete, nodes, built), emitted, counts = search(None)
     assert complete
     assert emitted == expected
     assert built <= min(nodes, m)
-    budget = data.draw(st.integers(1, nodes + 1))
-    (complete, spent, _), emitted = search(budget)
-    assert (complete, spent) == (nodes <= budget, min(nodes, budget))
-    assert emitted == expected[:len(emitted)]
+    if expected:
+        # emit ends the walk at a drawn leaf, with the count it had there
+        leaf = data.draw(st.integers(1, len(expected)))
+        (complete, stopped, _), emitted, _ = search(None, stop_at=leaf)
+        assert (complete, stopped) == (False, counts[leaf - 1])
+        assert emitted == expected[:leaf]
+
+    # a node budget stops the walk at the first node tried once the shared
+    # count, emit's additions included, reaches it: the leaves placed are
+    # those counted within the budget, and the count stays where it stood,
+    # past the budget when the last emit pushed it there
+    extra = data.draw(st.integers(0, 2))
+    (_, total, _), _, counts = search(None, extra)
+    budget = data.draw(st.integers(1, total + 1))
+    (complete, reached, _), emitted, _ = search(budget, extra)
+    placed = sum(count <= budget for count in counts)
+    assert emitted == expected[:placed]
+    stop = max(budget, counts[placed - 1] + extra if placed else 0)
+    assert (complete, reached) == ((True, total) if total <= stop else (False, stop))
 
 
 def test_walk_with_an_empty_slot_finds_nothing():
