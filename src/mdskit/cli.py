@@ -35,16 +35,12 @@ from .errors import (
     TheoremViolation,
     ZeroWordAbsent,
 )
-from .galois import Field
 from .search import (
-    MAX_WORD_LENGTH,
     MODES,
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
     SearchSpec,
-    check_length,
     check_theorems,
-    check_word_limit,
     enumerate_mds,
 )
 from .spectra import (
@@ -92,11 +88,13 @@ def _load(path):
     return read_code(path)
 
 
-def _print_shape(shape):
-    """The q, n and k lines that open a report on a code or search shape."""
+def _print_shape(shape, d=None):
+    """The q, n and k lines that open a report on a code or search shape, then d if given."""
     print(f"q = {shape.q}")
     print(f"n = {shape.n}")
     print(f"k = {shape.k}")
+    if d is not None:
+        print(f"d = {d}")
 
 
 def _emit_code(code, out):
@@ -104,11 +102,9 @@ def _emit_code(code, out):
     A one-word (k = 0) code has no minimum distance, so its report has no
     d line; the report is settled before anything is written."""
     if out:
-        report = is_mds(code) if code.k > 0 else None
+        d = is_mds(code).d if code.k > 0 else None
         write_code(code, out)
-        _print_shape(code)
-        if report is not None:
-            print(f"d = {report.d}")
+        _print_shape(code, d)
         print(f"out = {out}")
     else:
         sys.stdout.write(format_code(code))
@@ -116,30 +112,24 @@ def _emit_code(code, out):
 
 # ---------------------------------------------------------------- commands
 
-def _q_k(args):
-    return args.q, args.k
-
-
-# construct's families: the flags each needs, its word count (q, e) for
-# q^e words, refused before anything is built when over the word limit,
-# and its builder; rs evaluates at every field element 0..q-1 unless
-# given --points.  A family takes no other flag but --out, and --points
-# only for rs.  The lambdas look builders up as module globals at call
-# time.
+# construct's families: the flags each needs and its builder, which checks
+# every bound (the field families pass the order, checked before the
+# field); rs evaluates at every field element 0..q-1 unless given
+# --points.  A family takes no other flag but --out, and --points only for
+# rs.  The lambdas look builders up as module globals at call time.
 _FAMILIES = {
-    "repetition": (("n", "q"), lambda a: (a.q, 1), lambda a: repetition_code(a.n, a.q)),
-    "universe": (("k", "q"), _q_k, lambda a: universe_code(a.k, a.q)),
-    "sum-zero": (("k", "q"), _q_k, lambda a: sum_zero_code(a.k, Field(a.q))),
-    "rs": (("k", "q"), _q_k, lambda a: rs_code(
-        Field(a.q), a.k, range(a.q) if a.points is None else a.points)),
-    "ext-rs": (("k", "q"), _q_k, lambda a: extended_rs_code(Field(a.q), a.k)),
-    "dx-rs": (("q",), lambda a: (a.q, 3), lambda a: doubly_extended_rs(Field(a.q))),
-    "mols": (("p",), lambda a: (a.p, 2), lambda a: mols_to_code(cyclic_mols(a.p))),
+    "repetition": (("n", "q"), lambda a: repetition_code(a.n, a.q)),
+    "universe": (("k", "q"), lambda a: universe_code(a.k, a.q)),
+    "sum-zero": (("k", "q"), lambda a: sum_zero_code(a.k, a.q)),
+    "rs": (("k", "q"), lambda a: rs_code(a.q, a.k, range(a.q) if a.points is None else a.points)),
+    "ext-rs": (("k", "q"), lambda a: extended_rs_code(a.q, a.k)),
+    "dx-rs": (("q",), lambda a: doubly_extended_rs(a.q)),
+    "mols": (("p",), lambda a: mols_to_code(cyclic_mols(a.p))),
 }
 
 
 def _cmd_construct(args):
-    flags, words, build = _FAMILIES[args.family]
+    flags, build = _FAMILIES[args.family]
     missing = [f"--{name}" for name in flags if getattr(args, name) is None]
     if missing:
         raise MdskitError(f"family {args.family!r} needs {' '.join(missing)}")
@@ -148,9 +138,6 @@ def _cmd_construct(args):
              if name not in taken and getattr(args, name) is not None]
     if extra:
         raise MdskitError(f"family {args.family!r} takes no {' '.join(extra)}")
-    check_word_limit(*words(args))
-    if args.n is not None:
-        check_length(args.n, MAX_WORD_LENGTH, "word length limit")
     _emit_code(build(args), args.out)
     return 0
 
@@ -160,10 +147,8 @@ def _cmd_verify(args):
     report = is_mds(code)
     good = None
     if args.information_set is not None:
-        positions = _positions_from_cli(args.information_set, code.n)
-        good = information_set_check(code, positions)
-    _print_shape(code)
-    print(f"d = {report.d}")
+        good = information_set_check(code, _positions_from_cli(args.information_set, code.n))
+    _print_shape(code, report.d)
     print(f"singleton_bound = {report.singleton_bound}")
     print(f"is_mds = {_bool(report.is_mds)}")
     ok = report.is_mds
@@ -185,8 +170,7 @@ def _cmd_spectrum(args):
     report = _require_mds_with_zero(code)
     brute = weight_distribution_bruteforce(code)
     closed = weight_distribution_formula(code.n, code.k, code.q)
-    _print_shape(code)
-    print(f"d = {report.d}")
+    _print_shape(code, report.d)
     print(f"total = {brute.total()}")
     print(f"W = {_format_set(brute.spectrum())}")
     for w in sorted(brute.spectrum()):
@@ -207,8 +191,7 @@ def _cmd_pwe(args):
     profile = tuple(args.profile)
     brute = partition_weight_enumerator_bruteforce(code, spec, profile)
     closed = partition_weight_enumerator_formula(code.n, code.k, code.q, spec, profile)
-    _print_shape(code)
-    print(f"d = {report.d}")
+    _print_shape(code, report.d)
     partition_echo = "/".join(",".join(str(p + 1) for p in sorted(b)) for b in blocks)
     print(f"partition = {partition_echo}")
     print(f"profile = {','.join(str(w) for w in profile)}")
@@ -226,8 +209,7 @@ def _cmd_distances(args):
     center = tuple(args.center) if args.center is not None else code.sorted_words()[0]
     dist = distance_distribution_from(code, center)
     closed = weight_distribution_formula(code.n, code.k, code.q)
-    _print_shape(code)
-    print(f"d = {report.d}")
+    _print_shape(code, report.d)
     print(f"center = {' '.join(str(s) for s in center)}")
     for w in sorted(dist.counts):
         print(f"D({w}) = {dist[w]}")
@@ -238,18 +220,14 @@ def _cmd_distances(args):
 
 def _cmd_residual(args):
     code = _load(args.file)
-    positions = _positions_from_cli(args.positions, code.n)
-    values = tuple(args.values)
-    spec = ResidualSpec(tuple(positions), values)
-    out = residual(code, spec)
-    _emit_code(out, args.out)
+    spec = ResidualSpec(_positions_from_cli(args.positions, code.n), args.values)
+    _emit_code(residual(code, spec), args.out)
     return 0
 
 
 def _cmd_normalize(args):
     code = _load(args.file)
-    word = tuple(args.word) if args.word is not None else None
-    normalized, moves = normalize_to_zero(code, word)
+    normalized, moves = normalize_to_zero(code, args.word)
     write_code(normalized, args.out)
     _print_shape(code)
     print(f"moves = {len(moves)}")
@@ -274,16 +252,12 @@ def _cmd_search(args):
     if args.emit_codes and args.mode != "collect":
         raise MdskitError("--emit-codes needs --mode collect")
     # a shape the guards refuse raises here and leaves no directory behind
-    spec = SearchSpec(args.n, args.k, args.q,
-                      require_zero=args.require_zero,
-                      mode=args.mode,
-                      limit=args.limit,
-                      max_nodes=args.max_nodes)
+    spec = SearchSpec(args.n, args.k, args.q, require_zero=args.require_zero, mode=args.mode,
+                      limit=args.limit, max_nodes=args.max_nodes)
     if args.emit_codes:
         os.makedirs(args.emit_codes, exist_ok=True)
     result = enumerate_mds(spec)
-    _print_shape(args)
-    print(f"d = {args.n - args.k + 1}")
+    _print_shape(args, args.n - args.k + 1)
     print(f"require_zero = {_bool(args.require_zero)}")
     print(f"mode = {args.mode}")
     if args.mode == "exists":
@@ -307,9 +281,7 @@ def _cmd_check_theorems(args):
                            max_nodes=args.max_nodes)
     print(f"q = {args.q}")
     print(f"max_n = {args.max_n}")
-    idx = 0
-    failures = 0
-    skips = 0
+    idx = failures = skips = 0
     for idx, (status, claim) in enumerate(lines, start=1):
         print(f"check[{idx}] = {status} {claim}")
         failures += status == "fail"
@@ -415,8 +387,7 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # the closed forms warn OutOfStatedRegime when q < k; a report is
     # its stdout alone, so no command passes that warning on to stderr
     try:

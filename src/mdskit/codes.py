@@ -32,6 +32,7 @@ from .errors import (
     TheoremViolation,
     TooFewWords,
     check_integers,
+    shown,
 )
 from .galois import symbol_group
 
@@ -73,7 +74,7 @@ class Code:
 
     def _build(self, q, words, checked):
         if q < 2:
-            raise InvalidCode(f"alphabet size q={q} must be at least 2")
+            raise InvalidCode(f"alphabet size {shown('q', q)} must be at least 2")
         wordset = frozenset(words)
         if not wordset:
             raise InvalidCode("code has no words")
@@ -381,7 +382,7 @@ def parse_code(text):
         raise CodeFileError(f"bad parameter line: {lines[1]!r}")
     q, n = map(int, params.groups())
     if q < 2 or n < 1:
-        raise CodeFileError(f"need q >= 2 and n >= 1, got q={q} n={n}")
+        raise CodeFileError(f"need q >= 2 and n >= 1, got {shown('q', q)} {shown('n', n)}")
 
     # bounded by the text's length, so a huge q builds no huge dict; a
     # symbol past the bound takes the full checks
@@ -397,9 +398,10 @@ def parse_code(text):
                 raise CodeFileError(f"line {lineno}: non-integer symbol")
             word = tuple(map(int, tokens))
             if len(word) != n:
-                raise CodeFileError(f"line {lineno}: expected {n} symbols, got {len(word)}")
+                raise CodeFileError(
+                    f"line {lineno}: expected {shown('', n)} symbols, got {len(word)}")
             if any(s < 0 or s >= q for s in word):
-                raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
+                raise CodeFileError(f"line {lineno}: symbol outside 0..{shown('', q - 1)}")
         words.append(word)
 
     # Code._of takes this frozenset as it is, so no word is hashed twice
@@ -407,7 +409,7 @@ def parse_code(text):
     if len(wordset) != len(words):
         raise CodeFileError("duplicate codewords")
     if _dimension_of(q, len(words)) is None:
-        raise CodeFileError(f"{len(words)} words is not a power of q={q}")
+        raise CodeFileError(f"{len(words)} words is not a power of {shown('q', q)}")
     return Code._of(q, wordset)
 
 

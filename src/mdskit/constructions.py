@@ -4,6 +4,9 @@ Covers the trivial families (repetition, universe, sum-zero), polynomial
 evaluation codes over GF(q) including the singly- and doubly-extended
 variants, and the two-way bridge between (n, 2)_q MDS codes and sets of
 n-2 mutually orthogonal Latin squares.
+
+Each builder refuses a code past the word or length limit before it
+builds anything, the field builders taking a Field or its order.
 """
 
 import itertools
@@ -19,21 +22,29 @@ from .errors import (
     OddCharacteristic,
     WrongDimension,
     check_integers,
+    check_length,
+    check_word_limit,
+    shown,
 )
+from .galois import Field
 
 
 def repetition_code(n, q):
     """(n, 1)_q code {(i, .., i)}; minimum distance n."""
     check_integers(n=n, q=q)
-    return Code._of(q, [(i,) * n for i in range(q)])
+    check_word_limit(q, 1)
+    check_length(n)
+    return Code._of(q, [(i,) * max(n, 0) for i in range(q)])  # Code refuses n < 1
 
 
 def universe_code(k, q):
     """(k, k)_q code consisting of every word; minimum distance 1."""
     check_integers(k=k, q=q)
+    check_word_limit(q, k)
     if k < 1:
-        raise InvalidParameters(f"need k >= 1, got k={k}")
-    return Code._of(q, itertools.product(range(q), repeat=k))
+        raise InvalidParameters(f"need k >= 1, got {shown('k', k)}")
+    # Code refuses a q below 2, whose words a long k would not even list
+    return Code._of(q, itertools.product(range(q), repeat=k) if q > 1 else ())
 
 
 def sum_zero_code(k, field):
@@ -44,11 +55,18 @@ def sum_zero_code(k, field):
     polynomial f of degree < k, and the last is -f(1), minus their sum.
     """
     check_integers(k=k)
+    field = _field(field, k)
     if k < 1:
-        raise InvalidParameters(f"need k >= 1, got k={k}")
+        raise InvalidParameters(f"need k >= 1, got {shown('k', k)}")
     (at_one,) = _evaluations(field, k, (1,))
     return Code._of(field.q, zip(*(_coefficients(field.q, k, j) for j in range(k)),
                                  at_one.translate(field.neg_row)))
+
+
+def _field(field, k):
+    """A builder's Field, or its order as a Field, once q^k is within the word limit."""
+    check_word_limit(getattr(field, "q", field), k)
+    return field if isinstance(field, Field) else Field(field)
 
 
 def _evaluations(field, k, points):
@@ -79,14 +97,15 @@ def rs_code(field, k, points):
     Distinct evaluation points, 1 <= k <= n <= q.  Always MDS: two distinct
     polynomials of degree < k agree on at most k-1 points.
     """
-    points = tuple(points)
     check_integers(k=k)
+    field = _field(field, k)
+    points = tuple(points)
     if len(set(points)) != len(points):
-        raise DuplicatePoints(f"evaluation points {points} are not distinct")
+        raise DuplicatePoints(f"evaluation points {shown('', points)} are not distinct")
     if not all(is_position(p, field.q) for p in points):
-        raise InvalidParameters(f"points {points} must be field elements")
+        raise InvalidParameters(f"points {shown('', points)} must be field elements")
     if not 1 <= k <= len(points):
-        raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got k={k}")
+        raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got {shown('k', k)}")
     return Code._of(field.q, zip(*_evaluations(field, k, points)))
 
 
@@ -95,8 +114,9 @@ def extended_rs_code(field, k):
     degree-(k-1) coefficient as the extra coordinate.
     """
     check_integers(k=k)
+    field = _field(field, k)
     if not 1 <= k <= field.q:
-        raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got k={k}")
+        raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got {shown('k', k)}")
     return Code._of(field.q, zip(*_evaluations(field, k, field.elements),
                                  _coefficients(field.q, k, k - 1)))
 
@@ -107,6 +127,7 @@ def doubly_extended_rs(field):
 
     Only exists for characteristic 2; distance q.
     """
+    field = _field(field, 3)
     if field.p != 2 or field.q < 4:
         raise OddCharacteristic(f"requires characteristic 2 and q >= 4, got q={field.q}")
     return Code._of(field.q, zip(*_evaluations(field, 3, field.elements),
@@ -201,8 +222,9 @@ class MolsSet:
 def cyclic_mols(p):
     """The p-1 squares L_a(i, j) = a*i + j mod p, pairwise orthogonal."""
     check_integers(p=p)
+    check_word_limit(p, 2)
     if p < 2 or any(p % f == 0 for f in range(2, p)):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{shown('', p)} is not prime")
     # a = 0 gives j, so each word is (i, j, L_1(i, j), .., L_{p-1}(i, j));
     # built a column at a time: row i of L_a is range(p) rotated left by
     # a*i mod p (the rows are listed eagerly, so each column keeps its a)

@@ -1,10 +1,15 @@
-"""Exception types shared across the package, and the int and cap checks
-that the builders, the searches and the closed forms share.
+"""Exception types shared across the package, and every input bound: the
+int and cap checks, the word and length limits, and how messages show ints.
 
 Everything raised on purpose derives from MdskitError so callers (and the
 CLI) can distinguish domain errors from genuine bugs.  Inverting zero in a
 field raises the builtin ZeroDivisionError.
 """
+
+# no builder or search builds a Code of more than MAX_WORDS words (q^k),
+# nor a builder one of words longer than MAX_WORD_LENGTH symbols
+MAX_WORDS = 2 ** 16
+MAX_WORD_LENGTH = 2 ** 16
 
 
 class MdskitError(Exception):
@@ -131,4 +136,45 @@ def check_caps(**caps):
         if cap is not None:
             check_integers(**{name: cap})
             if cap < 1:
-                raise InvalidParameters(f"{name} must be positive, got {cap}")
+                raise InvalidParameters(f"{name} must be positive, got {shown('', cap)}")
+
+
+def shown(name, value, bound=MAX_WORDS):
+    """name=value, or name > bound (name < -bound) for a number with more
+    digits than bound, so no message prints a long number, and a tuple as
+    str shows it but with its ints so shown; with no name, the value alone."""
+    if type(value) is tuple:
+        text = "=({}{})".format(", ".join(shown("", v) if type(v) is int else repr(v)
+                                          for v in value), "," * (len(value) == 1))
+    elif type(value) in (int, float) and abs(value) >= 10 ** len(str(bound)):
+        text = f" > {bound}" if value > 0 else f" < {-bound}"
+    else:
+        text = f"={value}"
+    return name + text if name else text.lstrip("= ")
+
+
+def check_power(q, e, limit, symbol, name):
+    """Refuse q^e above limit, reported as e.g. "q^k" and "word limit" ("n"
+    names q for e = 1); a q below 2 or an e below 1 is left to the caller.
+    A q or e longer than limit is shown as shown shows it, and an e past
+    limit's bit length is refused without taking the power."""
+    if q < 2 or e < 1:
+        return
+    for letter, value in zip(symbol.split("^"), (q, e)):
+        said = shown(letter, value, limit)
+        if "=" not in said:     # too long to show: said is "q > limit"
+            raise SearchSpaceTooLarge(f"{symbol} exceeds the {name} {limit}: {said}")
+    if e > limit.bit_length():
+        raise SearchSpaceTooLarge(f"{symbol} = {q}^{e} exceeds the {name} {limit}")
+    if q ** e > limit:
+        raise SearchSpaceTooLarge(f"{symbol} = {q ** e} exceeds the {name} {limit}")
+
+
+def check_word_limit(q, k):
+    """Refuse a code of q^k words when that exceeds MAX_WORDS."""
+    check_power(q, k, MAX_WORDS, "q^k", "word limit")
+
+
+def check_length(n, limit=MAX_WORD_LENGTH, name="word length limit", symbol="n"):
+    """Refuse a length n above limit, as check_power refuses a power."""
+    check_power(n, 1, limit, symbol, name)

@@ -15,7 +15,7 @@ are the nonzero elements (Lidl and Niederreiter, Finite Fields, ch. 2).
 import functools
 import itertools
 
-from .errors import InvalidParameters, UnsupportedOrder
+from .errors import InvalidParameters, UnsupportedOrder, shown
 
 # Characteristic p and monic irreducible modulus per supported order
 # q = p^m, low-degree coefficients first; the leading coefficient x^m is
@@ -102,7 +102,7 @@ class Field:
 
     def __init__(self, q):
         if type(q) is not int or q not in SUPPORTED_ORDERS:
-            raise UnsupportedOrder(f"q={q} is not a supported prime power")
+            raise UnsupportedOrder(f"{shown('q', q)} is not a supported prime power")
         self.q = q
         self.p, self.m = _FIELDS[q][0], len(_FIELDS[q][1])
         self.add_rows, self.mul_rows, self.neg_row = _tables(q)

@@ -72,6 +72,10 @@ from .errors import (
     ZeroWordAbsent,
     check_caps,
     check_integers,
+    check_length,
+    check_power,
+    check_word_limit,
+    shown,
 )
 from .spectra import (
     closed_form_distribution,
@@ -80,16 +84,9 @@ from .spectra import (
 )
 from .transforms import classify_binary
 
-# search guards on words per code and on code length, and the sweep's
-# default caps on codes checked and walk nodes per shape.  No search, and
-# no construct command, builds a Code of more than MAX_WORDS words, and
-# no construct command one of words longer than MAX_WORD_LENGTH; the
-# builders in constructions do not check either.  Every shape with
-# q^k > MAX_WORDS and q^n <= _UNIVERSE_LIMIT is n = k, whose one code
-# would be such a Code, or (18,17)_2, whose code a walk finds only by
-# building q^k - 1 masks of at least q^k bits, past _MASK_BIT_LIMIT.
-MAX_WORDS = 2 ** 16
-MAX_WORD_LENGTH = 2 ** 16
+# the search guard on code length, which also bounds check_theorems'
+# max_n and verify_bounds' k_max, and the sweep's default caps on codes
+# checked and walk nodes per shape; a search keeps errors.MAX_WORDS too
 MAX_LENGTH = 12
 SWEEP_LIMIT_PER_SHAPE = 512
 SWEEP_MAX_NODES = 200000
@@ -119,17 +116,16 @@ class SearchSpec(namedtuple("SearchSpec", "n k q require_zero mode limit max_nod
         self = super().__new__(cls, n, k, q, require_zero, mode, limit, max_nodes)
         check_integers(n=self.n, k=self.k, q=self.q)
         check_caps(limit=self.limit, max_nodes=self.max_nodes)
-        # the word limit goes first, so a bad shape's message prints no long k
         check_word_limit(self.q, self.k)
         if self.q < 2 or self.k < 1 or self.n < self.k:
             raise InvalidParameters("bad search shape ({})".format(", ".join(
-                _shown(name, value) for name, value in zip("nkq", self[:3]))))
+                shown(name, value) for name, value in zip("nkq", self[:3]))))
         if self.mode not in MODES:
             raise InvalidParameters(f"mode must be one of {MODES}")
         if not isinstance(self.require_zero, bool):
             raise InvalidParameters(f"require_zero={self.require_zero!r} is not a bool")
         check_length(self.n, MAX_LENGTH, "length limit")
-        _check_power(self.q, self.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
+        check_power(self.q, self.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
         return self
 
 
@@ -142,49 +138,6 @@ class SearchResult(namedtuple("SearchResult", "spec count codes complete nodes m
     counts the square walk's masks only: exists (4,2)_6 visits 826151
     nodes and builds 111 masks."""
     __slots__ = ()
-
-
-def _shown(name, value):
-    """name=value, or name > MAX_WORDS (< -MAX_WORDS) for a value with
-    more digits than MAX_WORDS, so no message prints a long number."""
-    if abs(value) < 10 ** len(str(MAX_WORDS)):
-        return f"{name}={value}"
-    return f"{name} > {MAX_WORDS}" if value > 0 else f"{name} < {-MAX_WORDS}"
-
-
-def _check_power(q, e, limit, symbol, name):
-    """Refuse q^e above limit, reported as e.g. "q^k" and "word limit".
-    A q below 2 or an e below 1 is left to the caller's own checks of the
-    alphabet and the shape.  A q with more digits than limit is refused
-    as q > limit, so no message prints a q longer than the limit, and an
-    e with more digits than limit is refused as e > limit in the same
-    way; an e past the bit length of limit is refused without taking the
-    power, which could be too long to compute or to print."""
-    if q < 2 or e < 1:
-        return
-    if q >= 10 ** len(str(limit)):
-        raise SearchSpaceTooLarge(f"{symbol} exceeds the {name} {limit}: q > {limit}")
-    if e >= 10 ** len(str(limit)):
-        raise SearchSpaceTooLarge(
-            f"{symbol} exceeds the {name} {limit}: {symbol[-1]} > {limit}")
-    if e > limit.bit_length():
-        raise SearchSpaceTooLarge(f"{symbol} = {q}^{e} exceeds the {name} {limit}")
-    if q ** e > limit:
-        raise SearchSpaceTooLarge(f"{symbol} = {q ** e} exceeds the {name} {limit}")
-
-
-def check_word_limit(q, k):
-    """Refuse a code of q^k words when that exceeds MAX_WORDS."""
-    _check_power(q, k, MAX_WORDS, "q^k", "word limit")
-
-
-def check_length(n, limit, name):
-    """Refuse words of length n above limit, as _check_power refuses a
-    power: an n with more digits than limit is reported as n > limit."""
-    if n >= 10 ** len(str(limit)):
-        raise SearchSpaceTooLarge(f"n exceeds the {name} {limit}: n > {limit}")
-    if n > limit:
-        raise SearchSpaceTooLarge(f"n = {n} exceeds the {name} {limit}")
 
 
 def _compatibility(w, full, masks, k):
@@ -571,8 +524,9 @@ def verify_bounds(q, k_max, max_nodes=None):
     Checking length bound+1 suffices, because deleting any coordinate of
     a longer MDS code leaves an MDS code.  A size the guards refuse, or a
     search the node budget cannot settle, gives a skipped report that
-    names the reason."""
+    names the reason; a k_max past MAX_LENGTH, whose lengths are too, is refused."""
     check_integers(q=q, k_max=k_max)
+    check_length(k_max, MAX_LENGTH, "length limit", "k_max")
     return [_verify_bound(q, k, max_nodes) for k in range(2, k_max + 1)]
 
 
@@ -654,11 +608,12 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     forms times their class size, capped at limit_per_shape, where the
     walk stops; a walk cut short is tagged sample.  Returns an iterator
     of the (status, claim) lines, each yielded as it is settled; bad
-    arguments raise here, before any line."""
+    arguments raise here, before any line, as does a max_n past MAX_LENGTH."""
     check_integers(q=q)
     if q < 2:
-        raise InvalidParameters(f"q must be at least 2, got {q}")
+        raise InvalidParameters(f"q must be at least 2, got {shown('', q)}")
     check_caps(max_n=max_n, limit_per_shape=limit_per_shape, max_nodes=max_nodes)
+    check_length(max_n, MAX_LENGTH, "length limit", "max_n")
     return _check_theorems(q, max_n, limit_per_shape, max_nodes)
 
 

@@ -42,6 +42,7 @@ from .errors import (
     WordNotInCode,
     ZeroWordAbsent,
     check_integers,
+    shown,
 )
 
 
@@ -208,7 +209,7 @@ def _check_profile(spec, profile):
             f"profile has {len(profile)} entries for {len(spec.blocks)} blocks")
     for wi, ni in zip(profile, spec.sizes):
         if not is_position(wi, ni + 1):
-            raise ProfileOutOfRange(f"profile entry {wi} outside 0..{ni}")
+            raise ProfileOutOfRange(f"profile entry {shown('', wi)} outside 0..{ni}")
     return profile
 
 
@@ -265,7 +266,7 @@ def distance_distribution_from(code, center):
     """Counts of codewords at each distance from a chosen codeword."""
     center = tuple(center)
     if center not in code:
-        raise WordNotInCode(f"{center} is not a codeword")
+        raise WordNotInCode(f"{shown('', center)} is not a codeword")
     return _distances_from(code, center)
 
 
@@ -274,5 +275,5 @@ def partition_distance_enumerator(code, center, spec, profile):
     positions inside block i, for each block."""
     center = tuple(center)
     if center not in code:
-        raise WordNotInCode(f"{center} is not a codeword")
+        raise WordNotInCode(f"{shown('', center)} is not a codeword")
     return _profile_count(code, center, spec, profile)

@@ -37,6 +37,7 @@ from .errors import (
     InvalidParameters,
     TheoremViolation,
     TooManyPositions,
+    shown,
 )
 
 SYMBOL_LIMIT = 2 ** 16
@@ -124,7 +125,7 @@ def normalize_to_zero(code, word=None):
     else:
         word = tuple(word)
         if word not in code:
-            raise BadMove(f"{word} is not a codeword")
+            raise BadMove(f"{shown('', word)} is not a codeword")
     moves = [SP(p, transposition(code.q, s, 0))
              for p, s in enumerate(word) if s != 0]
     return apply_moves(code, moves), moves
@@ -168,7 +169,7 @@ def residual(code, spec):
             raise BadPositions(f"position {p} outside 0..{code.n - 1}")
     for v in spec.values:
         if not is_position(v, code.q):
-            raise BadPositions(f"values must lie in 0..{code.q - 1}, got {v}")
+            raise BadPositions(f"values must lie in 0..{code.q - 1}, got {shown('', v)}")
     words = code.words
     if t:
         # itemgetter of one position returns the bare symbol, not a 1-tuple
@@ -205,7 +206,7 @@ def classify_binary(code):
     """Decide which of the three binary MDS shapes this code is equivalent
     to, returning the class and the normalizing moves."""
     if code.q != 2:
-        raise InvalidParameters(f"classification applies to q=2 only, got q={code.q}")
+        raise InvalidParameters(f"classification applies to q=2 only, got {shown('q', code.q)}")
     require_mds(code)
     normalized, moves = normalize_to_zero(code)
     n, k = code.n, code.k

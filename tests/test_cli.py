@@ -26,7 +26,7 @@ from mdskit import (
     write_code,
 )
 from mdskit.cli import build_parser, run
-from mdskit.search import MAX_WORDS
+from mdskit.errors import MAX_WORDS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -119,16 +119,22 @@ def test_construct_repetition_n0_writes_nothing(tmp_path, capsys):
     (["ext-rs", "--k", "2", "--q", "3"], "extended_rs_code"),
     (["mols", "--p", "3"], "cyclic_mols"),
     (["repetition", "--n", "2", "--q", "9"], "repetition_code"),
+    (["dx-rs", "--q", "4"], "doubly_extended_rs"),
 ])
 def test_construct_word_limit(argv, builder, tmp_path, capsys, monkeypatch):
+    # the builder, not the CLI, refuses, and before it builds any Code
     def refuse(*args):
         raise AssertionError("built past the word limit")
-    monkeypatch.setattr(mdskit.cli, builder, refuse)
-    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
+    called = []
+    real = getattr(mdskit.cli, builder)
+    monkeypatch.setattr(mdskit.cli, builder, lambda *args: called.append(1) or real(*args))
+    monkeypatch.setattr(mdskit.codes.Code, "_build", refuse)
+    monkeypatch.setattr(mdskit.errors, "MAX_WORDS", 8)
     path = tmp_path / "c.txt"
     assert run(["construct", *argv, "--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: q^k = ") and err.count("\n") == 1
+    assert called == [1]
     assert not path.exists()
 
 
@@ -197,6 +203,83 @@ def test_word_limit_huge_k(argv, line, capsys):
     assert capsys.readouterr().err == line
 
 
+# the input surface: every int and int-list flag, crossed with 0, -1, a
+# number just past the word limit either way, and numbers of 20 and 300
+# digits either way; every other flag holds a small valid value, and
+# {file} and {out} stand for a small MDS code file and an output path
+SURFACE_VALUES = [0, -1, 65537, -65537, 10 ** 19, 10 ** 299, -10 ** 299]
+SURFACE_BASES = {
+    "verify": ["verify", "{file}"],
+    "pwe": ["pwe", "{file}", "--partition", "1,2,3,4", "--profile", "1"],
+    "distances": ["distances", "{file}"],
+    "residual": ["residual", "{file}", "--positions", "1", "--values", "0"],
+    "normalize": ["normalize", "{file}", "--out", "{out}"],
+    "search": ["search", "--n", "4", "--k", "2", "--q", "3"],
+    "check-theorems": ["check-theorems", "--q", "2", "--max-n", "4"],
+}
+_BIG = str(10 ** 299)
+SURFACE_FILES = {
+    "file-q": f"MDSKIT v1\nq={_BIG} n=2\n0 0\n",
+    "file-negative-q": f"MDSKIT v1\nq=-{_BIG} n=2\n0 0\n",
+    "file-words-of-q": f"MDSKIT v1\nq={_BIG} n=1\n0\n1\n",
+    "file-n": f"MDSKIT v1\nq=2 n={_BIG}\n0 0\n1 1\n",
+    "file-symbol": f"MDSKIT v1\nq=2 n=2\n0 {_BIG}\n1 1\n",
+    "file-negative-symbol": f"MDSKIT v1\nq=2 n=2\n0 -{_BIG}\n1 1\n",
+}
+
+
+def _surface_cases():
+    """(id, argv) for each int or int-list action of build_parser() and
+    each surface value; construct crosses each family with the flags it
+    takes.  Then verify on each code file of SURFACE_FILES."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    cases = []
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if action.type not in (int, mdskit.cli._int_list):
+                continue
+            flag = action.option_strings[0]
+            if command == "construct":
+                bases = [["construct", family, *(x for name in taken for x in (f"--{name}", "3"))]
+                         for family, (taken, _) in mdskit.cli._FAMILIES.items()
+                         if flag[2:] in taken or (family, flag) == ("rs", "--points")]
+            else:
+                bases = [SURFACE_BASES[command]]
+            for base in bases:
+                name = " ".join(base[:2]) if command == "construct" else command
+                for value in SURFACE_VALUES:
+                    argv = list(base)
+                    if flag in argv:
+                        argv[argv.index(flag) + 1] = str(value)
+                    else:
+                        argv += [flag, str(value)]
+                    shown = value if len(str(value)) < 30 else f"{len(str(value))}-digits"
+                    cases.append((f"{name} {flag} {shown}", argv))
+    cases += [(name, ["verify", name]) for name in SURFACE_FILES]
+    return cases
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _surface_cases()],
+                         ids=[name for name, _ in _surface_cases()])
+def test_input_surface(argv, tmp_path, capsys, monkeypatch):
+    # every run ends, exits 0, 2 or 1 with nothing checked, prints no
+    # traceback and at most one short error line
+    monkeypatch.chdir(tmp_path)
+    write_code(extended_rs_code(Field(3), 2), "c.txt")
+    for name, text in SURFACE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [a.format(file="c.txt", out="out.txt") for a in argv]
+    try:
+        status = run(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status in (0, 2) or (status == 1 and "result = none" in captured.out)
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) <= 1 and all(len(line.encode()) <= 120 for line in errors)
+
+
 @pytest.mark.parametrize("argv,line", [
     (["universe", "--k", "20000", "--q", "-2"],
      "error: alphabet size q=-2 must be at least 2\n"),
@@ -242,7 +325,7 @@ def test_sweeps_and_square_walks_leave_no_reference_cycles(capsys):
 
 
 def test_construct_within_word_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
+    monkeypatch.setattr(mdskit.errors, "MAX_WORDS", 8)
     path = tmp_path / "u.txt"
     assert run(["construct", "universe", "--k", "3", "--q", "2", "--out", str(path)]) == 0
     assert len(read_code(path)) == 8
@@ -541,7 +624,7 @@ def test_search_emit_codes_refused_shape_makes_no_directory(tmp_path, capsys):
 
 
 def test_search_guard(capsys, monkeypatch):
-    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 8)
+    monkeypatch.setattr(mdskit.errors, "MAX_WORDS", 8)
     assert run(["search", "--n", "4", "--k", "2", "--q", "3", "--require-zero"]) == 2
     assert capsys.readouterr().err == "error: q^k = 9 exceeds the word limit 8\n"
 
@@ -603,7 +686,7 @@ def test_check_theorems_reports_each_disagreement(capsys, monkeypatch):
 
 def test_check_theorems_that_checks_nothing_passes_nothing(capsys, monkeypatch):
     # every shape is over the word limit, so every line is a skip
-    monkeypatch.setattr(mdskit.search, "MAX_WORDS", 1)
+    monkeypatch.setattr(mdskit.errors, "MAX_WORDS", 1)
     assert run(["check-theorems", "--q", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert all(" = skip " in line for line in lines if line.startswith("check["))
@@ -617,7 +700,7 @@ def test_check_theorems_that_checks_nothing_passes_nothing(capsys, monkeypatch):
 ])
 def test_check_theorems_skips_unsettled_length_bounds(flags, reason, max_words, capsys,
                                                        monkeypatch):
-    monkeypatch.setattr(mdskit.search, "MAX_WORDS", max_words)
+    monkeypatch.setattr(mdskit.errors, "MAX_WORDS", max_words)
     # under the node budget the n = k shapes still pass, as they take no
     # walk; under the word limit every line is a skip, so nothing passed
     status = 1 if max_words == 1 else 0

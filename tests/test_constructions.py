@@ -18,6 +18,8 @@ from mdskit import (
     NotOrthogonal,
     NotPrime,
     OddCharacteristic,
+    SearchSpaceTooLarge,
+    UnsupportedOrder,
     WrongDimension,
     are_orthogonal,
     code_to_mols,
@@ -31,6 +33,7 @@ from mdskit import (
     sum_zero_code,
     universe_code,
 )
+from mdskit.errors import MAX_WORD_LENGTH
 from mdskit.galois import SUPPORTED_ORDERS
 
 
@@ -107,6 +110,60 @@ def test_builders_refuse_non_integer_parameters(build):
     # the builders' words are not checked again, so a float must not reach them
     with pytest.raises(InvalidParameters, match="is not an integer"):
         build()
+
+
+@pytest.mark.parametrize("build,power", [
+    (lambda: universe_code(17, 2), "131072"),
+    (lambda: universe_code(3, 10 ** 300), "exceeds the word limit 65536: q > 65536"),
+    (lambda: sum_zero_code(17, Field(2)), "131072"),
+    (lambda: sum_zero_code(10 ** 300, 2), "exceeds the word limit 65536: k > 65536"),
+    (lambda: rs_code(Field(2), 17, range(2)), "131072"),
+    (lambda: rs_code(10 ** 300, 2, range(3)), "exceeds the word limit 65536: q > 65536"),
+    (lambda: extended_rs_code(Field(2), 17), "131072"),
+    (lambda: doubly_extended_rs(65537), "281487861809153"),
+    (lambda: cyclic_mols(257), "66049"),
+    (lambda: repetition_code(2, 65537), "65537"),
+])
+def test_builders_refuse_past_the_word_limit(build, power):
+    # each refuses before it builds anything: the field builders before
+    # the field of an order they are given, rs before it lists its points
+    with pytest.raises(SearchSpaceTooLarge, match=f"q\\^k.*{power}"):
+        build()
+
+
+def test_repetition_code_checks_its_length():
+    assert len(repetition_code(MAX_WORD_LENGTH, 2).words) == 2
+    with pytest.raises(SearchSpaceTooLarge, match="^n = 65537 exceeds the word length limit"):
+        repetition_code(MAX_WORD_LENGTH + 1, 2)
+    with pytest.raises(SearchSpaceTooLarge, match="^n exceeds the word length limit 65536: n > "):
+        repetition_code(10 ** 300, 2)
+    # a length below 1 is refused as Code refuses it, after a q below 2,
+    # and one far below it raises no OverflowError
+    for n in (0, -1, -10 ** 300):
+        with pytest.raises(InvalidCode, match="^words must have length at least 1$"):
+            repetition_code(n, 2)
+        with pytest.raises(InvalidCode, match="^alphabet size q=1 must be at least 2$"):
+            repetition_code(n, 1)
+
+
+def test_universe_code_refuses_a_small_alphabet_before_listing_words():
+    for q in (1, 0, -10 ** 300):
+        with pytest.raises(InvalidCode, match="^alphabet size q"):
+            universe_code(10 ** 300, q)
+
+
+def test_field_builders_take_a_field_or_its_order():
+    assert sum_zero_code(3, 5) == sum_zero_code(3, Field(5))
+    assert rs_code(5, 2, [0, 2, 4]) == rs_code(Field(5), 2, [0, 2, 4])
+    assert extended_rs_code(4, 3) == extended_rs_code(Field(4), 3)
+    assert doubly_extended_rs(8) == doubly_extended_rs(Field(8))
+    with pytest.raises(UnsupportedOrder, match="^q=6 is not a supported prime power$"):
+        extended_rs_code(6, 2)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^q\^k = 90000.0 exceeds the word limit"):
+        sum_zero_code(2, 300.0)
+    # a k below 1 takes no word count, so the field refuses the order first
+    with pytest.raises(UnsupportedOrder, match="^q > 65536 is not a supported prime power$"):
+        sum_zero_code(0, 10 ** 19)
 
 
 @pytest.mark.parametrize("q,k", [(3, 2), (4, 2), (4, 3), (5, 3), (7, 2)])

@@ -1,0 +1,72 @@
+"""The input bounds in errors: how a message shows a number, and the
+power and length guards."""
+
+import pytest
+
+from mdskit.errors import (
+    MAX_WORDS,
+    SearchSpaceTooLarge,
+    check_length,
+    check_power,
+    check_word_limit,
+    shown,
+)
+
+
+@pytest.mark.parametrize("args,text", [
+    (("k", 5), "k=5"),
+    (("k", -99999), "k=-99999"),
+    (("k", 100000), "k > 65536"),
+    (("k", -100000), "k < -65536"),
+    # past the digits that int-to-str conversion allows
+    (("k", 10 ** 5000), "k > 65536"),
+    (("", -1), "-1"),
+    (("", 10 ** 300), "> 65536"),
+    (("", -10 ** 300), "< -65536"),
+    (("q", 3.0), "q=3.0"),
+    (("q", 1e300), "q > 65536"),
+    (("q", float("-inf")), "q < -65536"),
+    (("q", None), "q=None"),
+    (("n", 99, 12), "n=99"),
+    (("n", 100, 12), "n > 12"),
+    (("", ()), "()"),
+    (("", (5,)), "(5,)"),
+    (("", (0, 5)), "(0, 5)"),
+    (("", (1.0, "a", True)), "(1.0, 'a', True)"),
+    (("", (0, 10 ** 300, -10 ** 300)), "(0, > 65536, < -65536)"),
+])
+def test_shown(args, text):
+    assert shown(*args) == text
+
+
+def test_shown_prints_a_tuple_of_short_ints_as_str_does():
+    for word in [(), (7,), (0, -3, 65536), tuple(range(-99999, 100000, 4999))]:
+        assert shown("", word) == str(word)
+
+
+@pytest.mark.parametrize("check,line", [
+    (lambda: check_word_limit(2, 17), "q^k = 131072 exceeds the word limit 65536"),
+    (lambda: check_word_limit(2, 20000), "q^k = 2^20000 exceeds the word limit 65536"),
+    (lambda: check_word_limit(10 ** 5, 1), "q^k exceeds the word limit 65536: q > 65536"),
+    (lambda: check_word_limit(2, 10 ** 5000), "q^k exceeds the word limit 65536: k > 65536"),
+    (lambda: check_power(3, 12, 2 ** 18, "q^n", "universe limit"),
+     "q^n = 531441 exceeds the universe limit 262144"),
+    (lambda: check_length(65537), "n = 65537 exceeds the word length limit 65536"),
+    (lambda: check_length(10 ** 5), "n exceeds the word length limit 65536: n > 65536"),
+    (lambda: check_length(100, 12, "length limit"), "n exceeds the length limit 12: n > 12"),
+    (lambda: check_length(13, 12, "length limit", "max_n"),
+     "max_n = 13 exceeds the length limit 12"),
+])
+def test_guards_refuse_with_one_short_line(check, line):
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        check()
+    assert str(exc.value) == line
+
+
+def test_guards_pass_what_fits_and_leave_small_values_to_the_caller():
+    check_word_limit(2, 16)
+    check_word_limit(MAX_WORDS, 1)
+    check_length(65536)
+    # a q below 2 or an exponent below 1 counts no words past the limit
+    for q, k in [(1, 10 ** 300), (-10 ** 300, 3), (10 ** 300, 0), (3, -10 ** 300)]:
+        check_word_limit(q, k)

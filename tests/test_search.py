@@ -48,8 +48,9 @@ from mdskit import (
     weight_distribution_formula,
 )
 from mdskit.codes import symbol_masks, weight
+from mdskit.errors import MAX_WORDS
 from mdskit.search import (
-    MAX_WORDS,
+    MAX_LENGTH,
     SWEEP_LIMIT_PER_SHAPE,
     SWEEP_MAX_NODES,
     _MASK_BIT_LIMIT,
@@ -797,6 +798,28 @@ def test_word_limit_refuses_no_settleable_shape():
     assert (2 ** 17 - 1) * 2 ** 17 > _MASK_BIT_LIMIT
 
 
+@pytest.mark.parametrize("check,line", [
+    (lambda: check_theorems(2, MAX_LENGTH + 1), "max_n = 13 exceeds the length limit 12"),
+    (lambda: check_theorems(2, 10 ** 19), "max_n exceeds the length limit 12: max_n > 12"),
+    (lambda: verify_bounds(2, MAX_LENGTH + 1), "k_max = 13 exceeds the length limit 12"),
+    (lambda: verify_bounds(2, 10 ** 300), "k_max exceeds the length limit 12: k_max > 12"),
+])
+def test_sweeps_refuse_lengths_past_the_length_limit(check, line):
+    # every line a longer max_n or k_max would add is past MAX_LENGTH, so a
+    # skip; they are refused, rather than run through every such length
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        check()
+    assert str(exc.value) == line
+
+
+def test_sweeps_at_the_length_limit_skip_the_lengths_past_it():
+    reports = verify_bounds(2, MAX_LENGTH)
+    assert [r.skipped for r in reports[-2:]] == [True, True]
+    assert "n = 13 exceeds the length limit 12" in reports[-2].detail
+    lines = list(check_theorems(2, MAX_LENGTH))
+    assert lines[-1][0] == "pass"
+
+
 def test_verify_bounds_binary_and_ternary():
     reports = verify_bounds(2, 4)
     assert len(reports) == 3  # k = 2, 3, 4
@@ -818,7 +841,7 @@ def test_length_bound_is_tight(k, q):
 
 def test_check_theorems_skip_lines(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(mdskit.search, "MAX_WORDS", 8)
+        patch.setattr(mdskit.errors, "MAX_WORDS", 8)
         lines = list(check_theorems(2, 4))
     assert ("skip", "(n=4, k=4)_2: q^k = 16 exceeds the word limit 8") in lines
     lines = list(check_theorems(3, 3, max_nodes=1))
