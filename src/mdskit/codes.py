@@ -4,8 +4,11 @@ A code is a set of exactly q^k distinct length-n words over the alphabet
 {0, .., q-1}.  Nothing here assumes an algebra on the alphabet: field
 structure enters through the construction helpers, and min_distance only
 tests whether a code is a coset of a group from galois.symbol_group.
-Codewords are plain tuples of ints and codes are value-immutable, so
-every transform returns a new Code and equivalence chains stay auditable.
+A codeword is a length-n bytes row, one byte per symbol, so an alphabet
+holds at most errors.MAX_SYMBOLS symbols; columns_of and rows_of turn
+rows into bytes columns and back, and every kernel works on those.
+Codes are value-immutable, so every transform returns a new Code and
+equivalence chains stay auditable.
 
 Code file format (text, UTF-8):
     line 1:   MDSKIT v1
@@ -21,7 +24,7 @@ are not a power of q.
 import math
 import re
 from collections import namedtuple
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 
 from .errors import (
     BadPositions,
@@ -32,6 +35,7 @@ from .errors import (
     TheoremViolation,
     TooFewWords,
     check_integers,
+    check_symbols,
     shown,
 )
 from .galois import symbol_group
@@ -58,16 +62,43 @@ def _dimension_of(q, count):
     return k if total == count else None
 
 
+def columns_of(words, n):
+    """The bytes columns of length-n bytes rows: column p holds every
+    row's symbol at p, in the order the rows come."""
+    m = b"".join(words)
+    return [m[p::n] for p in range(n)]
+
+
+def _joined(columns, width):
+    """The rows of one or more bytes columns of one length, each padded
+    with zero bytes to width, as one bytearray."""
+    m = bytearray(width * len(columns[0]))
+    for p, column in enumerate(columns):
+        m[p::width] = column
+    return m
+
+
+def rows_of(columns):
+    """The bytes rows of one or more bytes columns of one length, the
+    inverse of columns_of."""
+    n = len(columns)
+    m = bytes(_joined(columns, n))
+    return [m[i:i + n] for i in range(0, len(m), n)]
+
+
 class Code:
-    """An (n, k)_q code: a frozen set of q^k distinct words of length n."""
+    """An (n, k)_q code: a frozen set of q^k distinct words of length n,
+    each a bytes row.  Any iterables of ints in 0..q-1 may be given."""
 
     def __init__(self, q, words):
-        self._build(q, (tuple(w) for w in words), checked=False)
+        self._build(q, map(tuple, words), checked=False)
 
     @classmethod
     def _of(cls, q, words):
-        """The code of words checked where they were made, tuples of ints
-        in 0..q-1 of one length: it skips __init__'s per-symbol loop."""
+        """The code of words checked where they were made, bytes rows of
+        one length over 0..q-1: it skips __init__'s per-symbol loop.  The
+        words are read after q is checked, so they may be a generator
+        that only a valid q can run."""
         code = cls.__new__(cls)
         code._build(q, words, checked=True)
         return code
@@ -75,6 +106,7 @@ class Code:
     def _build(self, q, words, checked):
         if q < 2:
             raise InvalidCode(f"alphabet size {shown('q', q)} must be at least 2")
+        check_symbols(q)
         wordset = frozenset(words)
         if not wordset:
             raise InvalidCode("code has no words")
@@ -87,7 +119,9 @@ class Code:
                     raise InvalidCode("words have mixed lengths")
                 for s in w:
                     if not is_position(s, q):
-                        raise InvalidCode(f"symbol {s!r} outside 0..{q - 1}")
+                        raise InvalidCode(f"symbol {shown('', s)} outside 0..{q - 1}")
+            # every symbol is an int in 0..q-1, so distinct tuples stay distinct
+            wordset = frozenset(map(bytes, wordset))
         k = _dimension_of(q, len(wordset))
         if k is None:
             raise InvalidCode(f"{len(wordset)} words is not a power of q={q}")
@@ -103,7 +137,7 @@ class Code:
 
     @property
     def zero(self):
-        return (0,) * self.n
+        return bytes(self.n)
 
     def contains_zero(self):
         return self.zero in self.words
@@ -115,8 +149,10 @@ class Code:
         return self._sorted
 
     def __contains__(self, word):
-        word = tuple(word)      # a word of floats or bools equal to a codeword is not one
-        return word in self.words and all(is_position(s, self.q) for s in word)
+        # symbols are checked first: bytes((True,)) is b"\x01", and a word
+        # of floats or bools equal to a codeword is not one
+        word = tuple(word)
+        return all(is_position(s, self.q) for s in word) and bytes(word) in self.words
 
     def __len__(self):
         return len(self.words)
@@ -140,23 +176,15 @@ class MdsReport(namedtuple("MdsReport", "is_mds d singleton_bound")):
 
 
 def symbol_masks(words, n, q):
-    """Bit-sliced view of a word list: masks[p][s] has bit j set when
-    words[j][p] == s, so bit positions follow the order of words.  For
-    q <= 256 each mask is one pass over position p's column as bytes,
-    taken last word first so that word j lands on bit j: a translate
-    writes b"1" where the symbol is s and b"0" elsewhere, and int(., 2)
-    reads the bits.  A larger symbol does not fit in a byte, so larger
-    alphabets (and an empty list) set the bits one word at a time."""
-    if q > 256 or not words:
-        masks = [[0] * q for _ in range(n)]
-        for j, w in enumerate(words):
-            bit = 1 << j
-            for p, s in enumerate(w):
-                masks[p][s] |= bit
-        return masks
+    """Bit-sliced view of a list of bytes rows: masks[p][s] has bit j set
+    when words[j][p] == s, so bit positions follow the order of words.
+    Each mask is one pass over position p's column, taken last word
+    first so that word j lands on bit j: a translate writes b"1" where
+    the symbol is s and b"0" elsewhere, and int(., 2) reads the bits (an
+    empty list gives zero masks)."""
     tables = [b"0" * s + b"1" + b"0" * (255 - s) for s in range(q)]
-    return [[int(column.translate(table), 2) for table in tables]
-            for column in (bytes(column)[::-1] for column in zip(*words))]
+    return [[int(column.translate(table) or b"0", 2) for table in tables]
+            for column in columns_of(reversed(words), n)]
 
 
 def bit_view(code):
@@ -186,8 +214,13 @@ def agreement_counters(word, within, masks, t):
 
 def _distinct_on(columns, pos):
     """True iff no two words agree at every position of the nonempty pos;
-    columns[p] holds the words' symbols at position p, in one word order."""
-    return len(set(zip(*map(columns.__getitem__, pos)))) == len(columns[0])
+    columns holds the words' columns, as columns_of gives them.  Rows of
+    at most 8 bytes, zero-padded to 1, 2, 4 or 8, are read as ints in C."""
+    chosen = [columns[p] for p in pos]
+    width = 1 << (len(pos) - 1).bit_length()
+    keys = (memoryview(_joined(chosen, width)).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+            if width <= 8 else rows_of(chosen))
+    return len(set(keys)) == len(columns[0])
 
 
 def _coset_distance(code):
@@ -205,25 +238,25 @@ def _coset_distance(code):
     q, k = code.q, code.k
     words = code.sorted_words()
     c0 = words[0]
-    if q > 256 or any(c0[:k]):
+    if any(c0[:k]):
         return None
     add, generators = symbol_group(q)
-    columns = [bytes(column) for column in zip(*words)]
+    columns = columns_of(words, code.n)
     for i in range(k):
         for u in generators:
             g = words[u * q ** (k - 1 - i)]
-            if g[:k] != (0,) * i + (u,) + (0,) * (k - 1 - i):
+            if g[:k] != bytes(i) + bytes((u,)) + bytes(k - 1 - i):
                 return None
             # add[a].index(b) is the shift b - a within the position
             shifted = [column.translate(add[add[a].index(b)])
                        for column, a, b in zip(columns, c0, g)]
             # before Python 3.12, issuperset would first copy an
             # iterable into a set; this stops at the first word outside
-            if not all(map(code.words.__contains__, zip(*shifted))):
+            if not all(map(code.words.__contains__, rows_of(shifted))):
                 return None
     differs = [column.translate(b"\1" * s + b"\0" + b"\1" * (255 - s))
                for column, s in zip(columns, c0)]
-    return min(islice(map(sum, zip(*differs)), 1, None))
+    return min(islice(map(bytes.count, rows_of(differs), repeat(1)), 1, None))
 
 
 def min_distance(code):
@@ -244,7 +277,7 @@ def min_distance(code):
         raise TooFewWords("minimum distance needs at least two words")
     n, k = code.n, code.k
     if math.comb(n, k) <= n * k:
-        columns = list(zip(*code.words))
+        columns = columns_of(code.words, n)
         if all(_distinct_on(columns, pos) for pos in combinations(range(n), k)):
             return n - k + 1
     d = _coset_distance(code)
@@ -329,8 +362,8 @@ def information_set_check(code, positions):
         raise BadPositions(f"need exactly k={code.k} distinct positions")
     if not all(is_position(p, code.n) for p in pos):
         raise BadPositions(f"positions must lie in 0..{code.n - 1}")
-    # zip of no columns is empty, but the one word of a k = 0 code is distinct
-    return code.k == 0 or _distinct_on(list(zip(*code.words)), pos)
+    # _distinct_on takes one position or more; the one word of a k = 0 code is distinct
+    return code.k == 0 or _distinct_on(columns_of(code.words, code.n), pos)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -348,10 +381,7 @@ _OTHER_BREAK = "[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
 
 def format_code(code):
     """Render a code in the file format, words in lexicographic order."""
-    # one name per symbol, unless the alphabet outnumbers the symbols
-    # written (a one-word code over a large q)
-    name = (list(map(str, range(code.q))).__getitem__
-            if code.q <= len(code) * code.n else str)
+    name = list(map(str, range(code.q))).__getitem__
     lines = [_MAGIC, f"q={code.q} n={code.n}"]
     lines.extend(" ".join(map(name, w)) for w in code.sorted_words())
     return "\n".join(lines) + "\n"
@@ -365,8 +395,9 @@ def write_code(code, path):
 def parse_code(text):
     """The code a file's text holds; lines break at LF, with one CR
     before an LF tolerated.  A word line of canonical names ("0" ..
-    str(q-1)) is read by one dict lookup per token; any other line takes
-    the full checks, so "007" and "-0" still read as symbols."""
+    str(q-1)) is read by one dict lookup per token into a bytes row; any
+    other line takes the full checks, so "007" and "-0" still read as
+    symbols."""
     text = text.replace("\r\n", "\n")
     other = re.search(_OTHER_BREAK, text)
     if other:
@@ -383,17 +414,19 @@ def parse_code(text):
     q, n = map(int, params.groups())
     if q < 2 or n < 1:
         raise CodeFileError(f"need q >= 2 and n >= 1, got {shown('q', q)} {shown('n', n)}")
+    check_symbols(q)
 
-    # bounded by the text's length, so a huge q builds no huge dict; a
-    # symbol past the bound takes the full checks
-    symbol = {str(s): s for s in range(min(q, len(text)))}.get
+    symbol = {str(s): s for s in range(q)}.get
     words = []
     for lineno, line in enumerate(lines[2:], start=3):
         tokens = line.split()
         if not tokens:
             continue
-        word = tuple(map(symbol, tokens))
-        if None in word or len(word) != n:
+        try:
+            word = bytes(map(symbol, tokens))
+        except TypeError:       # a token with no canonical name maps to None
+            word = None
+        if word is None or len(word) != n:
             if not re.fullmatch(_WORD_LINE, line):
                 raise CodeFileError(f"line {lineno}: non-integer symbol")
             word = tuple(map(int, tokens))
@@ -401,7 +434,8 @@ def parse_code(text):
                 raise CodeFileError(
                     f"line {lineno}: expected {shown('', n)} symbols, got {len(word)}")
             if any(s < 0 or s >= q for s in word):
-                raise CodeFileError(f"line {lineno}: symbol outside 0..{shown('', q - 1)}")
+                raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
+            word = bytes(word)
         words.append(word)
 
     # Code._of takes this frozenset as it is, so no word is hashed twice

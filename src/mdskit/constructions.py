@@ -11,7 +11,7 @@ builds anything, the field builders taking a Field or its order.
 
 import itertools
 
-from .codes import Code, is_mds, is_position, require_mds
+from .codes import Code, columns_of, is_mds, is_position, require_mds, rows_of
 from .errors import (
     DimensionTooLarge,
     DuplicatePoints,
@@ -34,7 +34,8 @@ def repetition_code(n, q):
     check_integers(n=n, q=q)
     check_word_limit(q, 1)
     check_length(n)
-    return Code._of(q, [(i,) * max(n, 0) for i in range(q)])  # Code refuses n < 1
+    # Code refuses n < 1, and a q past the symbol limit before it runs this
+    return Code._of(q, (bytes((i,)) * max(n, 0) for i in range(q)))
 
 
 def universe_code(k, q):
@@ -44,7 +45,7 @@ def universe_code(k, q):
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {shown('k', k)}")
     # Code refuses a q below 2, whose words a long k would not even list
-    return Code._of(q, itertools.product(range(q), repeat=k) if q > 1 else ())
+    return Code._of(q, map(bytes, itertools.product(range(q), repeat=k)) if q > 1 else ())
 
 
 def sum_zero_code(k, field):
@@ -59,8 +60,8 @@ def sum_zero_code(k, field):
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {shown('k', k)}")
     (at_one,) = _evaluations(field, k, (1,))
-    return Code._of(field.q, zip(*(_coefficients(field.q, k, j) for j in range(k)),
-                                 at_one.translate(field.neg_row)))
+    return Code._of(field.q, rows_of([*(_coefficients(field.q, k, j) for j in range(k)),
+                                      at_one.translate(field.neg_row)]))
 
 
 def _field(field, k):
@@ -106,7 +107,7 @@ def rs_code(field, k, points):
         raise InvalidParameters(f"points {shown('', points)} must be field elements")
     if not 1 <= k <= len(points):
         raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got {shown('k', k)}")
-    return Code._of(field.q, zip(*_evaluations(field, k, points)))
+    return Code._of(field.q, rows_of(_evaluations(field, k, points)))
 
 
 def extended_rs_code(field, k):
@@ -117,8 +118,8 @@ def extended_rs_code(field, k):
     field = _field(field, k)
     if not 1 <= k <= field.q:
         raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got {shown('k', k)}")
-    return Code._of(field.q, zip(*_evaluations(field, k, field.elements),
-                                 _coefficients(field.q, k, k - 1)))
+    return Code._of(field.q, rows_of([*_evaluations(field, k, field.elements),
+                                      _coefficients(field.q, k, k - 1)]))
 
 
 def doubly_extended_rs(field):
@@ -130,8 +131,8 @@ def doubly_extended_rs(field):
     field = _field(field, 3)
     if field.p != 2 or field.q < 4:
         raise OddCharacteristic(f"requires characteristic 2 and q >= 4, got q={field.q}")
-    return Code._of(field.q, zip(*_evaluations(field, 3, field.elements),
-                                 _coefficients(field.q, 3, 1), _coefficients(field.q, 3, 2)))
+    return Code._of(field.q, rows_of([*_evaluations(field, 3, field.elements),
+                                      _coefficients(field.q, 3, 1), _coefficients(field.q, 3, 2)]))
 
 
 # ------------------------------------------------------- Latin squares
@@ -193,9 +194,9 @@ class MolsSet:
             if sq.order != order:
                 raise NotOrthogonal(f"square of order {sq.order} in an order-{order} set")
         # every cell is an int in 0..order-1, checked by LatinSquare
-        self.order, self.code = order, Code._of(order, [
-            (i, j) + tuple(sq.cells[i][j] for sq in squares)
-            for i in range(order) for j in range(order)])
+        self.order, self.code = order, Code._of(order, (
+            bytes((i, j, *(sq.cells[i][j] for sq in squares)))
+            for i in range(order) for j in range(order)))
         if not is_mds(self.code).is_mds:
             raise NotOrthogonal("squares are not pairwise orthogonal")
 
@@ -205,7 +206,7 @@ class MolsSet:
         words: the first two coordinates of an MDS (n, 2) code are an
         information set, so word i*q+j has prefix (i, j)."""
         q = self.order
-        columns = tuple(zip(*self.code.sorted_words()))
+        columns = columns_of(self.code.sorted_words(), self.code.n)
         return tuple(LatinSquare(column[i * q:(i + 1) * q] for i in range(q))
                      for column in columns[2:])
 
@@ -227,12 +228,12 @@ def cyclic_mols(p):
         raise NotPrime(f"{shown('', p)} is not prime")
     # a = 0 gives j, so each word is (i, j, L_1(i, j), .., L_{p-1}(i, j));
     # built a column at a time: row i of L_a is range(p) rotated left by
-    # a*i mod p (the rows are listed eagerly, so each column keeps its a)
-    row = tuple(range(p))
+    # a*i mod p
+    row = bytes(range(p))
     rotations = [row[s:] + row[:s] for s in row]
-    i_column = itertools.chain.from_iterable((i,) * p for i in row)
-    columns = [itertools.chain.from_iterable([rotations[a * i % p] for i in row]) for a in row]
-    return code_to_mols(Code._of(p, zip(i_column, *columns)))
+    i_column = b"".join(bytes((i,)) * p for i in row)
+    columns = [b"".join([rotations[a * i % p] for i in row]) for a in row]
+    return code_to_mols(Code._of(p, rows_of([i_column, *columns])))
 
 
 def mols_to_code(mols):

@@ -7,9 +7,11 @@ field raises the builtin ZeroDivisionError.
 """
 
 # no builder or search builds a Code of more than MAX_WORDS words (q^k),
-# nor a builder one of words longer than MAX_WORD_LENGTH symbols
+# nor a builder one of words longer than MAX_WORD_LENGTH symbols; no Code
+# or search takes more than MAX_SYMBOLS symbols (q), one byte per symbol
 MAX_WORDS = 2 ** 16
 MAX_WORD_LENGTH = 2 ** 16
+MAX_SYMBOLS = 256
 
 
 class MdskitError(Exception):
@@ -141,15 +143,15 @@ def check_caps(**caps):
 
 def shown(name, value, bound=MAX_WORDS):
     """name=value, or name > bound (name < -bound) for a number with more
-    digits than bound, so no message prints a long number, and a tuple as
-    str shows it but with its ints so shown; with no name, the value alone."""
-    if type(value) is tuple:
-        text = "=({}{})".format(", ".join(shown("", v) if type(v) is int else repr(v)
-                                          for v in value), "," * (len(value) == 1))
+    digits than bound, so no message prints a long number; any other value
+    as repr shows it, and a tuple or a bytes word as the tuple of its items,
+    each so shown.  With no name, the value alone."""
+    if type(value) in (tuple, bytes):
+        text = "=({}{})".format(", ".join(shown("", v) for v in value), "," * (len(value) == 1))
     elif type(value) in (int, float) and abs(value) >= 10 ** len(str(bound)):
         text = f" > {bound}" if value > 0 else f" < {-bound}"
     else:
-        text = f"={value}"
+        text = f"={value!r}"
     return name + text if name else text.lstrip("= ")
 
 
@@ -178,3 +180,8 @@ def check_word_limit(q, k):
 def check_length(n, limit=MAX_WORD_LENGTH, name="word length limit", symbol="n"):
     """Refuse a length n above limit, as check_power refuses a power."""
     check_power(n, 1, limit, symbol, name)
+
+
+def check_symbols(q):
+    """Refuse an alphabet of more than MAX_SYMBOLS symbols."""
+    check_length(q, MAX_SYMBOLS, "symbol limit", "q")

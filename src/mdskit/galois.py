@@ -114,7 +114,7 @@ class Field:
     def _element(self, a):
         """a, checked: the rows are padded past q with zeros."""
         if not (type(a) is int and 0 <= a < self.q):
-            raise InvalidParameters(f"{a!r} is not an element of GF({self.q})")
+            raise InvalidParameters(f"{shown('', a)} is not an element of GF({self.q})")
         return a
 
     def add(self, a, b):

@@ -74,6 +74,7 @@ from .errors import (
     check_integers,
     check_length,
     check_power,
+    check_symbols,
     check_word_limit,
     shown,
 )
@@ -105,8 +106,9 @@ class SearchSpec(namedtuple("SearchSpec", "n k q require_zero mode limit max_nod
     max_nodes bounds the number of partial extensions tried; a walk that
     exhausts it stops with complete=False rather than running without
     bound, since backtracking cost is exponential in the worst case.
-    A spec is checked when it is built: a shape past the word, length or
-    universe limit raises SearchSpaceTooLarge there, before any walk.
+    A spec is checked when it is built: a shape past the word, length,
+    universe or symbol limit raises SearchSpaceTooLarge there, before any
+    walk.
     """
     __slots__ = ()
     # _replace builds through _make: send it through __new__ as well
@@ -126,6 +128,7 @@ class SearchSpec(namedtuple("SearchSpec", "n k q require_zero mode limit max_nod
             raise InvalidParameters(f"require_zero={self.require_zero!r} is not a bool")
         check_length(self.n, MAX_LENGTH, "length limit")
         check_power(self.q, self.n, _UNIVERSE_LIMIT, "q^n", "universe limit")
+        check_symbols(self.q)
         return self
 
 
@@ -181,14 +184,16 @@ def _walk(q, n, k, cand, emit, max_nodes, spent=None):
     """Depth-first walk over all MDS codes whose words come from cand,
     filling one word per information prefix in lexicographic prefix
     order, by _dfs with the compatibility masks of _compatibilities.
-    Returns (complete, nodes, built) as _dfs does."""
-    cand = sorted(cand)
+    Returns (complete, nodes, built) as _dfs does.  Words of cand may
+    be product's tuples, made bytes rows here once they are filtered:
+    bytes rows cost three times what product's tuples do to list."""
+    cand = sorted(map(bytes, cand))
 
     # cand is sorted, so words sharing an information prefix (the first k
-    # symbols) are contiguous, and a k-tuple sorts just before every word
-    # it prefixes: slot t, of the t-th prefix in lexicographic order,
+    # symbols) are contiguous, and a k-byte prefix sorts just before every
+    # word it extends: slot t, of the t-th prefix in lexicographic order,
     # holds candidates start[t]..start[t+1]-1
-    start = [bisect_left(cand, prefix) for prefix in product(range(q), repeat=k)]
+    start = [bisect_left(cand, prefix) for prefix in map(bytes, product(range(q), repeat=k))]
     start.append(len(cand))
     # a slot with no candidate leaves no code to find
     if any(begin == end for begin, end in zip(start, start[1:])):
@@ -331,7 +336,7 @@ def _canonical_candidates(n, k, universe):
     """
     out = []
     for w in _zero_candidates(k, universe):
-        if not any(w[:k - 1]) and w[k:] != (w[k - 1],) * (n - k):
+        if not any(w[:k - 1]) and w[k:] != w[k - 1:k] * (n - k):
             continue
         if k >= 2 and n > k and w[0] and not any(w[1:k]) and w[k] != w[0]:
             continue
@@ -392,6 +397,7 @@ def _walk_squares(q, n, emit, max_nodes):
     spread = full // block
     pin = full ^ sum((((1 << q) - 1) ^ 1 << y) << y * side for y in range(q))
     spent = [0]
+    one_byte = [bytes((s,)) for s in range(q)]
 
     def column(symbols):
         """column[s] has bit i set when the i-th symbol is s."""
@@ -436,7 +442,8 @@ def _walk_squares(q, n, emit, max_nodes):
             label = [0] * side
             for y, i in chosen:
                 label[i] = y
-            return grow([w + (s,) for w, s in zip(words, label)], masks, grow)
+            return grow(list(map(bytes.__add__, words, map(one_byte.__getitem__, label))),
+                        masks, grow)
 
         return not _dfs(labels, layout, compat, extend, max_nodes, spent, pin)[0]
 
@@ -468,7 +475,7 @@ def _walk_shape(spec, keep):
     if n == k:
         # d = 1, so every word is compatible with every other and the
         # universe is the one code; its class size is 1
-        complete, nodes, built = not emit(list(product(range(q), repeat=n))), 0, 0
+        complete, nodes, built = not emit(list(map(bytes, product(range(q), repeat=n)))), 0, 0
     elif k == 2 and not collect:
         complete, nodes, built = _walk_squares(q, n, emit, spec.max_nodes)
     else:

@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import compress
 from operator import itemgetter
 
-from .codes import Code, is_mds, is_position, require_mds
+from .codes import Code, columns_of, is_mds, is_position, require_mds, rows_of
 from .errors import (
     BadMove,
     BadPositions,
@@ -39,8 +39,6 @@ from .errors import (
     TooManyPositions,
     shown,
 )
-
-SYMBOL_LIMIT = 2 ** 16
 
 
 class SP(namedtuple("SP", "position perm")):
@@ -72,32 +70,27 @@ def apply_moves(code, moves):
     if not moves:
         return code
     source = list(range(code.n))
-    relabel = [tuple(range(code.q))] * code.n
+    relabel = [bytes(range(code.q))] * code.n
     for move in moves:
         if isinstance(move, SP):
             p = move.position
             if not is_position(p, code.n):
-                raise BadMove(f"position {p} outside 0..{code.n - 1}")
+                raise BadMove(f"position {shown('', p)} outside 0..{code.n - 1}")
             if (not all(is_position(s, code.q) for s in move.perm)
                     or sorted(move.perm) != list(range(code.q))):
-                raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
-            relabel[p] = tuple(move.perm[s] for s in relabel[p])
+                raise BadMove(f"{shown('', move.perm)} is not a permutation of 0..{code.q - 1}")
+            relabel[p] = bytes(move.perm[s] for s in relabel[p])
         elif isinstance(move, PP):
             i, j = move.i, move.j
             if not (is_position(i, code.n) and is_position(j, code.n)):
-                raise BadMove(f"positions ({i}, {j}) outside 0..{code.n - 1}")
+                raise BadMove(f"positions {shown('', (i, j))} outside 0..{code.n - 1}")
             source[i], source[j] = source[j], source[i]
             relabel[i], relabel[j] = relabel[j], relabel[i]
         else:
             raise BadMove(f"unknown move {move!r}")
-    columns = list(zip(*code.words))
-    # a translate per column, unless a symbol does not fit in a byte
-    if code.q <= 256:
-        moved = [bytes(columns[source[p]]).translate(bytes(relabel[p]).ljust(256, b"\0"))
-                 for p in range(code.n)]
-    else:
-        moved = [map(relabel[p].__getitem__, columns[source[p]]) for p in range(code.n)]
-    out = Code._of(code.q, zip(*moved))
+    columns = columns_of(code.words, code.n)
+    out = Code._of(code.q, rows_of([columns[source[p]].translate(relabel[p].ljust(256, b"\0"))
+                                    for p in range(code.n)]))
     out._root = code if code._root is None else code._root
     return out
 
@@ -116,10 +109,7 @@ def transposition(q, a, b):
 
 def normalize_to_zero(code, word=None):
     """Moves carrying `word` (default: the lexicographically least codeword)
-    to the zero word.  Returns (new_code, moves).  Each move lists q
-    symbols, so a one-word code over more than SYMBOL_LIMIT is refused."""
-    if code.k == 0 and code.q > SYMBOL_LIMIT:
-        raise InvalidParameters(f"q={code.q} exceeds the symbol limit {SYMBOL_LIMIT}")
+    to the zero word.  Returns (new_code, moves)."""
     if word is None:
         word = code.sorted_words()[0]
     else:
@@ -166,7 +156,7 @@ def residual(code, spec):
         raise TooManyPositions(f"cannot fix {t} positions with k={code.k}")
     for p in spec.positions:
         if not is_position(p, code.n):
-            raise BadPositions(f"position {p} outside 0..{code.n - 1}")
+            raise BadPositions(f"position {shown('', p)} outside 0..{code.n - 1}")
     for v in spec.values:
         if not is_position(v, code.q):
             raise BadPositions(f"values must lie in 0..{code.q - 1}, got {shown('', v)}")
@@ -175,12 +165,10 @@ def residual(code, spec):
         # itemgetter of one position returns the bare symbol, not a 1-tuple
         values = spec.values if t > 1 else spec.values[0]
         words = compress(words, map(values.__eq__, map(itemgetter(*spec.positions), words)))
-    kept = [p for p in range(code.n) if p not in spec.positions]
-    if len(kept) > 1:
-        words = map(itemgetter(*kept), words)
-    else:
-        words = [tuple(w[p] for p in kept) for w in words]
-    out = Code._of(code.q, words)
+    columns = columns_of(words, code.n)
+    kept = [columns[p] for p in range(code.n) if p not in spec.positions]
+    # fixing every position leaves one empty word, which Code refuses
+    out = Code._of(code.q, rows_of(kept) if kept else [b""])
     if out.k > 0:
         # every residual of an MDS code is MDS; a failure here is a bug
         sub = is_mds(out)
@@ -212,7 +200,7 @@ def classify_binary(code):
     n, k = code.n, code.k
     if k == 1:
         kind = BinaryKind.REPETITION
-        if normalized.words != {(0,) * n, (1,) * n}:
+        if normalized.words != {bytes(n), b"\1" * n}:
             raise TheoremViolation(f"(n={n}, k={k})_2 does not match {kind.value}")
     elif n == k:
         kind = BinaryKind.UNIVERSE

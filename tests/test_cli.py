@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, files, exit codes."""
 
 import gc
+import hashlib
 import os
 import subprocess
 import sys
@@ -43,6 +44,28 @@ def test_construct_stdout_is_a_code_file(capsys):
     out = capsys.readouterr().out
     code = parse_code(out)
     assert (code.n, code.k, code.q) == (4, 2, 3)
+
+
+# sha256 prefixes of construct's stdout, one code of every family, as the
+# tool wrote them while words were held as tuples of ints: holding them
+# as bytes rows changes no file
+CONSTRUCT_DIGESTS = [
+    (["repetition", "--n", "5", "--q", "7"], "61e29520d84c3735"),
+    (["universe", "--k", "3", "--q", "4"], "0bc76f5d3efa0193"),
+    (["sum-zero", "--k", "3", "--q", "5"], "70ccddf82151aaa5"),
+    (["rs", "--k", "3", "--q", "9"], "30df3d88ecd6e931"),
+    (["ext-rs", "--k", "3", "--q", "11"], "a5e1c2eb5e049b60"),
+    (["dx-rs", "--q", "8"], "ce7c8885bf7e3e52"),
+    (["mols", "--p", "7"], "3ecf657911c1d06c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CONSTRUCT_DIGESTS,
+                         ids=[argv[0] for argv, _ in CONSTRUCT_DIGESTS])
+def test_construct_output_is_pinned(argv, digest, capsys):
+    assert run(["construct", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest()[:16] == digest
 
 
 def test_construct_families(tmp_path, capsys):
@@ -496,15 +519,18 @@ def test_normalize_reports_moves(tmp_path, capsys):
 
 
 def test_normalize_refuses_a_one_word_code_over_a_huge_alphabet(tmp_path, capsys):
-    # its moves would list q symbols per nonzero position
-    src = tmp_path / "one.txt"
-    src.write_text("MDSKIT v1\nq=1000000000000 n=2\n5 7\n", encoding="utf-8")
-    dst = tmp_path / "n.txt"
-    assert run(["normalize", str(src), "--out", str(dst)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: q=1000000000000 exceeds the symbol limit 65536\n"
-    assert not dst.exists()
+    # a symbol is one byte, so the file is refused as it is read, before
+    # any move would list its q symbols, with a short line at any length of q
+    for q in (300, 10 ** 12, 10 ** 299):
+        src = tmp_path / "one.txt"
+        src.write_text(f"MDSKIT v1\nq={q} n=2\n5 7\n", encoding="utf-8")
+        dst = tmp_path / "n.txt"
+        assert run(["normalize", str(src), "--out", str(dst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: q = 300 exceeds the symbol limit 256\n" if q == 300
+                                else "error: q exceeds the symbol limit 256: q > 256\n")
+        assert not dst.exists()
 
 
 @pytest.mark.parametrize("argv", [["distances", "--center", ""],

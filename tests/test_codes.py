@@ -23,6 +23,7 @@ from mdskit import (
     NotMds,
     PP,
     SP,
+    SearchSpaceTooLarge,
     TheoremViolation,
     TooFewWords,
     apply_moves,
@@ -43,6 +44,7 @@ from mdskit import (
     write_code,
 )
 from mdskit.codes import _coset_distance, _scan_distance, bit_view, symbol_masks
+from mdskit.errors import MAX_SYMBOLS
 from mdskit.galois import SUPPORTED_ORDERS, symbol_group
 
 EVEN4 = [(a, b, c, (a + b + c) % 2) for a in range(2) for b in range(2) for c in range(2)]
@@ -77,8 +79,8 @@ def test_code_basic_properties():
     assert code.contains_zero()
     assert (0, 1, 1, 0) in code
     assert (1, 0, 0, 0) not in code
-    assert (0.0, 1.0, 1.0, 0.0) not in code  # codewords are tuples of ints
-    assert code.sorted_words()[0] == (0, 0, 0, 0)
+    assert (0.0, 1.0, 1.0, 0.0) not in code  # a word of floats is no codeword
+    assert code.sorted_words()[0] == bytes(4)
     assert code == Code(2, list(reversed(EVEN4)))
     assert repr(code) == "Code((n=4, k=3)_2, 8 words)"
 
@@ -200,8 +202,8 @@ def test_min_distance_builds_a_bit_view_only_to_scan(symbol_masks_calls):
     assert symbol_masks_calls == []
     # one word swapped: a 5-subset repeats a tuple, so the scan finds d = 1
     words = set(code.words)
-    words.remove((0, 0, 0, 0, 0, 0))
-    words.add((0, 0, 0, 0, 0, 1))
+    words.remove(bytes((0, 0, 0, 0, 0, 0)))
+    words.add(bytes((0, 0, 0, 0, 0, 1)))
     assert min_distance(Code(3, words)) == 1
     assert len(symbol_masks_calls) == 1
     # a moved ext-RS (10,3)_9: C(10,3) = 120 > 30, so the scan, on one view
@@ -347,7 +349,14 @@ def word_lists(draw):
 @settings(deadline=None, max_examples=200)
 @given(word_lists())
 def test_symbol_masks_match_per_bit_oracle(case):
-    assert symbol_masks(*case) == per_bit_symbol_masks(*case)
+    words, n, q = case
+    if q > MAX_SYMBOLS:
+        # a symbol past 255 fits in no byte, so no code holds such words
+        with pytest.raises(SearchSpaceTooLarge, match=f"^q = {q} exceeds the symbol limit 256$"):
+            Code(q, words or [(0,) * n])
+        return
+    words = [bytes(w) for w in words]
+    assert symbol_masks(words, n, q) == per_bit_symbol_masks(words, n, q)
 
 
 @pytest.mark.parametrize("q", [16, 27])

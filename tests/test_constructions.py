@@ -68,7 +68,7 @@ def test_sum_zero_matches_a_per_word_sum(q, k):
         total = 0
         for s in prefix:
             total = field.add(total, s)
-        words.add(prefix + (field.neg(total),))
+        words.add(bytes(prefix + (field.neg(total),)))
     assert sum_zero_code(k, field).words == words
 
 
@@ -180,13 +180,14 @@ def test_evaluation_builders_match_poly_eval(q):
     for k in range(1, min(q, 3 if q ** 3 <= 4096 else 2) + 1):
         polys = list(field.all_polynomials(k))
         assert extended_rs_code(field, k).words == {
-            tuple(field.poly_eval(c, a) for a in field.elements) + (c[k - 1],) for c in polys}
+            bytes(tuple(field.poly_eval(c, a) for a in field.elements) + (c[k - 1],))
+            for c in polys}
         points = list(reversed(field.elements))[:max(k, q - 1)]
         assert rs_code(field, k, points).words == {
-            tuple(field.poly_eval(c, a) for a in points) for c in polys}
+            bytes(field.poly_eval(c, a) for a in points) for c in polys}
     if field.p == 2 and q >= 4:
         assert doubly_extended_rs(field).words == {
-            tuple(field.poly_eval((c, b, e), a) for a in field.elements) + (b, e)
+            bytes(tuple(field.poly_eval((c, b, e), a) for a in field.elements) + (b, e))
             for c, b, e in product(field.elements, repeat=3)}
 
 
@@ -309,7 +310,7 @@ def test_code_to_mols_rejects_wrong_shapes():
         code_to_mols(universe_code(2, 3))  # n < 3
     bad = sum_zero_code(2, Field(3))  # (3,2)_3 is fine, so break it
     from mdskit import Code
-    words = [w for w in bad.words if w != (1, 2, 0)] + [(1, 2, 1)]
+    words = [w for w in bad.words if w != bytes((1, 2, 0))] + [(1, 2, 1)]
     with pytest.raises(NotMds):
         code_to_mols(Code(3, words))
 
@@ -322,7 +323,7 @@ def _cyclic_words(p):
 def _squares_by_prefix(code):
     # the oracle: index the words by their first two symbols
     q = code.q
-    by_prefix = {w[:2]: w for w in code.words}
+    by_prefix = {tuple(w[:2]): w for w in code.words}
     return tuple(LatinSquare([[by_prefix[i, j][t] for j in range(q)] for i in range(q)])
                  for t in range(2, code.n))
 

@@ -3,11 +3,26 @@ power and length guards."""
 
 import pytest
 
+from mdskit import (
+    PP,
+    SP,
+    BadMove,
+    BadPositions,
+    Code,
+    Field,
+    InvalidCode,
+    InvalidParameters,
+    ResidualSpec,
+    apply_moves,
+    extended_rs_code,
+    residual,
+)
 from mdskit.errors import (
     MAX_WORDS,
     SearchSpaceTooLarge,
     check_length,
     check_power,
+    check_symbols,
     check_word_limit,
     shown,
 )
@@ -34,6 +49,9 @@ from mdskit.errors import (
     (("", (0, 5)), "(0, 5)"),
     (("", (1.0, "a", True)), "(1.0, 'a', True)"),
     (("", (0, 10 ** 300, -10 ** 300)), "(0, > 65536, < -65536)"),
+    # a bytes word shows as the tuple of its ints
+    (("", b"\x00\x05\xff"), "(0, 5, 255)"),
+    (("", b"\x07"), "(7,)"),
 ])
 def test_shown(args, text):
     assert shown(*args) == text
@@ -56,6 +74,8 @@ def test_shown_prints_a_tuple_of_short_ints_as_str_does():
     (lambda: check_length(100, 12, "length limit"), "n exceeds the length limit 12: n > 12"),
     (lambda: check_length(13, 12, "length limit", "max_n"),
      "max_n = 13 exceeds the length limit 12"),
+    (lambda: check_symbols(257), "q = 257 exceeds the symbol limit 256"),
+    (lambda: check_symbols(10 ** 299), "q exceeds the symbol limit 256: q > 256"),
 ])
 def test_guards_refuse_with_one_short_line(check, line):
     with pytest.raises(SearchSpaceTooLarge) as exc:
@@ -70,3 +90,25 @@ def test_guards_pass_what_fits_and_leave_small_values_to_the_caller():
     # a q below 2 or an exponent below 1 counts no words past the limit
     for q, k in [(1, 10 ** 300), (-10 ** 300, 3), (10 ** 300, 0), (3, -10 ** 300)]:
         check_word_limit(q, k)
+
+
+HUGE = 10 ** 299
+
+
+@pytest.mark.parametrize("call,error,line", [
+    (lambda code: Code(2, [(HUGE,)]), InvalidCode, "symbol > 65536 outside 0..1"),
+    (lambda code: Field(5).add(HUGE, 1), InvalidParameters, "> 65536 is not an element of GF(5)"),
+    (lambda code: apply_moves(code, [SP(HUGE, range(3))]), BadMove,
+     "position > 65536 outside 0..3"),
+    (lambda code: apply_moves(code, [PP(0, HUGE)]), BadMove,
+     "positions (0, > 65536) outside 0..3"),
+    (lambda code: apply_moves(code, [SP(0, (0, 1, HUGE))]), BadMove,
+     "(0, 1, > 65536) is not a permutation of 0..2"),
+    (lambda code: residual(code, ResidualSpec((HUGE,), (0,))), BadPositions,
+     "position > 65536 outside 0..3"),
+])
+def test_library_messages_show_a_long_int_short(call, error, line):
+    # each of these once echoed all 300 digits of the int
+    with pytest.raises(error) as exc:
+        call(extended_rs_code(Field(3), 2))
+    assert str(exc.value) == line

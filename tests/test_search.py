@@ -71,9 +71,14 @@ from mdskit.search import (
 SLOW_FULL_WALKS = {(3, 2, 5), (4, 3, 4)}
 
 
+def all_words(q, n):
+    """Every word of length n over 0..q-1, as the bytes rows a walk takes."""
+    return [bytes(w) for w in product(range(q), repeat=n)]
+
+
 def full_walk_count(n, k, q, require_zero):
     """Oracle for count mode: walk every code of the shape, one by one."""
-    universe = list(product(range(q), repeat=n))
+    universe = all_words(q, n)
     cand = _zero_candidates(k, universe) if require_zero else universe
     found = []
     complete, _, _ = _walk(q, n, k, cand, lambda words: found.append(1), None)
@@ -88,7 +93,7 @@ def reference_codes(n, k, q, cand):
     d = n - k + 1
     by_prefix = {}
     for w in cand:
-        by_prefix.setdefault(w[:k], []).append(w)
+        by_prefix.setdefault(tuple(w[:k]), []).append(w)
     prefixes = list(product(range(q), repeat=k))
     found = set()
 
@@ -151,7 +156,7 @@ def test_spec_validation():
     (3, 2, 5, _canonical_candidates),   # d = k: agreements counted to k
 ])
 def test_compatibility_masks_match_pairwise(n, k, q, select):
-    universe = list(product(range(q), repeat=n))
+    universe = all_words(q, n)
     # the normal form also reads n; the zero filter needs only k
     cand = sorted(select(n, k, universe) if select is _canonical_candidates
                   else select(k, universe))
@@ -170,7 +175,7 @@ def test_zero_candidates_match_the_weight_filter():
     shapes = 0
     for q in range(2, 6):
         for n in range(1, 7):
-            universe = list(product(range(q), repeat=n))
+            universe = all_words(q, n)
             for k in range(1, n + 1):
                 expected = [w for w in universe if weight(w) >= n - k + 1 or not any(w)]
                 assert _zero_candidates(k, universe) == expected, (n, k, q)
@@ -215,7 +220,7 @@ def test_walk_emits_exactly_the_reference_codes():
               if q ** n <= 81 for k in range(1, n + 1)]
     assert len(shapes) == 40
     for n, k, q in shapes:
-        universe = list(product(range(q), repeat=n))
+        universe = all_words(q, n)
         for cand in (universe, _zero_candidates(k, universe)):
             emitted = []
             complete, _, _ = _walk(q, n, k, cand,
@@ -308,8 +313,8 @@ def test_dfs_matches_a_brute_force_filter(widths, data):
 
 
 def test_walk_with_an_empty_slot_finds_nothing():
-    universe = list(product(range(3), repeat=3))
-    cand = [w for w in universe if w[:2] != (1, 2)]
+    universe = all_words(3, 3)
+    cand = [w for w in universe if w[:2] != bytes((1, 2))]
     emitted = []
     assert _walk(3, 3, 2, cand, emitted.append, None) == (True, 0, 0)
     assert emitted == []
@@ -328,7 +333,7 @@ def walk_normal_forms(n, k, q, mode):
     """_walk over the sorted normal-form candidates of (n, k)_q, as
     count and exists walked them before (n, 2)_q took the square route:
     exists stops at the first code."""
-    cand = sorted(_canonical_candidates(n, k, list(product(range(q), repeat=n))))
+    cand = sorted(_canonical_candidates(n, k, all_words(q, n)))
     return _walk(q, n, k, cand, lambda words: mode == "exists", None), len(cand)
 
 
@@ -388,7 +393,7 @@ SQUARE_SHAPES = [(n, q) for q in range(2, 6) for n in range(3, q + 3)]
 
 @pytest.mark.parametrize("n,q", SQUARE_SHAPES)
 def test_square_route_matches_the_walk(n, q):
-    universe = list(product(range(q), repeat=n))
+    universe = all_words(q, n)
     cand = _canonical_candidates(n, 2, universe)
     expected = []
     complete, _, _ = _walk(q, n, 2, cand, lambda words: expected.append(frozenset(words)),
@@ -414,7 +419,7 @@ def test_square_route_matches_the_walk(n, q):
 def test_square_route_is_complete_only_within_its_budget(n, q):
     # either route completes exactly when the budget covers its full run,
     # and otherwise stops with every node of the budget spent
-    cand = _canonical_candidates(n, 2, list(product(range(q), repeat=n)))
+    cand = _canonical_candidates(n, 2, all_words(q, n))
     size = _class_size(n, 2, q, True)
 
     def walk(budget):
@@ -513,7 +518,7 @@ def test_square_route_finds_codes_past_five_symbols(n, q):
 
 @pytest.mark.parametrize("n,q", [(1, 5), (3, 3), (6, 5)])
 def test_n_equals_k_emits_the_universe_without_a_walk(n, q):
-    universe = list(product(range(q), repeat=n))
+    universe = all_words(q, n)
     for mode in ("count", "exists", "collect"):
         forms = []
         result = _walk_shape(SearchSpec(n, n, q, mode=mode, max_nodes=1), forms.append)
@@ -564,7 +569,7 @@ def test_walk_memory_follows_the_masks_built(monkeypatch):
     # after 64 masks, the walk holds about three 4096-bit ints per mask,
     # far below one per slot
     n, k, q = 6, 6, 4
-    cand = _canonical_candidates(n, k, list(product(range(q), repeat=n)))
+    cand = _canonical_candidates(n, k, all_words(q, n))
     monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 64 * len(cand))
     tracemalloc.start()
     try:
@@ -960,7 +965,7 @@ def test_check_theorems_scans_each_normal_form_once(q, max_n, scans, min_distanc
     assert len({id(code) for code in min_distance_calls}) == scans
     forms = {}
     for code in min_distance_calls:
-        universe = list(product(range(q), repeat=code.n))
+        universe = all_words(q, code.n)
         assert code.words <= set(_canonical_candidates(code.n, code.k, universe))
         forms.setdefault((code.n, code.k), set()).add(code.words)
     # one scan per distinct normal form, weighed by its class size
@@ -1054,7 +1059,7 @@ def normal_form(code):
     then, for 2 <= k < n, position 0 so that the word with prefix
     (x, 0,..,0) carries x at position k."""
     n, k, q = code.n, code.k, code.q
-    by_prefix = {w[:k]: w for w in code.words}
+    by_prefix = {tuple(w[:k]): w for w in code.words}
     relabel = [list(range(q)) for _ in range(n)]
     for p in range(k, n):
         for y in range(q):

@@ -20,6 +20,7 @@ from mdskit import (
     PP,
     ResidualSpec,
     SP,
+    SearchSpaceTooLarge,
     TooManyPositions,
     apply_move,
     apply_moves,
@@ -38,6 +39,7 @@ from mdskit import (
     transposition,
     universe_code,
 )
+from mdskit.errors import MAX_SYMBOLS
 
 
 def test_sp_and_pp_preserve_parameters():
@@ -188,7 +190,7 @@ def sequential_move(code, move):
         if sorted(move.perm) != list(range(code.q)):
             raise BadMove(f"{move.perm} is not a permutation of 0..{code.q - 1}")
         p = move.position
-        words = [w[:p] + (move.perm[w[p]],) + w[p + 1:] for w in code.words]
+        words = [w[:p] + (move.perm[w[p]],) + w[p + 1:] for w in map(tuple, code.words)]
     elif isinstance(move, PP):
         if not (0 <= move.i < code.n and 0 <= move.j < code.n):
             raise BadMove(f"positions ({move.i}, {move.j}) outside 0..{code.n - 1}")
@@ -275,15 +277,19 @@ def test_composed_moves_match_sequential(data):
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_moves_relabel_as_per_symbol_maps(data):
-    # apply_moves relabels by translate tables at q <= 256 and by
-    # per-symbol maps above; both match the per-word oracle, up to the
-    # largest symbols a byte holds and past them
+    # apply_moves relabels by translate tables, which match the per-word
+    # oracle up to the largest symbols a byte holds; past them no code
+    # can be built
     q = data.draw(st.sampled_from([2, 3, 16, 255, 256, 257, 300]))
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, min(n, 1 if q > 16 else 2)))
     rng = data.draw(st.randoms(use_true_random=False))
-    code = Code(q, [tuple(i // q ** p % q for p in range(n))
-                    for i in rng.sample(range(q ** n), q ** k)])
+    words = [tuple(i // q ** p % q for p in range(n)) for i in rng.sample(range(q ** n), q ** k)]
+    if q > MAX_SYMBOLS:
+        with pytest.raises(SearchSpaceTooLarge, match=f"^q = {q} exceeds the symbol limit 256$"):
+            Code(q, words)
+        return
+    code = Code(q, words)
     path = data.draw(st.lists(mixed_moves(n, q), max_size=6))
     assert apply_moves(code, path) == sequential_moves(code, path)
 
