@@ -69,20 +69,14 @@ def columns_of(words, n):
     return [m[p::n] for p in range(n)]
 
 
-def _joined(columns, width):
-    """The rows of one or more bytes columns of one length, each padded
-    with zero bytes to width, as one bytearray."""
-    m = bytearray(width * len(columns[0]))
-    for p, column in enumerate(columns):
-        m[p::width] = column
-    return m
-
-
 def rows_of(columns):
     """The bytes rows of one or more bytes columns of one length, the
     inverse of columns_of."""
     n = len(columns)
-    m = bytes(_joined(columns, n))
+    m = bytearray(n * len(columns[0]))
+    for p, column in enumerate(columns):
+        m[p::n] = column
+    m = bytes(m)
     return [m[i:i + n] for i in range(0, len(m), n)]
 
 
@@ -214,13 +208,16 @@ def agreement_counters(word, within, masks, t):
 
 def _distinct_on(columns, pos):
     """True iff no two words agree at every position of the nonempty pos;
-    columns holds the words' columns, as columns_of gives them.  Rows of
-    at most 8 bytes, zero-padded to 1, 2, 4 or 8, are read as ints in C."""
+    columns holds the words' columns, as columns_of gives them.  A
+    projection of at most 8 symbols, zero-padded to 8 bytes, is read as
+    one int in C; a longer one as bytes rows."""
     chosen = [columns[p] for p in pos]
-    width = 1 << (len(pos) - 1).bit_length()
-    keys = (memoryview(_joined(chosen, width)).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
-            if width <= 8 else rows_of(chosen))
-    return len(set(keys)) == len(columns[0])
+    if len(chosen) > 8:
+        return len(set(rows_of(chosen))) == len(columns[0])
+    m = bytearray(8 * len(columns[0]))
+    for p, column in enumerate(chosen):
+        m[p::8] = column
+    return len(set(memoryview(m).cast("Q"))) == len(columns[0])
 
 
 def _coset_distance(code):

@@ -615,10 +615,12 @@ def check_theorems(q, max_n, limit_per_shape=SWEEP_LIMIT_PER_SHAPE,
     forms times their class size, capped at limit_per_shape, where the
     walk stops; a walk cut short is tagged sample.  Returns an iterator
     of the (status, claim) lines, each yielded as it is settled; bad
-    arguments raise here, before any line, as does a max_n past MAX_LENGTH."""
+    arguments raise here, before any line, as do a q past MAX_SYMBOLS and
+    a max_n past MAX_LENGTH."""
     check_integers(q=q)
     if q < 2:
         raise InvalidParameters(f"q must be at least 2, got {shown('', q)}")
+    check_symbols(q)
     check_caps(max_n=max_n, limit_per_shape=limit_per_shape, max_nodes=max_nodes)
     check_length(max_n, MAX_LENGTH, "length limit", "max_n")
     return _check_theorems(q, max_n, limit_per_shape, max_nodes)

@@ -12,16 +12,15 @@ the alternating sum must cancel exactly, so no floats are ever involved.
 
 Each closed form is paired with an exhaustive count over the code, which
 is the independent oracle the formulas are verified against.  The counts
-never use the closed forms.  Weights, counted from the zero word, sum
-the code's columns as ints (see _distances_from), which builds no sort
-and no masks.  Every other count reads the code's bit-sliced view
-(codes.bit_view), where a threshold counter over the center's symbol
-masks marks the words agreeing with the center in at least r positions,
-for every r at once, and bit_count() reads off each count.  Profile
-counts run that counter once per block, for one partition and center,
-into a table of the words agreeing in exactly a positions of each block;
-the code keeps the last such table, so each profile is one AND per block
-and one bit_count().
+never use the closed forms.  Weights, counted from the zero word, take
+n - w.count(0) word by word, which builds no sort and no masks.  Every
+other count reads the code's bit-sliced view (codes.bit_view), where a
+threshold counter over the center's symbol masks marks the words
+agreeing with the center in at least r positions, for every r at once,
+and bit_count() reads off each count.  Profile counts run that counter
+once per block, for one partition and center, into a table of the words
+agreeing in exactly a positions of each block; the code keeps the last
+such table, so each profile is one AND per block and one bit_count().
 
 The stated hypothesis of the closed forms is q >= k; evaluating them with
 q < k emits an OutOfStatedRegime warning so callers can record empirical
@@ -30,9 +29,10 @@ agreement without claiming a theorem.
 
 import warnings
 from collections import Counter
+from itertools import repeat
 from math import comb
 
-from .codes import agreement_counters, bit_view, columns_of, is_position, length_bound
+from .codes import agreement_counters, bit_view, is_position, length_bound
 from .errors import (
     BadPartition,
     InadmissibleParameters,
@@ -83,24 +83,16 @@ class WeightDistribution:
         return {w for w in self.counts if w > 0}
 
 
-_ZERO_IS_ONE = b"\1" + bytes(255)
-
-
 def _distances_from(code, center):
     """Counts of codewords at each distance from center, which need not
     be a codeword: a word at distance t agrees with center in exactly
-    n-t positions.  Weights, from the zero word, take O(n*|C|) C-level
-    steps and build no sort and no masks: each column, its zeros made 1
-    bytes and the rest 0, is read as a base-256 int, and their sum holds
-    each word's zero count as one digit, which cannot carry below 256
-    positions."""
+    n-t positions.  Weights, from the zero word, are counted word by
+    word, n - w.count(0): O(n*|C|) C-level steps build no sort and no
+    masks."""
     n = code.n
-    if center == code.zero and n < 256:
-        zeros = 0
-        for column in columns_of(code.words, n):
-            zeros += int.from_bytes(column.translate(_ZERO_IS_ONE), "little")
-        counts = Counter(zeros.to_bytes(len(code), "little"))
-        return WeightDistribution(n, {n - z: c for z, c in counts.items()})
+    if center == code.zero:
+        zeros = Counter(map(bytes.count, code.words, repeat(0)))
+        return WeightDistribution(n, {n - z: c for z, c in zeros.items()})
     words, masks = bit_view(code)
     at_least = [c.bit_count() for c in
                 agreement_counters(center, (1 << len(words)) - 1, masks, n)]

@@ -518,6 +518,17 @@ def test_normalize_reports_moves(tmp_path, capsys):
     assert read_code(dst).contains_zero()
 
 
+def test_check_theorems_refuses_a_q_over_the_symbol_limit(capsys):
+    # one error line before any shape, not a skip line per shape
+    for q, line in ((257, "q = 257 exceeds the symbol limit 256"),
+                    (300, "q = 300 exceeds the symbol limit 256"),
+                    (10 ** 299, "q exceeds the symbol limit 256: q > 256")):
+        assert run(["check-theorems", "--q", str(q), "--max-n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {line}\n")
+    assert run(["check-theorems", "--q", "256", "--max-n", "2"]) == 0
+
+
 def test_normalize_refuses_a_one_word_code_over_a_huge_alphabet(tmp_path, capsys):
     # a symbol is one byte, so the file is refused as it is read, before
     # any move would list its q symbols, with a short line at any length of q

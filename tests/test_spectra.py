@@ -481,6 +481,16 @@ def test_weights_word_by_word_match_the_view(code):
         assert weight_spectrum(code) == oracle.spectrum()
 
 
+@pytest.mark.parametrize("n", [255, 256, 300, 65536])
+@pytest.mark.parametrize("q", [2, 256])
+def test_long_repetition_weights_match_the_closed_form(n, q):
+    # weights are counted word by word at every length a builder takes,
+    # up to MAX_WORD_LENGTH
+    code = repetition_code(n, q)
+    assert weight_distribution_bruteforce(code) == weight_distribution_formula(n, 1, q)
+    assert weight_spectrum(code) == {n}
+
+
 @pytest.mark.parametrize("q,max_n", [(2, 6), (3, 6), (4, 4)])
 def test_swept_weights_match_the_view_and_per_word_oracle(q, max_n, min_distance_calls):
     # every normal form the golden sweeps check, each passed once to

@@ -57,8 +57,8 @@ def test_columns_and_rows_match_a_zip_oracle(case):
 @given(st.data())
 def test_projections_match_a_per_word_oracle(data):
     # rows of 1..11 symbols: _distinct_on reads projections of at most
-    # 8 symbols as ints, zero-padded to 1, 2, 4 or 8 bytes, and longer
-    # ones as bytes rows; both must agree with tuples built word by word
+    # 8 symbols as ints, zero-padded to 8 bytes, and longer ones as bytes
+    # rows; both must agree with tuples built word by word
     n = data.draw(st.integers(1, 11))
     symbol = st.sampled_from([0, 1, 255])
     rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n).map(bytes),
