@@ -30,6 +30,7 @@ from mdskit.cli import build_parser, run
 from mdskit.errors import MAX_WORDS
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+TEST_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 NOT_MDS_WORDS = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
@@ -762,8 +763,16 @@ def test_check_theorems_sweep_golden(q, max_n, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_check_theorems_q5_golden(capsys):
+    # the (7,5)_5 bound settles in 15689 nodes, within the sweep's node
+    # budget, and (7,6)_5 is past the mask bit limit
+    assert run(["check-theorems", "--q", "5", "--max-n", "7"]) == 0
+    golden = (TEST_GOLDEN / "check-theorems_q5_max-n7.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def test_check_theorems_settles_the_length_bound_past_the_old_candidate_limit(capsys):
-    # exists (7,3)_4 walks 11992 normal-form candidates; its witness
+    # exists (7,3)_4 walks 11830 normal-form candidates; its witness
     # length 7 is checked from --max-n 7 on
     assert run(["check-theorems", "--q", "4", "--max-n", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -338,7 +338,7 @@ def walk_normal_forms(n, k, q, mode):
 
 
 @pytest.mark.parametrize("n,k,q,mode,nodes", [
-    (4, 3, 4, "count", 17910),
+    (4, 3, 4, "count", 3035),
     (3, 2, 5, "count", 904),
     (6, 2, 4, "exists", 4),
     (5, 2, 5, "exists", 229),
@@ -351,11 +351,11 @@ def test_walk_node_counts(n, k, q, mode, nodes):
 
 
 @pytest.mark.parametrize("n,k,q,mode,nodes,masks,candidates", [
-    (4, 3, 4, "count", 17910, 195, 232),
+    (4, 3, 4, "count", 3035, 177, 226),
     (3, 2, 5, "count", 904, 57, 89),
     (6, 2, 4, "exists", 4, 4, 1786),
     (5, 2, 5, "exists", 229, 77, 1861),
-    (6, 5, 3, "count", 1886, 655, 713),
+    (6, 5, 3, "count", 269, 268, 707),
 ])
 def test_walk_builds_masks_lazily(n, k, q, mode, nodes, masks, candidates):
     # a mask is built the first time its candidate is chosen below the
@@ -583,10 +583,10 @@ def test_walk_memory_follows_the_masks_built(monkeypatch):
 
 
 def test_mask_bit_limit_refuses_the_walk(monkeypatch):
-    # exists (7,3)_4 builds 4 masks of 11992 bits; allow 3 of them
-    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 3 * 11992)
+    # exists (7,3)_4 builds 4 masks of 11830 bits; allow 3 of them
+    monkeypatch.setattr(mdskit.search, "_MASK_BIT_LIMIT", 3 * 11830)
     with pytest.raises(SearchSpaceTooLarge,
-                       match="^masks x bits = 4 x 11992 exceeds the mask bit limit 35976$"):
+                       match="^masks x bits = 4 x 11830 exceeds the mask bit limit 35490$"):
         exists_mds(7, 3, 4)
 
 
@@ -626,6 +626,62 @@ def test_latin_cube_count():
     assert enumerate_mds(SearchSpec(4, 3, 4, require_zero=True)).count == 55296 // 4
 
 
+def test_latin_hypercube_count_of_order_four():
+    # (5,4)_4 codes are the Latin hypercubes of dimension 4 and order 4:
+    # 36972288 in McKay and Wanless, "A census of small Latin
+    # hypercubes", SIAM J. Discrete Math. 22 (2008)
+    result = enumerate_mds(SearchSpec(5, 4, 4))
+    assert (result.count, result.complete) == (36972288, True)
+    result = enumerate_mds(SearchSpec(5, 4, 4, require_zero=True))
+    assert (result.count, result.complete) == (36972288 // 4, True)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_latin_hypercube_counts_of_order_three(n):
+    # (n, n-1)_3 codes are the Latin hypercubes of dimension n-1 and
+    # order 3, 3 * 2^(n-1) of them (McKay and Wanless, as above)
+    result = enumerate_mds(SearchSpec(n, n - 1, 3))
+    assert (result.count, result.complete) == (3 * 2 ** (n - 1), True)
+
+
+# the shapes with k >= 3 and codes past small_shapes' q^n <= 256 whose
+# full walk over the codes with zero ends within a second: q <= 4, n <= 7;
+# (5,4)_4 holds millions of codes
+FULL_WALK_SHAPES_PAST_SMALL = [(6, 5, 3), (7, 6, 3), (4, 3, 4), (5, 3, 4), (6, 3, 4)]
+
+
+@pytest.mark.parametrize("n,k,q", FULL_WALK_SHAPES_PAST_SMALL)
+def test_class_count_matches_full_walk_past_small_shapes(n, k, q):
+    result = enumerate_mds(SearchSpec(n, k, q, require_zero=True))
+    assert result.complete
+    assert result.count == full_walk_count(n, k, q, True) > 0
+
+
+@pytest.mark.parametrize("n,k,q", [(4, 3, 3), (5, 4, 3), (6, 5, 3), (4, 3, 4)])
+def test_relabeling_orbits_of_the_normal_forms_partition_the_codes(n, k, q):
+    # H relabels each of positions 0..k-2 and k..n-1 by a permutation
+    # fixing 0, and leaves position k-1 alone
+    fixing_zero = [bytes((0,) + perm) for perm in permutations(range(1, q))]
+    group = [tables[:k - 1] + (bytes(range(q)),) + tables[k - 1:]
+             for tables in product(fixing_zero, repeat=n - 1)]
+    assert len(group) == _class_size(n, k, q, True)
+    candidates = set(_canonical_candidates(n, k, all_words(q, n)))
+    forms = []
+    _walk_shape(SearchSpec(n, k, q, require_zero=True), forms.append)
+    orbits = []
+    for words in forms:
+        orbit = {frozenset(bytes(map(bytes.__getitem__, h, w)) for w in words) for h in group}
+        # H acts freely, and the orbit meets the normal form once
+        assert len(orbit) == len(group)
+        assert [code for code in orbit if code <= candidates] == [frozenset(words)]
+        orbits.append(orbit)
+    # the orbits are disjoint, and together they are every code with zero
+    codes = set().union(*orbits)
+    assert len(codes) == sum(map(len, orbits))
+    collected = enumerate_mds(SearchSpec(n, k, q, require_zero=True, mode="collect"))
+    assert codes == {code.words for code in collected.codes}
+
+
 def test_count_limit_caps_the_weighted_count():
     # every normal form of (3,2)_5 stands for 4!^2 * 5 = 2880 codes
     result = enumerate_mds(SearchSpec(3, 2, 5, limit=10))
@@ -643,11 +699,11 @@ def test_exists_mode_counts_one_code():
 
 
 @pytest.mark.parametrize("n,k,q,with_zero", [
-    (4, 1, 3, 2 ** 3),          # k = 1: positions 1..n-1
-    (1, 1, 5, 1),               # k = 1, n = k
-    (3, 3, 4, 1),               # n = k: nothing to normalize
-    (3, 2, 5, 24 ** 2),         # k >= 2: position 0 and positions k..n-1
-    (6, 3, 4, 6 ** 4),
+    (4, 1, 3, 2 ** 3),          # n > k: positions 0..k-2 and k..n-1
+    (1, 1, 5, 1),               # n = k: nothing to normalize
+    (3, 3, 4, 1),
+    (3, 2, 5, 24 ** 2),
+    (6, 3, 4, 6 ** 5),
     (5, 4, 2, 1),               # q = 2: the only relabeling fixing 0 is 1
 ])
 def test_class_size(n, k, q, with_zero):
@@ -693,7 +749,7 @@ def test_no_7_4_5_code_within_bushs_bound():
     # settles that no (7, 4)_5 MDS code exists
     result = enumerate_mds(SearchSpec(7, 4, 5, mode="exists"))
     assert length_bound(4, 5) == 7
-    assert (result.count, result.complete, result.nodes) == (0, True, 37355)
+    assert (result.count, result.complete, result.nodes) == (0, True, 3007)
 
 
 def test_exists_unresolved_budget_raises():
@@ -721,8 +777,8 @@ def test_guards():
         spec.n = 13
     assert spec.n == 12
     with pytest.raises(SearchSpaceTooLarge,
-                       match="^masks x bits = 13654 x 19661 exceeds the mask bit limit "):
-        enumerate_mds(SearchSpec(9, 8, 3))
+                       match="^masks x bits = 3441 x 78025 exceeds the mask bit limit "):
+        enumerate_mds(SearchSpec(7, 6, 5))
     # an n = k shape has one code, every word, found without a walk
     result = enumerate_mds(SearchSpec(9, 9, 3))
     assert (result.count, result.complete, result.nodes, result.masks) == (1, True, 0, 0)
@@ -834,7 +890,7 @@ def test_verify_bounds_binary_and_ternary():
     assert any("n > 4" in r.claim for r in reports)
 
 
-# at (k, q) = (3, 4) the search past the bound walks 11992 normal-form
+# at (k, q) = (3, 4) the search past the bound walks 11830 normal-form
 # candidates, which only a walk bounded by the masks it builds reaches;
 # at (3, 5) it settles Bush's bound q+k-2 for odd q
 @pytest.mark.parametrize("k,q", [(k, q) for k in (2, 3) for q in (2, 3, 4)] + [(3, 5)])
@@ -958,7 +1014,7 @@ def _shape_tags(lines):
     return tags
 
 
-@pytest.mark.parametrize("q,max_n,scans", [(2, 6, 15), (3, 6, 27), (4, 4, 28)])
+@pytest.mark.parametrize("q,max_n,scans", [(2, 6, 15), (3, 6, 16), (4, 4, 16)])
 def test_check_theorems_scans_each_normal_form_once(q, max_n, scans, min_distance_calls):
     lines = list(check_theorems(q, max_n))
     assert len(min_distance_calls) == scans
@@ -1056,17 +1112,19 @@ def normal_form(code):
     """The code of _canonical_candidates' normal form in code's
     relabeling class (code contains zero): relabel each position p >= k
     so that the word with information prefix (0,..,0, y) reads y there,
-    then, for 2 <= k < n, position 0 so that the word with prefix
-    (x, 0,..,0) carries x at position k."""
+    then, when k < n, each position i <= k-2 so that the word whose
+    prefix holds x at position i and 0 elsewhere carries x at position
+    k."""
     n, k, q = code.n, code.k, code.q
     by_prefix = {tuple(w[:k]): w for w in code.words}
     relabel = [list(range(q)) for _ in range(n)]
     for p in range(k, n):
         for y in range(q):
             relabel[p][by_prefix[(0,) * (k - 1) + (y,)][p]] = y
-    if 2 <= k < n:
+    for i in range(k - 1 if k < n else 0):
         for x in range(q):
-            relabel[0][x] = relabel[k][by_prefix[(x,) + (0,) * (k - 1)][k]]
+            prefix = (0,) * i + (x,) + (0,) * (k - 1 - i)
+            relabel[i][x] = relabel[k][by_prefix[prefix][k]]
     return Code(q, [tuple(relabel[p][s] for p, s in enumerate(w)) for w in code.words])
 
 
