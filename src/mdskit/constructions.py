@@ -26,7 +26,7 @@ from .errors import (
     check_word_limit,
     shown,
 )
-from .galois import Field
+from .galois import Field, prime_power
 
 
 def repetition_code(n, q):
@@ -221,19 +221,16 @@ class MolsSet:
 
 
 def cyclic_mols(p):
-    """The p-1 squares L_a(i, j) = a*i + j mod p, pairwise orthogonal."""
+    """The p-1 squares L_a(i, j) = a*i + j mod p, pairwise orthogonal.
+    a = 0 gives j, so each word (i, j, L_1(i, j), .., L_{p-1}(i, j)) is
+    (c1, f(0), .., f(p-1)) for f = c0 + c1*x over GF(p)."""
     check_integers(p=p)
     check_word_limit(p, 2)
-    if p < 2 or any(p % f == 0 for f in range(2, p)):
+    if prime_power(p) != (p, 1):
         raise NotPrime(f"{shown('', p)} is not prime")
-    # a = 0 gives j, so each word is (i, j, L_1(i, j), .., L_{p-1}(i, j));
-    # built a column at a time: row i of L_a is range(p) rotated left by
-    # a*i mod p
-    row = bytes(range(p))
-    rotations = [row[s:] + row[:s] for s in row]
-    i_column = b"".join(bytes((i,)) * p for i in row)
-    columns = [b"".join([rotations[a * i % p] for i in row]) for a in row]
-    return code_to_mols(Code._of(p, rows_of([i_column, *columns])))
+    field = Field(p)
+    columns = [_coefficients(p, 2, 1), *_evaluations(field, 2, field.elements)]
+    return code_to_mols(Code._of(p, rows_of(columns)))
 
 
 def mols_to_code(mols):

@@ -1,35 +1,34 @@
-"""Finite-field arithmetic GF(q) for small prime powers.
+"""Finite-field arithmetic GF(q) for every prime power q <= MAX_SYMBOLS.
 
 Elements are plain integers 0..q-1, so they double directly as code symbols.
 For prime q the arithmetic is mod q.  For a prime power q = p^m an element
 encodes a polynomial over GF(p): value = c0 + c1*p + ... + c_{m-1}*p^(m-1),
-and multiplication reduces modulo a fixed irreducible polynomial, so the
-encoding is identical across runs.  The full add and mul tables, as rows
-of bytes, are built once per order and process and shared by every
-Field of that order (q <= 27 keeps this trivial).  The add rows are
+and multiplication reduces modulo the least monic irreducible polynomial
+of degree m in that encoding, AES's x^8+x^4+x^3+x+1 for GF(256).  The full
+add and mul tables, as rows of bytes, are built once per order and
+process and shared by every Field of that order.  The add rows are
 symbol_group's, the group on the symbols of any q <= 256; the mul rows
 come from exp and log tables of a primitive element, whose q-1 powers
-are the nonzero elements (Lidl and Niederreiter, Finite Fields, ch. 2).
+are the nonzero elements (Lidl and Niederreiter, Finite Fields, chs. 2-3).
 """
 
 import functools
 import itertools
+import math
 
-from .errors import InvalidParameters, UnsupportedOrder, shown
+from .errors import MAX_SYMBOLS, InvalidParameters, UnsupportedOrder, shown
 
-# Characteristic p and monic irreducible modulus per supported order
-# q = p^m, low-degree coefficients first; the leading coefficient x^m is
-# implicit, so m is the modulus length.  A prime order uses x, i.e. (0,),
-# which leaves the degree-0 products as they are, mod p.
-#   4: x^2+x+1   8: x^3+x+1     9: x^2+1
-#  16: x^4+x+1  25: x^2+2      27: x^3+2x+1
-_FIELDS = {
-    2: (2, (0,)), 3: (3, (0,)), 4: (2, (1, 1)), 5: (5, (0,)), 7: (7, (0,)),
-    8: (2, (1, 1, 0)), 9: (3, (1, 0)), 11: (11, (0,)), 13: (13, (0,)),
-    16: (2, (1, 1, 0, 0)), 25: (5, (2, 0)), 27: (3, (1, 2, 0)),
-}
 
-SUPPORTED_ORDERS = tuple(_FIELDS)
+def prime_power(q):
+    """(p, m) when the int q is p^m for a prime p, else None."""
+    if q < 2:
+        return None
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    m = next(m for m in itertools.count(1) if p ** m >= q)
+    return (p, m) if p ** m == q else None
+
+
+SUPPORTED_ORDERS = tuple(q for q in range(2, MAX_SYMBOLS + 1) if prime_power(q))
 
 
 def _poly_mul(a, b, modulus, p):
@@ -55,12 +54,10 @@ def symbol_group(q):
     digit-wise addition mod p when q = p^m, which is GF(q)'s addition
     whatever its modulus, and addition mod q otherwise.  Returns its add
     rows, row a holding a + b at byte b and padded to 256 bytes, and its
-    generators p^0 .. p^(m-1).  At a supported order the rows are
+    generators p^0 .. p^(m-1).  At a prime power q the rows are
     Field(q).add_rows, the same objects."""
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    places = tuple(p ** j for j in range(q.bit_length()) if p ** j < q)
-    if places[-1] * p != q:
-        p, places = q, (1,)
+    p, m = prime_power(q) or (q, 1)
+    places = tuple(p ** j for j in range(m))
 
     def add(a, b):
         return sum((a // u + b // u) % p * u for u in places)
@@ -69,12 +66,26 @@ def symbol_group(q):
     return rows, places
 
 
+def _modulus(p, m):
+    """The least monic irreducible polynomial of degree m over GF(p), as its
+    coefficients below x^m, least read as base-p digits low degree first:
+    the first that no product of two monic factors gives, each product
+    taken by _poly_mul with an all-zero modulus of length m+1, unreduced."""
+    reducible = {tuple(_poly_mul([*a, 1], [*b, 1], [0] * (m + 1), p)[:m])
+                 for d in range(1, m // 2 + 1)
+                 for a in itertools.product(range(p), repeat=d)
+                 for b in itertools.product(range(p), repeat=m - d)}
+    return next(f for f in (c[::-1] for c in itertools.product(range(p), repeat=m))
+                if f not in reducible)
+
+
 @functools.cache
 def _tables(q):
     """GF(q)'s add rows, mul rows and neg row, each padded to 256 bytes.
     g^i * g^j = g^(i+j mod q-1) for the least primitive element g, so
     the mul rows take q-1 products for g's powers, not q^2."""
-    p, modulus = _FIELDS[q]
+    p, m = prime_power(q)
+    modulus = _modulus(p, m)
     add, places = symbol_group(q)
     polys = [[v // u % p for u in places] for v in range(q)]
 
@@ -104,7 +115,7 @@ class Field:
         if type(q) is not int or q not in SUPPORTED_ORDERS:
             raise UnsupportedOrder(f"{shown('q', q)} is not a supported prime power")
         self.q = q
-        self.p, self.m = _FIELDS[q][0], len(_FIELDS[q][1])
+        self.p, self.m = prime_power(q)
         self.add_rows, self.mul_rows, self.neg_row = _tables(q)
 
     @property
@@ -141,7 +152,8 @@ class Field:
         if e < 0:
             return self.pow(self.inv(a), -e)
         r = 1
-        for _ in range(e):
+        # a^(q-1) = 1 for a != 0 (Lagrange), and 0^e = 0 for e > 0
+        for _ in range(e % (self.q - 1) if a else min(e, 1)):
             r = self.mul_rows[r][a]
         return r
 

@@ -115,10 +115,11 @@ def _alternating_sum(w, d, q):
 def _check_mds_params(n, k, q):
     check_integers(n=n, k=k, q=q)
     if q < 2 or n < 1 or not 0 <= k <= n:
-        raise InvalidParameters(f"bad MDS parameters (n={n}, k={k}, q={q})")
+        raise InvalidParameters(
+            f"bad MDS parameters ({shown('n', n)}, {shown('k', k)}, {shown('q', q)})")
     if q < k:
         warnings.warn(OutOfStatedRegime(
-            f"closed form stated for q >= k; got q={q} < k={k}"))
+            f"closed form stated for q >= k; got {shown('q', q)} < {shown('k', k)}"))
 
 
 def weight_distribution_formula(n, k, q):
@@ -160,10 +161,11 @@ def predicted_spectrum(n, k, q):
     """
     check_integers(n=n, k=k, q=q)
     if k < 1 or n < k or q < 2:
-        raise InadmissibleParameters(f"(n={n}, k={k}, q={q}) is not a code shape")
-    if n > length_bound(k, q):
         raise InadmissibleParameters(
-            f"no (n={n}, k={k})_{q} MDS code: n > {length_bound(k, q)}")
+            f"({shown('n', n)}, {shown('k', k)}, {shown('q', q)}) is not a code shape")
+    if n > length_bound(k, q):
+        raise InadmissibleParameters(f"no ({shown('n', n)}, {shown('k', k)})_{shown('', q)} "
+                                     f"MDS code: n > {shown('', length_bound(k, q))}")
     if k == 1:
         return {n}
     if n == k:

@@ -10,15 +10,19 @@ from mdskit import (
     BadPositions,
     Code,
     Field,
+    InadmissibleParameters,
     InvalidCode,
     InvalidParameters,
     ResidualSpec,
     apply_moves,
     extended_rs_code,
+    predicted_spectrum,
     residual,
+    weight_distribution_formula,
 )
 from mdskit.errors import (
     MAX_WORDS,
+    OutOfStatedRegime,
     SearchSpaceTooLarge,
     check_length,
     check_power,
@@ -26,6 +30,7 @@ from mdskit.errors import (
     check_word_limit,
     shown,
 )
+from mdskit.spectra import _check_mds_params
 
 
 @pytest.mark.parametrize("args,text", [
@@ -112,3 +117,40 @@ def test_library_messages_show_a_long_int_short(call, error, line):
     with pytest.raises(error) as exc:
         call(extended_rs_code(Field(3), 2))
     assert str(exc.value) == line
+
+
+@pytest.mark.parametrize("call,error,line", [
+    (lambda: weight_distribution_formula(-5, 1, HUGE), InvalidParameters,
+     "bad MDS parameters (n=-5, k=1, q > 65536)"),
+    (lambda: weight_distribution_formula(-5, 1, 7), InvalidParameters,
+     "bad MDS parameters (n=-5, k=1, q=7)"),
+    (lambda: weight_distribution_formula(3, -HUGE, 99999), InvalidParameters,
+     "bad MDS parameters (n=3, k < -65536, q=99999)"),
+    (lambda: predicted_spectrum(0, 3, HUGE), InadmissibleParameters,
+     "(n=0, k=3, q > 65536) is not a code shape"),
+    (lambda: predicted_spectrum(4, -99999, 2), InadmissibleParameters,
+     "(n=4, k=-99999, q=2) is not a code shape"),
+    (lambda: predicted_spectrum(HUGE + 5, 2, HUGE), InadmissibleParameters,
+     "no (n > 65536, k=2)_> 65536 MDS code: n > > 65536"),
+    (lambda: predicted_spectrum(7, 3, 4), InadmissibleParameters,
+     "no (n=7, k=3)_4 MDS code: n > 6"),
+    (lambda: predicted_spectrum(99999, 3, 99997), InadmissibleParameters,
+     "no (n=99999, k=3)_99997 MDS code: n > 99998"),
+])
+def test_spectra_messages_show_a_long_int_short(call, error, line):
+    # a number of up to 5 digits shows as it always did
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == line
+
+
+@pytest.mark.parametrize("n,k,q,line", [
+    (HUGE, HUGE - 1, 2, "closed form stated for q >= k; got q=2 < k > 65536"),
+    (HUGE + 2, HUGE + 1, HUGE, "closed form stated for q >= k; got q > 65536 < k > 65536"),
+    (5, 4, 2, "closed form stated for q >= k; got q=2 < k=4"),
+], ids=["long-k", "long-q-and-k", "short-k"])
+def test_out_of_regime_warning_shows_a_long_int_short(n, k, q, line):
+    # the parameter check alone: the formula would then sum over n weights
+    with pytest.warns(OutOfStatedRegime) as record:
+        _check_mds_params(n, k, q)
+    assert [str(w.message) for w in record] == [line]

@@ -46,6 +46,7 @@ from mdskit import (
     verify_distribution,
     verify_spectrum_theorems,
     weight_distribution_formula,
+    weight_spectrum,
 )
 from mdskit.codes import symbol_masks, weight
 from mdskit.errors import MAX_WORDS
@@ -1001,6 +1002,26 @@ def test_verify_distribution_in_and_out_of_regime():
     report = verify_distribution(sum_zero_code(4, Field(2)))
     assert report.out_of_regime
     assert report.passed  # agrees empirically for the binary parity check
+
+
+def test_hyperoval_code_past_the_search_keeps_weight_q_plus_1_out():
+    # the paper's remaining case n = q+k-1 with k = 3 at a field the
+    # search cannot reach: the (34, 3)_32 hyperoval code has weights
+    # q = 32 and q+2 = 34, with q+1 = 33 absent
+    code = doubly_extended_rs(Field(32))
+    assert (code.n, code.k, code.q) == (34, 3, 32)
+    reports = verify_spectrum_theorems(code) + [verify_distribution(code)]
+    assert all(r.passed and not r.out_of_regime for r in reports)
+    assert any("full-weight" in r.claim for r in reports)
+    assert weight_spectrum(code) == {32, 34}
+
+
+@pytest.mark.parametrize("q", [32, 49, 64, 81, 121, 125, 128])
+def test_extended_rs_at_orders_past_27_passes_the_theorem_checks(q):
+    code = extended_rs_code(Field(q), 2)
+    assert (code.n, code.k) == (q + 1, 2)
+    reports = verify_spectrum_theorems(code) + [verify_distribution(code)]
+    assert all(r.passed and not r.out_of_regime for r in reports)
 
 
 def _shape_tags(lines):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mdskit import (
     PP,
     SP,
-    SUPPORTED_ORDERS,
     Code,
     Field,
     ResidualSpec,
@@ -58,7 +57,8 @@ def _built_codes(q):
         yield doubly_extended_rs(field)
 
 
-@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+# the orders up to 27 whose moduli tests/test_galois.py pins
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27))
 def test_builders_words_pass_the_full_checks(q):
     for code in _built_codes(q):
         assert_rechecked(code)
