@@ -371,35 +371,80 @@ _MAGIC = "MDSKIT v1"
 # strings: re's own cache compiles each on first use, not at import
 _PARAM_LINE = r"\s*q=(-?[0-9]+)\s+n=(-?[0-9]+)\s*"
 _WORD_LINE = r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*"
+# characters of a bad parameter line that its message shows
+_LINE_SHOWN = 60
 # where str.splitlines breaks a line besides LF; once each CR before an
-# LF is dropped, the format has none of them
-_OTHER_BREAK = "[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
+# LF is dropped, the format has none of them.  The ASCII ones are tested
+# by str.__contains__ first, so the regex runs only when one may be there
+_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_OTHER_BREAK = f"[{_ASCII_BREAKS}\x85\u2028\u2029]"
+# a symbol's decimal digits by place, hundreds, tens and units: byte s of
+# a table is that digit of str(s), or NUL where str(s) has no digit there
+_NAMES = ("%03d" * 256 % tuple(range(256))).encode()
+_DIGITS = (bytes(100) + _NAMES[300::3], bytes(10) + _NAMES[31::3], _NAMES[2::3])
+# words rendered at a time: one block's buffer, not the whole file's,
+# is held beside the text
+_BLOCK = 4096
+
+
+def _rendered(code):
+    """The file's text in pieces: the header, then each block of at most
+    _BLOCK words in lexicographic order.  Each symbol gets w + 1 bytes
+    of the block's buffer, w = len(str(q-1)): its w digit places, each
+    filled for the whole block by one translate of the block's joined
+    rows through _DIGITS, and a space or, after a word's last symbol, a
+    newline.  Dropping the NULs of names shorter than w leaves the
+    text."""
+    n, words = code.n, code.sorted_words()
+    places = _DIGITS[3 - len(str(code.q - 1)):]
+    step = len(places) + 1
+    yield f"{_MAGIC}\nq={code.q} n={n}\n"
+    for start in range(0, len(words), _BLOCK):
+        m = b"".join(words[start:start + _BLOCK])
+        out = bytearray(step * len(m))
+        for i, table in enumerate(places):
+            out[i::step] = m.translate(table)
+        out[step - 1::step] = (b" " * (n - 1) + b"\n") * (len(m) // n)
+        yield out.translate(None, b"\0").decode("ascii")
 
 
 def format_code(code):
-    """Render a code in the file format, words in lexicographic order."""
-    name = list(map(str, range(code.q))).__getitem__
-    lines = [_MAGIC, f"q={code.q} n={code.n}"]
-    lines.extend(" ".join(map(name, w)) for w in code.sorted_words())
-    return "\n".join(lines) + "\n"
+    """Render a code in the file format, words in lexicographic order,
+    each symbol by its decimal name ("0" .. str(q-1))."""
+    return "".join(_rendered(code))
 
 
 def write_code(code, path):
+    """Write format_code(code) to path, one block of words at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_code(code))
+        fh.writelines(_rendered(code))
+
+
+def _number(token):
+    """The int an ASCII -?[0-9]+ token names, read as 10**18 or -10**18
+    past 18 digits, leading zeros aside: int() refuses a number of over
+    4300 digits, no line holds 10**18 symbols, and every message shows a
+    number past 5 digits alike (errors.shown)."""
+    digits = token.lstrip("-").lstrip("0")
+    value = int(digits or "0") if len(digits) <= 18 else 10 ** 18
+    return -value if token[0] == "-" else value
 
 
 def parse_code(text):
     """The code a file's text holds; lines break at LF, with one CR
-    before an LF tolerated.  A word line of canonical names ("0" ..
-    str(q-1)) is read by one dict lookup per token into a bytes row; any
-    other line takes the full checks, so "007" and "-0" still read as
-    symbols."""
+    before an LF tolerated.  The text is searched for another break only
+    when it is not ASCII or holds one of the ASCII ones.  Word lines are
+    read one at a time, since splitting the whole body at once holds
+    every token as a str: a line of canonical names ("0" .. str(q-1)) is
+    read by one dict lookup per token into a bytes row; any other line
+    takes the full checks, so "007" and "-0" still read as symbols and a
+    number of any length as _number reads it."""
     text = text.replace("\r\n", "\n")
-    other = re.search(_OTHER_BREAK, text)
-    if other:
-        lineno = text.count("\n", 0, other.start()) + 1
-        raise CodeFileError(f"line {lineno}: line break {other.group()!r} other than LF")
+    if not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS)):
+        other = re.search(_OTHER_BREAK, text)
+        if other:
+            lineno = text.count("\n", 0, other.start()) + 1
+            raise CodeFileError(f"line {lineno}: line break {other.group()!r} other than LF")
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
         raise CodeFileError(f"missing '{_MAGIC}' header")
@@ -407,8 +452,10 @@ def parse_code(text):
         raise CodeFileError("missing parameter line 'q=<int> n=<int>'")
     params = re.fullmatch(_PARAM_LINE, lines[1])
     if not params:
-        raise CodeFileError(f"bad parameter line: {lines[1]!r}")
-    q, n = map(int, params.groups())
+        shown_line = lines[1][:_LINE_SHOWN]
+        raise CodeFileError(f"bad parameter line: {shown_line!r}"
+                            + "..." * (len(lines[1]) > _LINE_SHOWN))
+    q, n = map(_number, params.groups())
     if q < 2 or n < 1:
         raise CodeFileError(f"need q >= 2 and n >= 1, got {shown('q', q)} {shown('n', n)}")
     check_symbols(q)
@@ -426,7 +473,7 @@ def parse_code(text):
         if word is None or len(word) != n:
             if not re.fullmatch(_WORD_LINE, line):
                 raise CodeFileError(f"line {lineno}: non-integer symbol")
-            word = tuple(map(int, tokens))
+            word = tuple(map(_number, tokens))
             if len(word) != n:
                 raise CodeFileError(
                     f"line {lineno}: expected {shown('', n)} symbols, got {len(word)}")

@@ -40,6 +40,7 @@ from mdskit import (
     require_mds,
     rs_code,
     sum_zero_code,
+    universe_code,
     weight,
     write_code,
 )
@@ -445,8 +446,9 @@ def test_format_and_parse_round_trip(tmp_path):
 @st.composite
 def valid_codes(draw):
     """Any valid code: q^k distinct words of length n over 0..q-1, with
-    two-digit symbols once q > 10 and one-word (k = 0) codes."""
-    q = draw(st.integers(2, 16))
+    two-digit symbols once q > 10, three-digit ones once q > 100 (in one
+    word, as q^k is at most 64), and one-word (k = 0) codes."""
+    q = draw(st.integers(2, MAX_SYMBOLS))
     n = draw(st.integers(1, 4))
     k = draw(st.integers(0, n).filter(lambda k: q ** k <= 64))
     picks = draw(st.sets(st.integers(0, q ** n - 1), min_size=q ** k, max_size=q ** k))
@@ -457,6 +459,31 @@ def valid_codes(draw):
 @given(valid_codes())
 def test_parse_inverts_format(code):
     assert parse_code(format_code(code)) == code
+
+
+def joined_format(code):
+    """Oracle for format_code: each word joined from one str per symbol,
+    as format_code rendered it before it went through digit tables."""
+    name = list(map(str, range(code.q))).__getitem__
+    lines = ["MDSKIT v1", f"q={code.q} n={code.n}"]
+    lines.extend(" ".join(map(name, w)) for w in code.sorted_words())
+    return "\n".join(lines) + "\n"
+
+
+# a symbol's name widens past q = 10 and q = 100, and each code holds
+# every symbol; format_code renders 4096 words at a time, so the 10201
+# words of the (2, 2)_101 universe code take three blocks
+@pytest.mark.parametrize("code", [
+    *(repetition_code(n, q) for q in (2, 10, 11, 100, 101, 256) for n in (1, 3)),
+    universe_code(2, 101),
+], ids=lambda code: f"n{code.n}k{code.k}q{code.q}")
+def test_format_matches_joined_names(code, tmp_path):
+    assert set(code.sorted_words()[-1]) == {code.q - 1}
+    expected = joined_format(code)
+    assert format_code(code) == expected
+    write_code(code, tmp_path / "c.txt")
+    assert (tmp_path / "c.txt").read_bytes() == expected.encode()
+    assert parse_code(expected) == code
 
 
 def test_parse_skips_blank_lines():

@@ -9,6 +9,7 @@ from mdskit import (
     BadMove,
     BadPositions,
     Code,
+    CodeFileError,
     Field,
     InadmissibleParameters,
     InvalidCode,
@@ -16,10 +17,12 @@ from mdskit import (
     ResidualSpec,
     apply_moves,
     extended_rs_code,
+    parse_code,
     predicted_spectrum,
     residual,
     weight_distribution_formula,
 )
+from mdskit.cli import run
 from mdskit.errors import (
     MAX_WORDS,
     OutOfStatedRegime,
@@ -154,3 +157,48 @@ def test_out_of_regime_warning_shows_a_long_int_short(n, k, q, line):
     with pytest.warns(OutOfStatedRegime) as record:
         _check_mds_params(n, k, q)
     assert [str(w.message) for w in record] == [line]
+
+
+# a 6-digit number, a 20-digit one, and one past the 4300 digits that
+# int() reads from a str
+LONG_NUMBERS = ["100000", "1" + "0" * 19, "1" + "0" * 4999]
+
+
+@pytest.mark.parametrize("text,error,line", [
+    ("MDSKIT v1\nq={} n=1\n0\n", SearchSpaceTooLarge, "q exceeds the symbol limit 256: q > 256"),
+    ("MDSKIT v1\nq=-{} n=1\n0\n", CodeFileError, "need q >= 2 and n >= 1, got q < -65536 n=1"),
+    ("MDSKIT v1\nq=2 n={}\n0\n1\n", CodeFileError, "line 3: expected > 65536 symbols, got 1"),
+    ("MDSKIT v1\nq=2 n=-{}\n0\n", CodeFileError, "need q >= 2 and n >= 1, got q=2 n < -65536"),
+    ("MDSKIT v1\nq=2 n=1\n0\n{}\n", CodeFileError, "line 4: symbol outside 0..1"),
+    ("MDSKIT v1\nq=2 n=2\n0 0\n1 -{}\n", CodeFileError, "line 4: symbol outside 0..1"),
+], ids=["q", "negative-q", "n", "negative-n", "symbol", "negative-symbol"])
+def test_parse_reads_a_long_number_as_a_six_digit_one(text, error, line, tmp_path, capsys):
+    for number in LONG_NUMBERS:
+        with pytest.raises(error) as exc:
+            parse_code(text.format(number))
+        assert str(exc.value) == line
+    # int() once raised ValueError here, and verify exited 1 with a traceback
+    path = tmp_path / "c.txt"
+    path.write_text(text.format(LONG_NUMBERS[-1]))
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_parse_reads_a_zero_padded_symbol_of_any_length():
+    pad = "0" * 5000
+    text = f"MDSKIT v1\nq={pad}11 n={pad}1\n-{pad}\n" + "".join(
+        f"{pad}{s}\n" for s in range(1, 11))
+    assert parse_code(text) == Code(11, [(s,) for s in range(11)])
+
+
+@pytest.mark.parametrize("line,shown", [
+    ("n=1 q=2", "'n=1 q=2'"),
+    # 60 characters are shown whole, and a longer line cut at 60
+    ("q=2 n=1" + "x" * 53, "'q=2 n=1" + "x" * 53 + "'"),
+    ("q=2 n=1" + "x" * 54, "'q=2 n=1" + "x" * 53 + "'..."),
+    ("q=2 n=1" + "x" * 300, "'q=2 n=1" + "x" * 53 + "'..."),
+], ids=["7-chars", "60-chars", "61-chars", "307-chars"])
+def test_bad_parameter_line_is_shown_short(line, shown):
+    with pytest.raises(CodeFileError) as exc:
+        parse_code(f"MDSKIT v1\n{line}\n0\n")
+    assert str(exc.value) == f"bad parameter line: {shown}"
