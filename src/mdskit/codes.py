@@ -7,6 +7,9 @@ tests whether a code is a coset of a group from galois.symbol_group.
 A codeword is a length-n bytes row, one byte per symbol, so an alphabet
 holds at most errors.MAX_SYMBOLS symbols; columns_of and rows_of turn
 rows into bytes columns and back, and every kernel works on those.
+agreements counts each word's agreements with a center, block by block,
+for every spectrum and for the group route's d; the bit-sliced masks of
+symbol_masks and agreement_counters serve the scan and the search walk.
 Codes are value-immutable, so every transform returns a new Code and
 equivalence chains stay auditable.
 
@@ -80,6 +83,23 @@ def rows_of(columns):
     return [m[i:i + n] for i in range(0, len(m), n)]
 
 
+def agreements(words, n, center, blocks):
+    """For each nonempty block of positions, an iterator over the
+    words' agreement counts with center within that block, in the order
+    the words come.  Column p is relabeled by the transposition
+    (0 center[p]), so a word agrees with center at p where the relabeled
+    symbol is 0, and the zero bytes of each block's rows are counted.  A
+    zero center on one block of all n positions counts the words
+    themselves."""
+    if not any(center) and len(blocks) == 1 and sorted(blocks[0]) == list(range(n)):
+        return [map(bytes.count, words, repeat(0))]
+    columns = columns_of(words, n)
+    relabeled = [column.translate(bytes.maketrans(bytes((0, s)), bytes((s, 0))))
+                 for column, s in zip(columns, center)]
+    return [map(bytes.count, rows_of([relabeled[p] for p in block]), repeat(0))
+            for block in blocks]
+
+
 class Code:
     """An (n, k)_q code: a frozen set of q^k distinct words of length n,
     each a bytes row.  Any iterables of ints in 0..q-1 may be given."""
@@ -126,8 +146,7 @@ class Code:
         self._d = None              # minimum distance, set by is_mds
         self._root = None           # the code this one was moved from, set by apply_moves
         self._sorted = None         # the words as a sorted tuple, set by sorted_words
-        self._masks = None          # symbol masks over that order, set by bit_view
-        self._profiles = None       # (center, blocks) and its profile table, set by spectra
+        self._profiles = None       # (center, blocks) and its profile counts, set by spectra
 
     @property
     def zero(self):
@@ -179,15 +198,6 @@ def symbol_masks(words, n, q):
     tables = [b"0" * s + b"1" + b"0" * (255 - s) for s in range(q)]
     return [[int(column.translate(table) or b"0", 2) for table in tables]
             for column in columns_of(reversed(words), n)]
-
-
-def bit_view(code):
-    """The code's sorted_words() and their symbol masks, which are built
-    on first use and kept: the word set is frozen, so they cannot go stale."""
-    words = code.sorted_words()
-    if code._masks is None:
-        code._masks = symbol_masks(words, code.n, code.q)
-    return words, code._masks
 
 
 def agreement_counters(word, within, masks, t):
@@ -251,9 +261,8 @@ def _coset_distance(code):
             # iterable into a set; this stops at the first word outside
             if not all(map(code.words.__contains__, rows_of(shifted))):
                 return None
-    differs = [column.translate(b"\1" * s + b"\0" + b"\1" * (255 - s))
-               for column, s in zip(columns, c0)]
-    return min(islice(map(bytes.count, rows_of(differs), repeat(1)), 1, None))
+    (agree,) = agreements(words, code.n, c0, [range(code.n)])
+    return code.n - max(islice(agree, 1, None))
 
 
 def min_distance(code):
@@ -286,8 +295,9 @@ def _scan_distance(code):
     distance below best means agreement in at least n-best+1 positions,
     so each word lowers best while some later word agrees with it that
     often."""
-    words, masks = bit_view(code)
+    words = code.sorted_words()
     n = best = code.n
+    masks = symbol_masks(words, n, code.q)
     later = (1 << len(words)) - 1
     for w in words:
         later &= later - 1          # drop w's own bit, the lowest one left
@@ -371,7 +381,8 @@ _MAGIC = "MDSKIT v1"
 # strings: re's own cache compiles each on first use, not at import
 _PARAM_LINE = r"\s*q=(-?[0-9]+)\s+n=(-?[0-9]+)\s*"
 _WORD_LINE = r"\s*-?[0-9]+(?:\s+-?[0-9]+)*\s*"
-# characters of a bad parameter line that its message shows
+# characters of a bad parameter line that its message shows, fewer when
+# escapes make their repr longer than a printable line's can be
 _LINE_SHOWN = 60
 # where str.splitlines breaks a line besides LF; once each CR before an
 # LF is dropped, the format has none of them.  The ASCII ones are tested
@@ -453,8 +464,11 @@ def parse_code(text):
     params = re.fullmatch(_PARAM_LINE, lines[1])
     if not params:
         shown_line = lines[1][:_LINE_SHOWN]
+        # a printable character's repr takes at most two characters
+        while len(repr(shown_line)) > 2 * _LINE_SHOWN + 2:
+            shown_line = shown_line[:-1]
         raise CodeFileError(f"bad parameter line: {shown_line!r}"
-                            + "..." * (len(lines[1]) > _LINE_SHOWN))
+                            + "..." * (shown_line != lines[1]))
     q, n = map(_number, params.groups())
     if q < 2 or n < 1:
         raise CodeFileError(f"need q >= 2 and n >= 1, got {shown('q', q)} {shown('n', n)}")

@@ -12,15 +12,12 @@ the alternating sum must cancel exactly, so no floats are ever involved.
 
 Each closed form is paired with an exhaustive count over the code, which
 is the independent oracle the formulas are verified against.  The counts
-never use the closed forms.  Weights, counted from the zero word, take
-n - w.count(0) word by word, which builds no sort and no masks.  Every
-other count reads the code's bit-sliced view (codes.bit_view), where a
-threshold counter over the center's symbol masks marks the words
-agreeing with the center in at least r positions, for every r at once,
-and bit_count() reads off each count.  Profile counts run that counter
-once per block, for one partition and center, into a table of the words
-agreeing in exactly a positions of each block; the code keeps the last
-such table, so each profile is one AND per block and one bit_count().
+never use the closed forms.  Every count reads codes.agreements: each
+word's agreements with the center, whose columns are relabeled so that
+it reads as the zero word, counted as zero bytes block by block.
+Weights, from the zero word, are n - w.count(0) word by word.  Profile
+counts tally the words by their agreements in each block, for one
+partition and center, and the code keeps the last such tally.
 
 The stated hypothesis of the closed forms is q >= k; evaluating them with
 q < k emits an OutOfStatedRegime warning so callers can record empirical
@@ -29,10 +26,9 @@ agreement without claiming a theorem.
 
 import warnings
 from collections import Counter
-from itertools import repeat
 from math import comb
 
-from .codes import agreement_counters, bit_view, is_position, length_bound
+from .codes import agreements, is_position, length_bound
 from .errors import (
     BadPartition,
     InadmissibleParameters,
@@ -86,19 +82,10 @@ class WeightDistribution:
 def _distances_from(code, center):
     """Counts of codewords at each distance from center, which need not
     be a codeword: a word at distance t agrees with center in exactly
-    n-t positions.  Weights, from the zero word, are counted word by
-    word, n - w.count(0): O(n*|C|) C-level steps build no sort and no
-    masks."""
+    n-t positions."""
     n = code.n
-    if center == code.zero:
-        zeros = Counter(map(bytes.count, code.words, repeat(0)))
-        return WeightDistribution(n, {n - z: c for z, c in zeros.items()})
-    words, masks = bit_view(code)
-    at_least = [c.bit_count() for c in
-                agreement_counters(center, (1 << len(words)) - 1, masks, n)]
-    at_least.append(0)
-    return WeightDistribution(n, {n - a: at_least[a] - at_least[a + 1]
-                                  for a in range(n + 1)})
+    (agree,) = agreements(code.words, n, center, [range(n)])
+    return WeightDistribution(n, {n - a: c for a, c in Counter(agree).items()})
 
 
 def weight_distribution_bruteforce(code):
@@ -242,19 +229,10 @@ def _profile_count(code, center, spec, profile):
     profile = _check_profile(spec, profile)
     key = (center, spec.blocks)
     if code._profiles is None or code._profiles[0] != key:
-        # exact[i][a]: the words agreeing with center in exactly a of
-        # block i's positions, one counter run per block
-        words, masks = bit_view(code)
-        exact = []
-        for block in spec.blocks:
-            c = agreement_counters([center[p] for p in block], (1 << len(words)) - 1,
-                                   [masks[p] for p in block], len(block))
-            exact.append([c[a] & ~c[a + 1] for a in range(len(block))] + [c[-1]])
-        code._profiles = key, exact
-    hits = (1 << len(code)) - 1
-    for table, wi, ni in zip(code._profiles[1], profile, spec.sizes):
-        hits &= table[ni - wi]
-    return hits.bit_count()
+        # the words per tuple of their agreements with center, block by block
+        code._profiles = key, Counter(zip(*agreements(code.words, code.n, center,
+                                                      spec.blocks)))
+    return code._profiles[1][tuple(ni - wi for wi, ni in zip(profile, spec.sizes))]
 
 
 def partition_weight_enumerator_bruteforce(code, spec, profile):

@@ -23,7 +23,8 @@ def min_distance_calls(monkeypatch):
 @pytest.fixture
 def symbol_masks_calls(monkeypatch):
     """The word lists passed to codes.symbol_masks during the test, one
-    entry per call, i.e. per bit-sliced view that codes.bit_view builds."""
+    entry per call; only the scan in codes.min_distance builds masks
+    here, and no spectrum count does."""
     calls = []
     build = mdskit.codes.symbol_masks
 

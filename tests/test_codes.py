@@ -44,7 +44,7 @@ from mdskit import (
     weight,
     write_code,
 )
-from mdskit.codes import _coset_distance, _scan_distance, bit_view, symbol_masks
+from mdskit.codes import _coset_distance, _scan_distance, symbol_masks
 from mdskit.errors import MAX_SYMBOLS
 from mdskit.galois import SUPPORTED_ORDERS, symbol_group
 
@@ -215,17 +215,12 @@ def test_min_distance_builds_a_bit_view_only_to_scan(symbol_masks_calls):
     assert len(symbol_masks_calls) == 2
 
 
-def test_one_word_order_per_code(symbol_masks_calls):
-    # sorted_words sorts once; bit_view, format_code and iteration read
-    # that same tuple, and the masks come from codes.symbol_masks
+def test_one_word_order_per_code():
+    # sorted_words sorts once; format_code and iteration read that same tuple
     code = extended_rs_code(Field(5), 2)
     words = code.sorted_words()
     assert words is code.sorted_words()
     assert isinstance(words, tuple) and list(words) == sorted(code.words)
-    view = bit_view(code)
-    assert view[0] is words
-    assert symbol_masks_calls == [words]
-    assert bit_view(code)[1] is view[1] and len(symbol_masks_calls) == 1
     assert list(code) == list(words)
     assert format_code(code).splitlines()[2:] == [" ".join(map(str, w)) for w in words]
 

@@ -197,7 +197,14 @@ def test_parse_reads_a_zero_padded_symbol_of_any_length():
     ("q=2 n=1" + "x" * 53, "'q=2 n=1" + "x" * 53 + "'"),
     ("q=2 n=1" + "x" * 54, "'q=2 n=1" + "x" * 53 + "'..."),
     ("q=2 n=1" + "x" * 300, "'q=2 n=1" + "x" * 53 + "'..."),
-], ids=["7-chars", "60-chars", "61-chars", "307-chars"])
+    # a printable character's repr takes at most two characters, so 60
+    # backslashes are shown whole in 122; escapes are cut at whole
+    # characters to fit those 122: each U+E0001 takes 10 and each NUL 4
+    ("\\" * 60, repr("\\" * 60)),
+    ("\U000e0001" * 60, repr("\U000e0001" * 12) + "..."),
+    ("q=2 n=1 " + "\0" * 53, repr("q=2 n=1 " + "\0" * 28) + "..."),
+], ids=["7-chars", "60-chars", "61-chars", "307-chars", "backslashes", "tag-characters",
+        "nuls"])
 def test_bad_parameter_line_is_shown_short(line, shown):
     with pytest.raises(CodeFileError) as exc:
         parse_code(f"MDSKIT v1\n{line}\n0\n")

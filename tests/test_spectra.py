@@ -1,5 +1,6 @@
 """Weight and partition enumerators: closed forms against exhaustive
-counts, and the bit-sliced counts against per-word oracles."""
+counts, and the agreement counts against per-word oracles and the
+bit-sliced route."""
 
 from collections import Counter
 from itertools import product
@@ -42,7 +43,7 @@ from mdskit import (
     weight_spectrum,
 )
 import mdskit.spectra
-from mdskit.codes import agreement_counters, bit_view, weight
+from mdskit.codes import agreement_counters, agreements, symbol_masks, weight
 from mdskit.spectra import _distances_from, _profile_count, closed_form_distribution
 
 
@@ -283,10 +284,10 @@ def oracle_distances(code, center):
         code.n, Counter(hamming_distance(w, center) for w in code.words))
 
 
-def oracle_profiles(code, center, spec):
+def oracle_profiles(code, center, blocks):
     """Codewords per profile: how many positions of each block differ
     from center, one word at a time."""
-    return Counter(tuple(sum(w[p] != center[p] for p in block) for block in spec.blocks)
+    return Counter(tuple(sum(w[p] != center[p] for p in block) for block in blocks)
                    for w in code.words)
 
 
@@ -327,7 +328,7 @@ def partitions(draw, n):
 
 @settings(deadline=None, max_examples=80)
 @given(st.data())
-def test_bit_sliced_counts_match_per_word_oracles(data):
+def test_agreement_counts_match_per_word_oracles(data):
     code = data.draw(word_codes())
     n, q, zero = code.n, code.q, code.zero
     codeword = data.draw(st.sampled_from(code.sorted_words()))
@@ -341,13 +342,13 @@ def test_bit_sliced_counts_match_per_word_oracles(data):
     else:
         with pytest.raises(ZeroWordAbsent):
             weight_spectrum(code)
-    by_weight = oracle_profiles(code, zero, spec)
+    by_weight = oracle_profiles(code, zero, spec.blocks)
     for profile in profiles:
         assert partition_weight_enumerator_bruteforce(code, spec, profile) == by_weight[profile]
 
     for center in (codeword, word):
         assert _distances_from(code, center) == oracle_distances(code, center)
-        by_distance = oracle_profiles(code, center, spec)
+        by_distance = oracle_profiles(code, center, spec.blocks)
         for profile in profiles:
             assert _profile_count(code, center, spec, profile) == by_distance[profile]
         if center in code:
@@ -363,10 +364,12 @@ def test_bit_sliced_counts_match_per_word_oracles(data):
 
 
 def per_profile_count(code, center, spec, profile):
-    """The profile count one counter run per profile: block by block,
-    narrow to the words left that agree with center in exactly
-    |block| - profile[i] of its positions."""
-    words, masks = bit_view(code)
+    """The profile count by the bit-sliced route, one counter run per
+    block over the code's symbol masks: block by block, narrow to the
+    words left that agree with center in exactly |block| - profile[i]
+    of its positions."""
+    words = code.sorted_words()
+    masks = symbol_masks(words, code.n, code.q)
     hits = (1 << len(words)) - 1
     for block, wi in zip(spec.blocks, profile):
         a = len(block) - wi
@@ -396,41 +399,41 @@ def test_profile_table_matches_the_per_profile_count(data):
 
 def test_one_profile_table_per_partition_and_center(monkeypatch):
     runs = []
-    count = mdskit.spectra.agreement_counters
+    count = mdskit.spectra.agreements
 
     def counted(*args):
         runs.append(args)
         return count(*args)
 
-    monkeypatch.setattr(mdskit.spectra, "agreement_counters", counted)
+    monkeypatch.setattr(mdskit.spectra, "agreements", counted)
     code = doubly_extended_rs(Field(4))
     spec = PartitionSpec(6, [[0, 2, 4], [1, 3], [5]])
     profiles = list(product(range(4), range(3), range(2)))
     assert sum(partition_weight_enumerator_bruteforce(code, spec, profile)
                for profile in profiles) == 64
-    assert len(runs) == 3
+    assert len(runs) == 1
     # the zero word again, through the distance enumerator: the same key
     assert sum(partition_distance_enumerator(code, code.zero, spec, profile)
                for profile in profiles) == 64
-    assert len(runs) == 3
+    assert len(runs) == 1
     # another center, another partition and back: one slot, rebuilt each time
     center = sorted(code.words)[17]
     assert partition_distance_enumerator(code, center, spec, (0, 0, 0)) == 1
-    assert len(runs) == 6
+    assert len(runs) == 2
     halves = PartitionSpec(6, [[0, 1, 2], [3, 4, 5]])
     assert partition_weight_enumerator_bruteforce(code, halves, (0, 0)) == 1
-    assert len(runs) == 8
+    assert len(runs) == 3
     assert partition_weight_enumerator_bruteforce(code, spec, (0, 0, 0)) == 1
-    assert len(runs) == 11
+    assert len(runs) == 4
     # a partition that shares its first block with spec keys its own table
     split = PartitionSpec(6, [[0, 2, 4], [1, 3, 5]])
     for profile in product(range(4), range(4)):
         assert (partition_weight_enumerator_bruteforce(code, split, profile)
                 == per_profile_count(code, code.zero, split, profile))
-    assert len(runs) == 13
+    assert len(runs) == 5
 
 
-def test_one_bit_sliced_view_per_code(symbol_masks_calls):
+def test_no_spectrum_builds_symbol_masks(symbol_masks_calls):
     code = doubly_extended_rs(Field(4))
     spec = PartitionSpec(6, [[0, 2, 4], [1, 3], [5]])
     center = sorted(code.words)[17]
@@ -443,18 +446,42 @@ def test_one_bit_sliced_view_per_code(symbol_masks_calls):
                for profile in profiles) == 64
     assert sum(partition_distance_enumerator(code, center, spec, profile)
                for profile in profiles) == 64
-    assert len(symbol_masks_calls) == 1
+    # every count, from zero or from another center, reads the columns
+    assert symbol_masks_calls == []
 
-    # weights from the zero word are counted word by word, so a fresh
-    # code's weight count builds no view; a count from a nonzero center
-    # builds the code's own
-    again = doubly_extended_rs(Field(4))
-    assert again == code
-    assert weight_spectrum(again) == weight_spectrum(code)
-    assert weight_distribution_bruteforce(again) == weight_distribution_bruteforce(code)
-    assert len(symbol_masks_calls) == 1
-    assert distance_distribution_from(again, center) == distance_distribution_from(code, center)
-    assert len(symbol_masks_calls) == 2
+
+def test_distances_from_the_last_word_of_a_large_code(symbol_masks_calls):
+    # ext-RS (17,4)_16 has 65536 words; a linear MDS code looks alike
+    # from each of its words, so every center sees the weight distribution
+    code = extended_rs_code(Field(16), 4)
+    center = code.sorted_words()[-1]
+    assert any(center)
+    assert distance_distribution_from(code, center) == weight_distribution_formula(17, 4, 16)
+    assert symbol_masks_calls == []
+
+
+def kernel_profiles(code, center, blocks):
+    """Codewords per profile, as oracle_profiles keys them, from one
+    codes.agreements run."""
+    sizes = [len(block) for block in blocks]
+    return Counter(tuple(size - a for size, a in zip(sizes, agree))
+                   for agree in zip(*agreements(code.words, code.n, center, blocks)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_agreements_edge_cases_match_the_per_word_oracle(data):
+    # a zero center on one block of every position in a drawn order,
+    # one-position blocks, one block short of a position, and a center
+    # that may not be a codeword, on codes that may not hold zero
+    code = data.draw(word_codes())
+    n, zero = code.n, code.zero
+    order = data.draw(st.permutations(range(n)))
+    word = bytes(data.draw(st.lists(st.integers(0, code.q - 1), min_size=n, max_size=n)))
+    shapes = [[order], [[p] for p in order]] + ([[order[1:]]] if n > 1 else [])
+    for center in (zero, word):
+        for blocks in shapes:
+            assert kernel_profiles(code, center, blocks) == oracle_profiles(code, center, blocks)
 
 
 def weight_oracle(code):
@@ -463,10 +490,10 @@ def weight_oracle(code):
 
 
 def view_weights(code):
-    """Weights over the code's bit view: the one-block partition weight
-    enumerator, one profile per weight."""
+    """Weights by the bit-sliced route: per_profile_count on one block,
+    one profile per weight."""
     spec = PartitionSpec(code.n, [range(code.n)])
-    return WeightDistribution(code.n, {w: partition_weight_enumerator_bruteforce(code, spec, (w,))
+    return WeightDistribution(code.n, {w: per_profile_count(code, code.zero, spec, (w,))
                                        for w in range(code.n + 1)})
 
 
@@ -494,7 +521,7 @@ def test_long_repetition_weights_match_the_closed_form(n, q):
 @pytest.mark.parametrize("q,max_n", [(2, 6), (3, 6), (4, 4)])
 def test_swept_weights_match_the_view_and_per_word_oracle(q, max_n, min_distance_calls):
     # every normal form the golden sweeps check, each passed once to
-    # min_distance: its weights word by word, over its bit view, and by
+    # min_distance: its weights word by word, by the bit-sliced route and by
     # codes.weight one word at a time
     list(check_theorems(q, max_n))
     assert min_distance_calls
