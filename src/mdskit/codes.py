@@ -1,9 +1,9 @@
 """Core code model: words, distances, MDS verification, file I/O.
 
 A code is a set of exactly q^k distinct length-n words over the alphabet
-{0, .., q-1}.  Nothing here assumes an algebra on the alphabet: field
-structure enters through the construction helpers, and min_distance only
-tests whether a code is a coset of a group from galois.symbol_group.
+{0, .., q-1}.  The only algebra here is galois.symbol_group's group:
+span_columns builds a base word plus every digit combination of shifts
+in it, the field codes' span and min_distance's test for a coset.
 A codeword is a length-n bytes row, one byte per symbol, so an alphabet
 holds at most errors.MAX_SYMBOLS symbols; columns_of and rows_of turn
 rows into bytes columns and back, and every kernel works on those.
@@ -27,7 +27,7 @@ are not a power of q.
 import math
 import re
 from collections import namedtuple
-from itertools import combinations, islice, repeat
+from itertools import accumulate, combinations, islice, repeat
 
 from .errors import (
     BadPositions,
@@ -41,7 +41,7 @@ from .errors import (
     check_symbols,
     shown,
 )
-from .galois import symbol_group
+from .galois import prime_power, symbol_group
 
 
 def hamming_distance(a, b):
@@ -230,39 +230,52 @@ def _distinct_on(columns, pos):
     return len(set(memoryview(m).cast("Q"))) == len(columns[0])
 
 
+def span_columns(base, shifts, q):
+    """The columns of every word base + d_1*s_1 + .. + d_t*s_t, summed
+    in symbol_group(q), each digit d_j in 0..p-1 for p the order of the
+    group's generators (p = q when q is not a prime power).  Rows come
+    in digit order, d_1 the most significant: each shift, the last
+    first, joins p translates of each column, by its multiples 0, s,
+    .., (p-1)*s at that position."""
+    add, _ = symbol_group(q)
+    p = (prime_power(q) or (q, 1))[0]
+    columns = [base[i:i + 1] for i in range(len(base))]
+    for shift in reversed(shifts):
+        columns = [b"".join(column.translate(add[x]) for x in
+                            accumulate(repeat(s, p - 1), lambda x, s: add[x][s], initial=0))
+                   for column, s in zip(columns, shift)]
+    return columns
+
+
 def _coset_distance(code):
-    """d of a code that is a coset c0 + H of a subgroup H of G^n, or
-    None when the test below fails; c0 is the least word.  When the
-    first k positions are an information set, c0's k-prefix is zero
-    and sorted_words() holds the word of k-prefix x at index x read in
-    base q.  For each of those positions i and each generator u of G,
-    the test reads the word g of k-prefix u at i and zero elsewhere,
-    and checks C + (g - c0) within C, column by column through the add
-    rows.  The shifts that map C into itself form a group; these ones
-    project onto all of G^k, so it has at least q^k = |C| elements and
-    C is c0 plus that group.  Translations keep distances, so d is the
-    least distance from c0 (MacWilliams and Sloane, ch. 1)."""
-    q, k = code.q, code.k
+    """d of a code that is a coset c0 + H of a subgroup H of G^n, c0 its
+    least word, or None when the test below fails.  When the first k
+    positions are an information set, c0's k-prefix is zero and
+    sorted_words() holds the word of k-prefix x at index x read in base
+    q.  The axis word of i < k and a generator u of G has k-prefix u at
+    i, zero elsewhere; span_columns rebuilds c0 plus every digit
+    combination of their shifts from c0, by position and largest u
+    first, so in k-prefix order.  If that is the code, C is c0 plus a
+    homomorphism's image, a subgroup; translations keep distances, so d
+    is the least distance from c0 (MacWilliams and Sloane, ch. 1)."""
+    q, k, n = code.q, code.k, code.n
     words = code.sorted_words()
     c0 = words[0]
     if any(c0[:k]):
         return None
     add, generators = symbol_group(q)
-    columns = columns_of(words, code.n)
+    shifts = []
     for i in range(k):
-        for u in generators:
+        for u in reversed(generators):
             g = words[u * q ** (k - 1 - i)]
             if g[:k] != bytes(i) + bytes((u,)) + bytes(k - 1 - i):
                 return None
             # add[a].index(b) is the shift b - a within the position
-            shifted = [column.translate(add[add[a].index(b)])
-                       for column, a, b in zip(columns, c0, g)]
-            # before Python 3.12, issuperset would first copy an
-            # iterable into a set; this stops at the first word outside
-            if not all(map(code.words.__contains__, rows_of(shifted))):
-                return None
-    (agree,) = agreements(words, code.n, c0, [range(code.n)])
-    return code.n - max(islice(agree, 1, None))
+            shifts.append(bytes(map(lambda a, b: add[a].index(b), c0, g)))
+    if span_columns(c0, shifts, q) != columns_of(words, n):
+        return None
+    (agree,) = agreements(words, n, c0, [range(n)])
+    return n - max(islice(agree, 1, None))
 
 
 def min_distance(code):
@@ -277,7 +290,7 @@ def min_distance(code):
     _coset_distance tests whether the code is a coset of a group, as
     every linear code whose first k positions are an information set
     is; if so, d is the least distance from its least word, found in
-    O(mk*|C|*n) C-level steps for q = p^m.  Every other code takes
+    O(|C|*n) C-level steps: the rebuild and one count.  Every other code takes
     _scan_distance, the bit-sliced scan over all words at once."""
     if len(code.words) < 2:
         raise TooFewWords("minimum distance needs at least two words")

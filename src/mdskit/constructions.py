@@ -6,12 +6,14 @@ variants, and the two-way bridge between (n, 2)_q MDS codes and sets of
 n-2 mutually orthogonal Latin squares.
 
 Each builder refuses a code past the word or length limit before it
-builds anything, the field builders taking a Field or its order.
+builds anything, the field builders taking a Field or its order.  A
+field builder's code is the GF(q)-span of its generator rows, built by
+codes.span_columns: row j of an evaluation code holds a^j at each point.
 """
 
 import itertools
 
-from .codes import Code, columns_of, is_mds, is_position, require_mds, rows_of
+from .codes import Code, columns_of, is_mds, is_position, require_mds, rows_of, span_columns
 from .errors import (
     DimensionTooLarge,
     DuplicatePoints,
@@ -51,17 +53,15 @@ def universe_code(k, q):
 def sum_zero_code(k, field):
     """(k+1, k)_q code of words whose field-sum is zero; distance 2.
 
-    Over GF(2) this is the even-weight (single-parity-check) code.  The
-    first k coordinates run over the coefficients c0..c_{k-1} of every
-    polynomial f of degree < k, and the last is -f(1), minus their sum.
+    Over GF(2) this is the even-weight (single-parity-check) code.  Its
+    generator row j holds 1 at position j and -1 at position k.
     """
     check_integers(k=k)
     field = _field(field, k)
     if k < 1:
         raise InvalidParameters(f"need k >= 1, got {shown('k', k)}")
-    (at_one,) = _evaluations(field, k, (1,))
-    return Code._of(field.q, rows_of([*(_coefficients(field.q, k, j) for j in range(k)),
-                                      at_one.translate(field.neg_row)]))
+    return _span_code(field, [bytes(i == j for i in range(k)) + bytes((field.neg(1),))
+                              for j in range(k)])
 
 
 def _field(field, k):
@@ -70,26 +70,12 @@ def _field(field, k):
     return field if isinstance(field, Field) else Field(field)
 
 
-def _evaluations(field, k, points):
-    """Per point a, the bytes f(a) for every polynomial f of degree < k,
-    in the order of field.all_polynomials(k).  That order runs over c0
-    and, for each, over every g of degree < k-1 in the same order, where
-    f = c0 + x*g; so a's column is, for each c0 in turn, g's column
-    times a plus c0, each a translate through a row of the field."""
-    columns = []
-    for a in points:
-        column = bytes(field.elements)
-        for _ in range(k - 1):
-            product = column.translate(field.mul_rows[a])
-            column = b"".join(product.translate(row) for row in field.add_rows)
-        columns.append(column)
-    return columns
-
-
-def _coefficients(q, k, j):
-    """Coefficient c_j of every polynomial of degree < k, in the order of
-    Field.all_polynomials(k)."""
-    return b"".join(bytes((c,)) * q ** (k - 1 - j) for c in range(q)) * q ** j
+def _span_code(field, rows):
+    """The code of every GF(q)-combination of the bytes rows: c*r sums
+    d_j copies of p^j*r for c's base-p digits d_j, so each row times
+    each additive generator p^j is one shift of span_columns."""
+    shifts = [row.translate(field.mul_rows[field.p ** j]) for row in rows for j in range(field.m)]
+    return Code._of(field.q, rows_of(span_columns(bytes(len(rows[0])), shifts, field.q)))
 
 
 def rs_code(field, k, points):
@@ -107,7 +93,7 @@ def rs_code(field, k, points):
         raise InvalidParameters(f"points {shown('', points)} must be field elements")
     if not 1 <= k <= len(points):
         raise DimensionTooLarge(f"need 1 <= k <= n={len(points)}, got {shown('k', k)}")
-    return Code._of(field.q, rows_of(_evaluations(field, k, points)))
+    return _span_code(field, [bytes(field.pow(a, j) for a in points) for j in range(k)])
 
 
 def extended_rs_code(field, k):
@@ -118,8 +104,8 @@ def extended_rs_code(field, k):
     field = _field(field, k)
     if not 1 <= k <= field.q:
         raise DimensionTooLarge(f"need 1 <= k <= q={field.q}, got {shown('k', k)}")
-    return Code._of(field.q, rows_of([*_evaluations(field, k, field.elements),
-                                      _coefficients(field.q, k, k - 1)]))
+    return _span_code(field, [bytes(field.pow(a, j) for a in field.elements)
+                              + bytes((j == k - 1,)) for j in range(k)])
 
 
 def doubly_extended_rs(field):
@@ -131,8 +117,8 @@ def doubly_extended_rs(field):
     field = _field(field, 3)
     if field.p != 2 or field.q < 4:
         raise OddCharacteristic(f"requires characteristic 2 and q >= 4, got q={field.q}")
-    return Code._of(field.q, rows_of([*_evaluations(field, 3, field.elements),
-                                      _coefficients(field.q, 3, 1), _coefficients(field.q, 3, 2)]))
+    return _span_code(field, [bytes(field.pow(a, j) for a in field.elements)
+                              + bytes((j == 1, j == 2)) for j in range(3)])
 
 
 # ------------------------------------------------------- Latin squares
@@ -229,8 +215,8 @@ def cyclic_mols(p):
     if prime_power(p) != (p, 1):
         raise NotPrime(f"{shown('', p)} is not prime")
     field = Field(p)
-    columns = [_coefficients(p, 2, 1), *_evaluations(field, 2, field.elements)]
-    return code_to_mols(Code._of(p, rows_of(columns)))
+    return code_to_mols(_span_code(field, [bytes((j, *(field.pow(a, j) for a in field.elements)))
+                                           for j in range(2)]))
 
 
 def mols_to_code(mols):

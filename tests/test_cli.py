@@ -61,6 +61,8 @@ CONSTRUCT_DIGESTS = [
     (["mols", "--p", "7"], "3ecf657911c1d06c"),
     (["repetition", "--n", "5", "--q", "256"], "17823497f7fb792b"),
     (["mols", "--p", "101"], "b0c747a20472ae99"),
+    (["rs", "--k", "2", "--q", "243"], "fbbe4e4a0935c03e"),
+    (["ext-rs", "--k", "2", "--q", "256"], "1452eb2057099f81"),
 ]
 
 

@@ -44,7 +44,14 @@ from mdskit import (
     weight,
     write_code,
 )
-from mdskit.codes import _coset_distance, _scan_distance, symbol_masks
+from mdskit.codes import (
+    _coset_distance,
+    _scan_distance,
+    columns_of,
+    rows_of,
+    span_columns,
+    symbol_masks,
+)
 from mdskit.errors import MAX_SYMBOLS
 from mdskit.galois import SUPPORTED_ORDERS, symbol_group
 
@@ -304,6 +311,102 @@ def test_group_route_matches_scan_and_oracle(case, symbol_masks_calls):
         assert (group is not None) == information_set_check(code, range(code.k))
     elif kind == "sum-zero":
         assert group is not None
+
+
+def test_group_route_keeps_the_prefix_checks():
+    # {00, 01} and {10, 11} are cosets of subgroups of Z_2^2, and the
+    # least word plus the span of the other's difference rebuilds each,
+    # but in the first the word at index 1 has k-prefix 0, not 1, and in
+    # the second the least word's k-prefix is not zero: the first k
+    # positions are no information set, so the route declines both
+    assert _coset_distance(Code(2, [(0, 0), (0, 1)])) is None
+    assert _coset_distance(Code(2, [(1, 0), (1, 1)])) is None
+
+
+class _NoLookups(frozenset):
+    """A word set that fails the test on a membership lookup."""
+
+    def __contains__(self, word):
+        pytest.fail("membership lookup in the group route")
+
+
+def test_group_route_on_a_65536_word_code(symbol_masks_calls, monkeypatch):
+    # ext-RS (257,2)_256 takes the group route with no bit-sliced view,
+    # no lookup in the word set and at most one transpose: none from its
+    # zero least word, whose count runs word by word, and one from a
+    # translate's nonzero least word, in agreements
+    code = extended_rs_code(256, 2)
+    add = symbol_group(256)[0]
+    v = b"\x01" + bytes(256)           # weight 1 < d, so no codeword
+    translated = Code._of(256, rows_of([column.translate(add[s]) for column, s
+                                        in zip(columns_of(code.words, code.n), v)]))
+    transposes = []
+    monkeypatch.setattr(mdskit.codes, "rows_of",
+                        lambda columns: transposes.append(len(columns)) or rows_of(columns))
+    for copy, expected in ((Code._of(256, code.words), []), (translated, [257])):
+        copy.words = _NoLookups(copy.words)
+        transposes.clear()
+        symbol_masks_calls.clear()
+        assert min_distance(copy) == 256
+        assert symbol_masks_calls == []
+        assert transposes == expected
+
+
+# the order of each symbol group's generators: the prime p of q = p^m,
+# or q itself where q is not a prime power
+GENERATOR_ORDER = {2: 2, 3: 3, 4: 2, 6: 6, 9: 3, 10: 10, 12: 12, 243: 3, 256: 2}
+
+
+def per_word_span(base, shifts, q):
+    """Oracle for span_columns: one word per digit tuple, in
+    itertools.product order, each digit's multiple of its shift added
+    one group addition at a time."""
+    add = symbol_group(q)[0]
+    rows = []
+    for digits in product(range(GENERATOR_ORDER[q]), repeat=len(shifts)):
+        word = list(base)
+        for d, shift in zip(digits, shifts):
+            for _ in range(d):
+                word = [add[a][s] for a, s in zip(word, shift)]
+        rows.append(bytes(word))
+    return [bytes(column) for column in zip(*rows)]
+
+
+@st.composite
+def spans(draw):
+    """(base, shifts, q) spanning at most 729 words of length 1 to 5,
+    with q over Z_6, Z_10 and Z_12, odd p up to m = 5 and p = 2 up to
+    m = 8; a shift is all zero a fifth of the time."""
+    q = draw(st.sampled_from(sorted(GENERATOR_ORDER)))
+    n = draw(st.integers(1, 5))
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(bytes)
+    t = draw(st.integers(1, int(math.log(729, GENERATOR_ORDER[q]) + 1e-9)))
+    shift = st.one_of(st.just(bytes(n)), word, word, word, word)
+    return draw(word), draw(st.lists(shift, min_size=t, max_size=t)), q
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=spans())
+def test_span_columns_match_the_per_word_oracle(case):
+    base, shifts, q = case
+    assert span_columns(base, shifts, q) == per_word_span(base, shifts, q)
+
+
+@pytest.mark.parametrize("q", sorted(GENERATOR_ORDER))
+def test_span_columns_of_one_shift_and_of_a_zero_shift(q):
+    base, shift, zero = bytes((q - 1, 0, 1)), bytes((1, 1, q - 1)), bytes(3)
+    for shifts in ([shift], [zero], [shift, zero], [zero, shift]):
+        columns = span_columns(base, shifts, q)
+        assert columns == per_word_span(base, shifts, q)
+        assert len(columns[0]) == GENERATOR_ORDER[q] ** len(shifts)
+
+
+def test_span_columns_run_in_digit_order():
+    # Z_6: 5 + d*1 for d = 0..5; Z_2^2 (q = 4): 3 + d1*1 + d2*2, with
+    # d1 the most significant digit
+    assert span_columns(b"\x05", [b"\x01"], 6) == [bytes((5, 0, 1, 2, 3, 4))]
+    assert span_columns(b"\x03", [b"\x01", b"\x02"], 4) == [bytes((3, 1, 2, 0))]
+    assert span_columns(b"\x02\x07", [], 8) == [b"\x02", b"\x07"]
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

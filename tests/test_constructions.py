@@ -1,5 +1,6 @@
 """Construction families: parameters, the MDS property, and MOLS."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -34,6 +35,7 @@ from mdskit import (
     universe_code,
 )
 from mdskit.errors import MAX_WORD_LENGTH
+from mdskit.galois import SUPPORTED_ORDERS
 
 
 def _check(code, n, k, q):
@@ -193,6 +195,33 @@ def test_evaluation_builders_match_poly_eval(q):
         assert doubly_extended_rs(field).words == {
             bytes(tuple(field.poly_eval((c, b, e), a) for a in field.elements) + (b, e))
             for c, b, e in product(field.elements, repeat=3)}
+
+
+@pytest.mark.parametrize("q", [q for q in SUPPORTED_ORDERS if q not in SMALL_ORDERS])
+def test_span_builders_match_poly_eval_past_the_small_orders(q):
+    # 50 seeded polynomials per order stand in for all q^2: each word
+    # Field.poly_eval gives must be in the built code
+    field = Field(q)
+    rng = random.Random(q)
+    polys = [(rng.randrange(q), rng.randrange(q)) for _ in range(50)]
+    points = list(reversed(field.elements))[:4]
+    code = rs_code(field, 2, points)
+    assert len(code.words) == q ** 2
+    assert all(bytes(field.poly_eval(c, a) for a in points) in code.words for c in polys)
+    code = extended_rs_code(field, 2)
+    assert len(code.words) == q ** 2
+    assert all(bytes((*(field.poly_eval(c, a) for a in field.elements), c[1])) in code.words
+               for c in polys)
+
+
+def test_doubly_extended_rs_32_matches_poly_eval():
+    field = Field(32)
+    rng = random.Random(32)
+    code = doubly_extended_rs(field)
+    assert len(code.words) == 32 ** 3
+    for _ in range(50):
+        c, b, e = (rng.randrange(32) for _ in range(3))
+        assert bytes((*(field.poly_eval((c, b, e), a) for a in field.elements), b, e)) in code.words
 
 
 def test_doubly_extended_rs():
