@@ -21,7 +21,9 @@ Lines break at LF alone; a CR directly before an LF is tolerated, and any
 other line break (a lone CR, VT, FF, \x1c-\x1e, NEL, U+2028, U+2029) is
 refused.  The parser also rejects numbers that are not ASCII integers,
 duplicate words, wrong arity, out-of-range symbols, and word counts that
-are not a power of q.
+are not a power of q.  The writer renders rows by one translate per
+digit place (_lines_of); the reader keeps a chunk of lines only if its
+rows render back to it, and reads any other chunk line by line.
 """
 
 import math
@@ -409,27 +411,37 @@ _DIGITS = (bytes(100) + _NAMES[300::3], bytes(10) + _NAMES[31::3], _NAMES[2::3])
 # words rendered at a time: one block's buffer, not the whole file's,
 # is held beside the text
 _BLOCK = 4096
+# the reader's tables: a digit's value (0 off a digit), and 0xFF on
+# every byte but the separators space and LF
+_VALUE = bytes(48) + bytes(range(10)) + bytes(198)
+_MARK = b"\xff" * 10 + b"\0" + b"\xff" * 21 + b"\0" + b"\xff" * 223
+# bytes of word lines read at a time, each chunk extended to the next LF
+_CHUNK = 1 << 14
+
+
+def _lines_of(m, n, places):
+    """The word lines of the length-n rows joined in m, as ASCII bytes.
+    Each symbol gets w + 1 bytes of a buffer, w = len(places): its w
+    digit places, each filled for all rows by one translate of m through
+    a table of _DIGITS, and a space or, after a word's last symbol, a
+    newline.  Dropping the NULs of names shorter than w leaves the
+    lines."""
+    step = len(places) + 1
+    out = bytearray(step * len(m))
+    for i, table in enumerate(places):
+        out[i::step] = m.translate(table)
+    out[step - 1::step] = (b" " * (n - 1) + b"\n") * (len(m) // n)
+    return out.translate(None, b"\0")
 
 
 def _rendered(code):
-    """The file's text in pieces: the header, then each block of at most
-    _BLOCK words in lexicographic order.  Each symbol gets w + 1 bytes
-    of the block's buffer, w = len(str(q-1)): its w digit places, each
-    filled for the whole block by one translate of the block's joined
-    rows through _DIGITS, and a space or, after a word's last symbol, a
-    newline.  Dropping the NULs of names shorter than w leaves the
-    text."""
+    """The file's text in pieces: the header, then the lines of each
+    block of at most _BLOCK words in lexicographic order."""
     n, words = code.n, code.sorted_words()
     places = _DIGITS[3 - len(str(code.q - 1)):]
-    step = len(places) + 1
     yield f"{_MAGIC}\nq={code.q} n={n}\n"
     for start in range(0, len(words), _BLOCK):
-        m = b"".join(words[start:start + _BLOCK])
-        out = bytearray(step * len(m))
-        for i, table in enumerate(places):
-            out[i::step] = m.translate(table)
-        out[step - 1::step] = (b" " * (n - 1) + b"\n") * (len(m) // n)
-        yield out.translate(None, b"\0").decode("ascii")
+        yield _lines_of(b"".join(words[start:start + _BLOCK]), n, places).decode("ascii")
 
 
 def format_code(code):
@@ -454,42 +466,48 @@ def _number(token):
     return -value if token[0] == "-" else value
 
 
-def parse_code(text):
-    """The code a file's text holds; lines break at LF, with one CR
-    before an LF tolerated.  The text is searched for another break only
-    when it is not ASCII or holds one of the ASCII ones.  Word lines are
-    read one at a time, since splitting the whole body at once holds
-    every token as a str: a line of canonical names ("0" .. str(q-1)) is
-    read by one dict lookup per token into a bytes row; any other line
-    takes the full checks, so "007" and "-0" still read as symbols and a
-    number of any length as _number reads it."""
-    text = text.replace("\r\n", "\n")
-    if not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS)):
-        other = re.search(_OTHER_BREAK, text)
-        if other:
-            lineno = text.count("\n", 0, other.start()) + 1
-            raise CodeFileError(f"line {lineno}: line break {other.group()!r} other than LF")
-    lines = text.splitlines()
-    if not lines or lines[0] != _MAGIC:
-        raise CodeFileError(f"missing '{_MAGIC}' header")
-    if len(lines) < 2:
-        raise CodeFileError("missing parameter line 'q=<int> n=<int>'")
-    params = re.fullmatch(_PARAM_LINE, lines[1])
-    if not params:
-        shown_line = lines[1][:_LINE_SHOWN]
-        # a printable character's repr takes at most two characters
-        while len(repr(shown_line)) > 2 * _LINE_SHOWN + 2:
-            shown_line = shown_line[:-1]
-        raise CodeFileError(f"bad parameter line: {shown_line!r}"
-                            + "..." * (shown_line != lines[1]))
-    q, n = map(_number, params.groups())
-    if q < 2 or n < 1:
-        raise CodeFileError(f"need q >= 2 and n >= 1, got {shown('q', q)} {shown('n', n)}")
-    check_symbols(q)
+def _canonical_rows(chunk, n, q):
+    """The rows of a chunk of word lines, or None unless the chunk is
+    _lines_of those rows byte for byte: canonical names of symbols below
+    q, one space apart, each line ending in LF.  Only that check is
+    trusted, so the kernel may assume canonical text.  One-digit names
+    sit at every second byte.  Longer ones are read with ints as byte
+    lanes: the units and tens digits before each separator are shifted
+    onto it and summed (at most 99; a separator reads as 0), and the
+    hundreds, where the byte between is not a separator, into a second
+    int.  Every other lane is set to 0xFF and deleted, and the places
+    are summed: a symbol past 255 overflows or renders back otherwise."""
+    b = chunk.encode()
+    places = _DIGITS[3 - len(str(q - 1)):]
+    if len(places) == 1:
+        m = b[::2].translate(_VALUE)
+    else:
+        value, mark = (int.from_bytes(b.translate(t), "big") for t in (_VALUE, _MARK))
+        lanes = [(value >> 8) + (value >> 16) * 10]
+        if len(places) == 3:
+            lanes.append(value >> 24 & mark >> 16)
+        total = 0
+        for scale, x in zip((1, 100), lanes):
+            x = (x | mark).to_bytes(len(b), "big").translate(None, b"\xff")
+            total += int.from_bytes(x, "big") * scale
+        try:
+            m = total.to_bytes(len(x), "big")
+        except OverflowError:
+            return None
+    if (not m or len(m) % n or m.translate(None, bytes(range(q)))
+            or _lines_of(m, n, places) != b):
+        return None
+    return [m[i:i + n] for i in range(0, len(m), n)]
 
+
+def _line_words(lines, lineno, n, q):
+    """The words of lines numbered from lineno, blank ones skipped: a
+    line of canonical names is read by one dict lookup per token; any
+    other takes the full checks, so "007" and "-0" still read as symbols
+    and a number of any length as _number reads it."""
     symbol = {str(s): s for s in range(q)}.get
     words = []
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines, start=lineno):
         tokens = line.split()
         if not tokens:
             continue
@@ -508,6 +526,53 @@ def parse_code(text):
                 raise CodeFileError(f"line {lineno}: symbol outside 0..{q - 1}")
             word = bytes(word)
         words.append(word)
+    return words
+
+
+def parse_code(text):
+    """The code a file's text holds; lines break at LF, with one CR
+    before an LF tolerated.  The text is searched for another break only
+    when it is not ASCII or holds one of the ASCII ones.  Word lines are
+    read a chunk of about _CHUNK bytes at a time, each chunk extended to
+    the next LF, since splitting the whole body at once holds every
+    token as a str.  A chunk that _lines_of could have written is read
+    by _canonical_rows with no object per token; any other chunk goes
+    through _line_words, the only source of messages, with its true
+    first line number."""
+    text = text.replace("\r\n", "\n")
+    if not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS)):
+        other = re.search(_OTHER_BREAK, text)
+        if other:
+            lineno = text.count("\n", 0, other.start()) + 1
+            raise CodeFileError(f"line {lineno}: line break {other.group()!r} other than LF")
+    start = text.find("\n", text.find("\n") + 1) + 1 or len(text)
+    lines = text[:start].splitlines()
+    if not lines or lines[0] != _MAGIC:
+        raise CodeFileError(f"missing '{_MAGIC}' header")
+    if len(lines) < 2:
+        raise CodeFileError("missing parameter line 'q=<int> n=<int>'")
+    params = re.fullmatch(_PARAM_LINE, lines[1])
+    if not params:
+        shown_line = lines[1][:_LINE_SHOWN]
+        # a printable character's repr takes at most two characters
+        while len(repr(shown_line)) > 2 * _LINE_SHOWN + 2:
+            shown_line = shown_line[:-1]
+        raise CodeFileError(f"bad parameter line: {shown_line!r}"
+                            + "..." * (shown_line != lines[1]))
+    q, n = map(_number, params.groups())
+    if q < 2 or n < 1:
+        raise CodeFileError(f"need q >= 2 and n >= 1, got {shown('q', q)} {shown('n', n)}")
+    check_symbols(q)
+
+    words = []
+    lineno = 3
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        rows = _canonical_rows(chunk, n, q)
+        words += _line_words(chunk.splitlines(), lineno, n, q) if rows is None else rows
+        lineno += chunk.count("\n")
+        start = end
 
     # Code._of takes this frozenset as it is, so no word is hashed twice
     wordset = frozenset(words)

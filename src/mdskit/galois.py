@@ -55,15 +55,21 @@ def symbol_group(q):
     whatever its modulus, and addition mod q otherwise.  Returns its add
     rows, row a holding a + b at byte b and padded to 256 bytes, and its
     generators p^0 .. p^(m-1).  At a prime power q the rows are
-    Field(q).add_rows, the same objects."""
+    Field(q).add_rows, the same objects.  Adding a generator u adds 1
+    mod p to the digit at u, a rotation by u of each run of p*u symbols,
+    so its row is built by slicing.  A row a in u..p*u-1 is row a-u
+    translated through u's row: q translates, not q^2 sums.  Rows are
+    padded only at the end, as a translate would turn padding into u."""
     p, m = prime_power(q) or (q, 1)
     places = tuple(p ** j for j in range(m))
-
-    def add(a, b):
-        return sum((a // u + b // u) % p * u for u in places)
-
-    rows = tuple(bytes(add(a, b) for b in range(q)).ljust(256, b"\0") for a in range(q))
-    return rows, places
+    symbols = bytes(range(q))
+    rows = [symbols]
+    for u in places:
+        plus = b"".join(symbols[x + u:x + p * u] + symbols[x:x + u]
+                        for x in range(0, q, p * u)).ljust(256, b"\0")
+        for a in range(u, p * u):
+            rows.append(rows[a - u].translate(plus))
+    return tuple(row.ljust(256, b"\0") for row in rows), places
 
 
 def _modulus(p, m):

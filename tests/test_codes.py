@@ -426,6 +426,23 @@ def test_symbol_group_past_the_supported_orders(q, add, generators):
     assert symbol_group(q) == (rows, generators)
 
 
+def per_pair_symbol_group(q):
+    """Oracle for symbol_group: each of the q^2 sums by its digits mod p,
+    the formula symbol_group used before it built rows by translates."""
+    p, m = mdskit.galois.prime_power(q) or (q, 1)
+    places = tuple(p ** j for j in range(m))
+
+    def add(a, b):
+        return sum((a // u + b // u) % p * u for u in places)
+
+    return tuple(bytes(add(a, b) for b in range(q)).ljust(256, b"\0") for a in range(q)), places
+
+
+@pytest.mark.parametrize("q", range(2, MAX_SYMBOLS + 1))
+def test_symbol_group_matches_the_per_pair_sums(q):
+    assert symbol_group(q) == per_pair_symbol_group(q)
+
+
 def per_bit_symbol_masks(words, n, q):
     """Oracle for symbol_masks: one bit set per word and position."""
     masks = [[0] * q for _ in range(n)]
@@ -642,9 +659,7 @@ def spelled_code_files(draw):
     return code, "".join(map(str.__add__, head + lines, ends)), lines
 
 
-@settings(deadline=None, max_examples=200)
-@given(spelled_code_files())
-def test_parse_matches_regex_per_line_oracle(case):
+def assert_parse_matches_oracle(case):
     code, text, lines = case
     try:
         expected = Code(code.q, checked_words(lines, code.n, code.q))
@@ -655,6 +670,88 @@ def test_parse_matches_regex_per_line_oracle(case):
     except CodeFileError as err:
         got = str(err)
     assert got == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(spelled_code_files())
+def test_parse_matches_regex_per_line_oracle(case):
+    assert_parse_matches_oracle(case)
+
+
+@settings(deadline=None, max_examples=200)
+@given(spelled_code_files(), st.integers(1, 12))
+def test_parse_in_small_chunks_matches_regex_per_line_oracle(case, chunk):
+    # with chunks of a few bytes every drawn file spans many, canonical
+    # ones read by the block reader and the others line by line
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdskit.codes, "_CHUNK", chunk)
+        assert_parse_matches_oracle(case)
+
+
+@pytest.fixture
+def no_line_reads(monkeypatch):
+    """Fails the test if a word line is read by the per-line loop."""
+    def refuse(*args):
+        pytest.fail("a chunk was read line by line")
+    monkeypatch.setattr(mdskit.codes, "_line_words", refuse)
+
+
+# one-digit names (q <= 10), two-digit and three-digit ones; (8,4)_7
+# and (12,3)_11 fill two 16 KB chunks and a third in part, ext-RS
+# (257,1)_256 fills sixteen
+@pytest.mark.parametrize("code", [
+    extended_rs_code(Field(7), 4), extended_rs_code(Field(11), 3), extended_rs_code(Field(256), 1),
+], ids=lambda code: f"n{code.n}k{code.k}q{code.q}")
+def test_canonical_chunks_are_never_read_line_by_line(code, no_line_reads):
+    text = format_code(code)
+    assert len(text) > 2 * mdskit.codes._CHUNK
+    assert parse_code(text) == code
+    # a last line with no LF is read line by line, in its own chunk
+    with pytest.raises(pytest.fail.Exception, match="line by line"):
+        parse_code(text[:-1])
+
+
+def test_parse_reads_a_last_line_with_no_lf():
+    for code in (extended_rs_code(Field(9), 3), extended_rs_code(Field(11), 3),
+                 repetition_code(3, 256)):
+        text = format_code(code)
+        assert parse_code(text[:-1]) == code
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mdskit.codes, "_CHUNK", 5)
+            assert parse_code(text[:-1]) == code
+
+
+def test_parse_reads_a_line_longer_than_a_chunk(no_line_reads):
+    code = repetition_code(10000, 2)        # two lines of 20000 bytes
+    assert parse_code(format_code(code)) == code
+
+
+@pytest.mark.parametrize("q", [10, 11, 100, 101, 256])
+def test_parse_reads_words_in_any_order(q, no_line_reads):
+    code = universe_code(2, q) if q < 256 else extended_rs_code(Field(256), 1)
+    lines = format_code(code).split("\n")
+    body = lines[2:-1]
+    random.Random(q).shuffle(body)
+    assert parse_code("\n".join(lines[:2] + body) + "\n") == code
+
+
+@pytest.mark.parametrize("q, token", [(256, "256"), (256, "300"), (256, "999"), (11, "11")])
+@pytest.mark.parametrize("chunk", [1, mdskit.codes._CHUNK])
+@pytest.mark.parametrize("where", [0, -1])
+def test_parse_refuses_a_symbol_past_q_in_a_later_chunk(q, token, chunk, where):
+    # a line past the first 16 KB chunk; with chunks of one byte each
+    # line is its own chunk, so a first token past 255 is the chunk's
+    # first lane and overflows its int
+    code = extended_rs_code(Field(q), 1 if q == 256 else 3)
+    lines = format_code(code).split("\n")
+    lineno = 2 * len(lines) // 3
+    tokens = lines[lineno - 1].split(" ")
+    tokens[where] = token
+    lines[lineno - 1] = " ".join(tokens)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdskit.codes, "_CHUNK", chunk)
+        with pytest.raises(CodeFileError, match=f"^line {lineno}: symbol outside 0..{q - 1}$"):
+            parse_code("\n".join(lines))
 
 
 def test_parse_takes_crlf_line_ends(tmp_path):
